@@ -212,6 +212,9 @@ func replay(args []string) error {
 		return fmt.Errorf("unknown granularity %q", *gran)
 	}
 
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	acc := experiments.ScoreTrackerOnTrace(tracker.New(cfg), accs, experiments.EpochByTime(*period))
 	fmt.Printf("trace          %s (%d accesses)\n", *in, len(accs))
 	fmt.Printf("tracker        %s/%s N=%d K=%d, query period %dns\n",

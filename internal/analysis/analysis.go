@@ -96,7 +96,7 @@ type Pass struct {
 	Facts *FactSet
 
 	report  func(Diagnostic)
-	markers map[int]markerInfo // source line -> marker ("coldpath", ...)
+	markers map[markerLine]markerInfo // source line -> marker ("coldpath", ...)
 }
 
 // Reportf records a finding at pos.

@@ -84,12 +84,19 @@ type markerInfo struct {
 	arg  string
 }
 
+// markerLine is one source line of one file: markers are keyed by both,
+// since the files of a package share line numbers.
+type markerLine struct {
+	file string
+	line int
+}
+
 // collectMarkers maps source lines to in-function markers (coldpath,
 // orderinvariant, unitcredit, floatok, ...). A marker governs the
 // statement on its own line or, for a comment on a line of its own, the
-// line below.
-func collectMarkers(fset *token.FileSet, files []*ast.File) map[int]markerInfo {
-	out := map[int]markerInfo{}
+// line below, in its own file only.
+func collectMarkers(fset *token.FileSet, files []*ast.File) map[markerLine]markerInfo {
+	out := map[markerLine]markerInfo{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -100,8 +107,9 @@ func collectMarkers(fset *token.FileSet, files []*ast.File) map[int]markerInfo {
 				// The marker governs from its own line through the end
 				// of its comment group, so a multi-line justification
 				// between the marker and the statement keeps it attached.
-				for line := fset.Position(c.Pos()).Line; line <= fset.Position(cg.End()).Line; line++ {
-					out[line] = markerInfo{name, arg}
+				pos := fset.Position(c.Pos())
+				for line := pos.Line; line <= fset.Position(cg.End()).Line; line++ {
+					out[markerLine{pos.Filename, line}] = markerInfo{name, arg}
 				}
 			}
 		}
@@ -119,12 +127,11 @@ func (p *Pass) markedAt(n ast.Node, name string) bool {
 // markerAt returns the argument of the named marker governing the
 // node's first line (or the line directly above it).
 func (p *Pass) markerAt(n ast.Node, name string) (string, bool) {
-	line := p.Fset.Position(n.Pos()).Line
-	if m, ok := p.markers[line]; ok && m.name == name {
-		return m.arg, true
-	}
-	if m, ok := p.markers[line-1]; ok && m.name == name {
-		return m.arg, true
+	pos := p.Fset.Position(n.Pos())
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if m, ok := p.markers[markerLine{pos.Filename, line}]; ok && m.name == name {
+			return m.arg, true
+		}
 	}
 	return "", false
 }

@@ -153,7 +153,6 @@ func recvName(fd *ast.FuncDecl) string {
 func (p *Pass) collectGuardedFields() map[*types.Var]string {
 	guarded := map[*types.Var]string{}
 	for _, f := range p.Files {
-		fileMarkers := collectMarkers(p.Fset, []*ast.File{f})
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok || st.Fields == nil {
@@ -166,20 +165,15 @@ func (p *Pass) collectGuardedFields() map[*types.Var]string {
 				}
 			}
 			for _, field := range st.Fields.List {
-				line := p.Fset.Position(field.Pos()).Line
-				m, ok := fileMarkers[line]
-				if !ok || m.name != markGuardedBy {
-					if m2, ok2 := fileMarkers[line-1]; ok2 && m2.name == markGuardedBy {
-						m = m2
-					} else {
-						continue
-					}
+				arg, ok := p.markerAt(field, markGuardedBy)
+				if !ok {
+					continue
 				}
-				if m.arg == "" {
+				if arg == "" {
 					p.Reportf(field.Pos(), "//m5:guardedby needs a mutex name: //m5:guardedby <mu>")
 					continue
 				}
-				mu := strings.Fields(m.arg)[0]
+				mu := strings.Fields(arg)[0]
 				if !fieldNames[mu] {
 					p.Reportf(field.Pos(), "//m5:guardedby %s: no sibling field named %q in this struct", mu, mu)
 					continue

@@ -22,6 +22,7 @@ func TestHotpathCorpus(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.All(),
 		"m5/hotbad",
 		"m5/hotgood",
+		"m5/hotmarkers",
 	)
 }
 

@@ -14,6 +14,7 @@ func helper(n int) int { return n }
 var sink any
 
 // Alloc exercises the allocating expression forms.
+//
 //m5:hotpath
 func Alloc(n int) {
 	_ = make([]int, n) // want "make allocates in hotpath function"
@@ -24,6 +25,7 @@ func Alloc(n int) {
 }
 
 // Calls exercises the callee discipline.
+//
 //m5:hotpath
 func Calls(n int) {
 	helper(n)            // want "call to non-hotpath function helper from hotpath function"
@@ -32,6 +34,7 @@ func Calls(n int) {
 }
 
 // Stmts exercises the banned statement forms.
+//
 //m5:hotpath
 func Stmts(ch chan int) {
 	go helper(1)    // want "go statement in hotpath function"
@@ -41,6 +44,7 @@ func Stmts(ch chan int) {
 }
 
 // Sel exercises select.
+//
 //m5:hotpath
 func Sel(ch chan int) {
 	select { // want "select in hotpath function"
@@ -49,6 +53,7 @@ func Sel(ch chan int) {
 }
 
 // Concat exercises string building and closures.
+//
 //m5:hotpath
 func Concat(a, b string) int {
 	s := a + b                        // want "string concatenation allocates"
@@ -57,6 +62,7 @@ func Concat(a, b string) int {
 }
 
 // BadAppend grows a slice outside the scratch discipline.
+//
 //m5:hotpath
 func BadAppend(dst, src []int) []int {
 	dst = append(src, 1) // want "append outside the scratch discipline"
@@ -69,18 +75,21 @@ type counter struct{ n int }
 func (c *counter) inc() { c.n++ }
 
 // MethodValue binds a method to its receiver, which allocates.
+//
 //m5:hotpath
 func MethodValue(c *counter) func() {
 	return c.inc // want "method value allocates in hotpath function"
 }
 
 // Box stores an int into an interface, which boxes it.
+//
 //m5:hotpath
 func Box(n int) {
 	sink = n // want "conversion of int to interface"
 }
 
 // Bytes copies a string into a fresh byte slice.
+//
 //m5:hotpath
 func Bytes(s string) []byte {
 	return []byte(s) // want "conversion copies in hotpath function"

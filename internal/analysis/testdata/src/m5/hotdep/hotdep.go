@@ -3,6 +3,7 @@
 package hotdep
 
 // Fast is part of the hot closure.
+//
 //m5:hotpath
 func Fast(x int) int { return x &^ 1 }
 

@@ -15,6 +15,7 @@ type Results struct {
 // Update composes the allowed constructs: struct value literals, the
 // scratch append discipline, calls to annotated functions, and a
 // declared cold exit.
+//
 //m5:hotpath
 func (r *Results) Update(xs []int) int {
 	r.s = stats{hits: r.s.hits + 1}
@@ -36,6 +37,7 @@ func grow(s []int) []int { return append(make([]int, 0, 2*cap(s)+1), s...) }
 
 // PointerSink passes pointer-shaped values into interface holes, which
 // does not box.
+//
 //m5:hotpath
 func PointerSink(r *Results, sink func(any)) {
 	sink(r)
@@ -46,5 +48,6 @@ func PointerSink(r *Results, sink func(any)) {
 type Ticker interface{ Tick() }
 
 // Drive calls through an interface.
+//
 //m5:hotpath
 func Drive(t Ticker) { t.Tick() }

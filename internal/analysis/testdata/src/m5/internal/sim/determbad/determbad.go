@@ -9,7 +9,7 @@ import (
 
 // Stamp reads the wall clock twice.
 func Stamp() time.Duration {
-	start := time.Now() // want "call to time.Now in simulation code"
+	start := time.Now()      // want "call to time.Now in simulation code"
 	return time.Since(start) // want "call to time.Since in simulation code"
 }
 

@@ -82,12 +82,14 @@ func NewLevel(cfg Config) *Level {
 }
 
 // lineAddr is the cache-line (64B word) address of a byte address.
+//
 //m5:hotpath
 func lineAddr(a mem.PhysAddr) uint64 { return uint64(a) >> mem.WordShift }
 
 // set indexes the set of a line address; the power-of-two mask (the common
 // case for every default and scaled configuration) is identical to the
 // modulo and avoids the divide on the probe hot path.
+//
 //m5:hotpath
 func (l *Level) set(line uint64) int {
 	if l.setPow2 {
@@ -98,6 +100,7 @@ func (l *Level) set(line uint64) int {
 
 // Lookup probes the level without filling. It returns whether the line is
 // present; a hit refreshes LRU state and merges the dirty bit.
+//
 //m5:hotpath
 func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 	line := lineAddr(a)
@@ -125,6 +128,7 @@ func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 // Fill inserts the line, evicting the LRU way if needed. It returns the
 // evicted line's first byte address and whether the victim was dirty;
 // ok=false when no valid line was evicted.
+//
 //m5:hotpath
 func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
 	line := lineAddr(a)
@@ -166,6 +170,7 @@ func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok
 // the given line — i.e. whether a repeatHit on the next access to that
 // line is exactly equivalent to a full Lookup hit. Back-invalidation can
 // steal the slot (it rewrites the tag), which this check catches.
+//
 //m5:hotpath
 func (l *Level) lastHolds(line uint64) bool {
 	return l.tags[l.last] == line
@@ -174,6 +179,7 @@ func (l *Level) lastHolds(line uint64) bool {
 // repeatHit replays a Lookup hit on the slot recorded in last without
 // re-probing the set: same tick bump, same packed-LRU stamp merge, same
 // hit count. Callers must have verified lastHolds for the line first.
+//
 //m5:hotpath
 func (l *Level) repeatHit(write bool) {
 	i := l.last
@@ -188,6 +194,7 @@ func (l *Level) repeatHit(write bool) {
 
 // Invalidate removes the line if present, returning whether it was present
 // and dirty. Used to keep inner levels coherent with LLC evictions.
+//
 //m5:hotpath
 func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 	line := lineAddr(a)
@@ -377,6 +384,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // served plus any DRAM writebacks generated. The returned Result is owned
 // by the Hierarchy — like its Writeback/Prefetched slices, it is only
 // valid until the next Access call; copy it to retain it.
+//
 //m5:hotpath
 func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	h.accesses++
@@ -454,14 +462,17 @@ type AccessClass uint8
 const classPrefetched AccessClass = 1 << 4
 
 // Level returns where the access was served.
+//
 //m5:hotpath
 func (c AccessClass) Level() HitLevel { return HitLevel(c&3) + 1 }
 
 // Writebacks returns how many DRAM writebacks the access generated.
+//
 //m5:hotpath
 func (c AccessClass) Writebacks() int { return int(c>>2) & 3 }
 
 // Prefetched reports whether a next-line prefetch was issued.
+//
 //m5:hotpath
 func (c AccessClass) Prefetched() bool { return c&classPrefetched != 0 }
 
@@ -480,6 +491,7 @@ func (c AccessClass) Prefetched() bool { return c&classPrefetched != 0 }
 // check (lastHolds) so pathological configurations where an access
 // back-invalidates its own line (single-set LLC prefetch victim) fall
 // back to the exact path.
+//
 //m5:hotpath
 func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []AccessClass, wb []mem.PhysAddr) []mem.PhysAddr {
 	prevLine := invalidTag
@@ -510,6 +522,7 @@ func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []Ac
 }
 
 // fillL2 fills L2; a dirty victim is flushed to the LLC (not DRAM).
+//
 //m5:hotpath
 func (h *Hierarchy) fillL2(a mem.PhysAddr, write bool, wb []mem.PhysAddr) []mem.PhysAddr {
 	if victim, dirty, ok := h.l2.Fill(a, write); ok && dirty {

@@ -48,6 +48,7 @@ func (d *Device) Attach(s trace.Sink) { d.snoop = append(d.snoop, s) }
 // Access serves one host memory access. Accesses outside the device span
 // are a host bug and panic. The AFU observes the access before the MC
 // completes it (address snooping, Figure 2).
+//
 //m5:hotpath
 func (d *Device) Access(a trace.Access) {
 	if !d.span.Contains(a.Addr) {
@@ -69,6 +70,7 @@ func (d *Device) Access(a trace.Access) {
 // tier uses it to credit the device traffic of thinned-away batches;
 // attached near-memory functions receive the weight through
 // Tee.ObserveN (O(1) for PAC/WAC and the trackers).
+//
 //m5:hotpath
 func (d *Device) AccessN(a trace.Access, n uint64) {
 	if !d.span.Contains(a.Addr) {

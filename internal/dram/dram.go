@@ -127,6 +127,7 @@ func New(cfg Config) *Channel {
 
 // decode maps an address to (bank, row). Rows interleave across banks so
 // consecutive rows land on different banks (standard XOR-free mapping).
+//
 //m5:hotpath
 func (c *Channel) decode(a mem.PhysAddr) (bank int, row int64) {
 	rowIdx := uint64(a) / c.cfg.Geometry.RowBytes
@@ -135,6 +136,7 @@ func (c *Channel) decode(a mem.PhysAddr) (bank int, row int64) {
 
 // Access serves one 64B access and returns its outcome and latency. The
 // open-page policy keeps the row open afterwards.
+//
 //m5:hotpath
 func (c *Channel) Access(a mem.PhysAddr) (Outcome, uint64) {
 	bank, row := c.decode(a)

@@ -85,21 +85,23 @@ func Fig11(p Params) ([]Fig11Row, error) {
 func scoreFig11(tr *tracker.Tracker, wt WeightedTrace, procs int) float64 {
 	gran := tr.Config().Granularity
 	exact := sketch.NewCountTable(1024)
-	var ratios []float64
-
+	var ratios epochRatios
+	var largest []uint64
 	score := func() {
-		top := tr.Query()
-		if len(top) == 0 || exact.Len() == 0 {
-			exact.Reset()
-			return
-		}
-		var got uint64
-		for _, e := range top {
-			got += exact.Get(e.Addr)
-		}
-		best := exactTopKSum(exact, len(top))
-		if best > 0 {
-			ratios = append(ratios, float64(got)/float64(best))
+		if top := tr.Query(); len(top) > 0 && exact.Len() > 0 {
+			var got, best uint64
+			for _, e := range top {
+				got += exact.Get(e.Addr)
+			}
+			largest = largest[:0]
+			exact.Range(func(_, c uint64) bool {
+				largest = keepLargest(largest, c, len(top))
+				return true
+			})
+			for _, c := range largest {
+				best += c
+			}
+			ratios.add(got, best)
 		}
 		exact.Reset()
 	}
@@ -141,15 +143,7 @@ func scoreFig11(tr *tracker.Tracker, wt WeightedTrace, procs int) float64 {
 		}
 	}
 	score()
-
-	if len(ratios) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range ratios {
-		sum += r
-	}
-	return sum / float64(len(ratios))
+	return ratios.mean()
 }
 
 // InterleaveProcesses turns one instance's trace into P co-running

@@ -5,7 +5,6 @@ import (
 
 	"m5/internal/hwcost"
 	"m5/internal/sim"
-	"m5/internal/sketch"
 	"m5/internal/trace"
 	"m5/internal/tracker"
 )
@@ -48,24 +47,31 @@ func Fig7(p Params) ([]Fig7Row, error) {
 	if len(p.Benchmarks) == 0 {
 		p.Benchmarks = Fig7Benchmarks()
 	}
-	// Phase 1: collect one cache-filtered trace per benchmark. Phase 2:
-	// replay each (benchmark, algorithm, N) cell against its trace; the
-	// replay only reads the shared trace, so cells fan out freely. The
-	// trace carries per-entry weights: exact runs record every access at
-	// weight 1 (byte-identical to the unweighted path), sampled runs
-	// record one entry per simulated access with the engine's
-	// Horvitz-Thompson credit, so the 2×|algs|×|entries| replays below
-	// each touch a fraction of the credited stream.
-	traces, err := mapCells(p, len(p.Benchmarks), func(i int) (WeightedTrace, error) {
+	// Phase 1: collect one cache-filtered trace per benchmark and count
+	// its exact per-epoch truth once per granularity. Phase 2: replay each
+	// (benchmark, algorithm, N) cell against those truths; the replay only
+	// reads them, so cells fan out freely. The trace carries per-entry
+	// weights: exact runs record every access at weight 1 (byte-identical
+	// to the unweighted path), sampled runs record one entry per simulated
+	// access with the engine's Horvitz-Thompson credit, so the
+	// 2×|algs|×|entries| replays below each touch a fraction of the
+	// credited stream. The truths hold the keys and weights the replays
+	// need, so the trace's access records are dropped once they are
+	// counted.
+	type truthPair struct{ hpt, hwt *epochTruth }
+	truths, err := mapCells(p, len(p.Benchmarks), func(i int) (truthPair, error) {
 		bench := p.Benchmarks[i]
 		wt, err := CollectWeightedCXLTrace(p, bench)
 		if err != nil {
-			return WeightedTrace{}, fmt.Errorf("fig7 %s: %w", bench, err)
+			return truthPair{}, fmt.Errorf("fig7 %s: %w", bench, err)
 		}
 		if len(wt.Accs) == 0 {
-			return WeightedTrace{}, fmt.Errorf("fig7 %s: empty trace", bench)
+			return truthPair{}, fmt.Errorf("fig7 %s: empty trace", bench)
 		}
-		return wt, nil
+		return truthPair{
+			hpt: newEpochTruth(wt, tracker.PageGranularity, EpochByTime(1_000_000), fig7K),
+			hwt: newEpochTruth(wt, tracker.WordGranularity, EpochByTime(100_000), fig7K),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -73,26 +79,25 @@ func Fig7(p Params) ([]Fig7Row, error) {
 	algs := []tracker.Algorithm{tracker.SpaceSaving, tracker.CMSketch}
 	perBench := len(algs) * len(Fig7Entries)
 	return mapCells(p, len(p.Benchmarks)*perBench, func(i int) (Fig7Row, error) {
-		bench := p.Benchmarks[i/perBench]
 		alg := algs[i%perBench/len(Fig7Entries)]
 		n := Fig7Entries[i%len(Fig7Entries)]
-		wt := traces[i/perBench]
-		row := Fig7Row{
-			Benchmark:    bench,
-			Algorithm:    alg,
-			Entries:      n,
+		truth := truths[i/perBench]
+		return Fig7Row{
+			Benchmark: p.Benchmarks[i/perBench],
+			Algorithm: alg,
+			Entries:   n,
+			HPTRatio: truth.hpt.score(tracker.New(tracker.Config{
+				Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K})),
+			HWTRatio: truth.hwt.score(tracker.New(tracker.Config{
+				Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K})),
 			FPGAFeasible: hwcost.Feasible(designOf(alg), hwcost.FPGA, n),
 			ASICFeasible: hwcost.Feasible(designOf(alg), hwcost.ASIC7nm, n),
-		}
-		row.HPTRatio = ScoreTrackerOnWeightedTrace(
-			tracker.New(tracker.Config{Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: 5}),
-			wt, EpochByTime(1_000_000))
-		row.HWTRatio = ScoreTrackerOnWeightedTrace(
-			tracker.New(tracker.Config{Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: 5}),
-			wt, EpochByTime(100_000))
-		return row, nil
+		}, nil
 	})
 }
+
+// fig7K is the top-K size of every Figure 7 tracker (§7.1).
+const fig7K = 5
 
 func designOf(alg tracker.Algorithm) hwcost.Design {
 	if alg == tracker.SpaceSaving {
@@ -208,148 +213,22 @@ func EpochByCount(n int) EpochPolicy {
 // ScoreTrackerOnTrace replays a trace into a tracker, querying at epoch
 // boundaries and scoring each epoch's reported top-K against exact
 // counting of the same epoch. It returns the mean epoch ratio (0 when no
-// epoch produced a score).
+// epoch produced a score). It is ScoreTrackerOnWeightedTrace at unit
+// weights.
 func ScoreTrackerOnTrace(tr *tracker.Tracker, accs []trace.Access, epoch EpochPolicy) float64 {
-	return ScoreTrackerOnSeq(tr, len(accs), func(i int) trace.Access { return accs[i] }, epoch)
-}
-
-// ScoreTrackerOnSeq is the sequence core of ScoreTrackerOnTrace: it
-// replays the access sequence at(0), …, at(n-1) without requiring it to
-// be materialized — callers that derive long sequences from short ones
-// (Figure 11 interleaves P virtual copies of one trace) synthesize each
-// access on demand instead of building a P× slice first. at is called
-// exactly once per index, in ascending order, so stateful cursors (and
-// stateful epoch policies) are safe.
-func ScoreTrackerOnSeq(tr *tracker.Tracker, n int, at func(int) trace.Access, epoch EpochPolicy) float64 {
-	gran := tr.Config().Granularity
-	// Exact per-epoch counts live in an open-addressed table: Reset reuses
-	// the backing arrays across epochs instead of reallocating a map, and
-	// the top-K-sum selection below walks it without materializing pairs.
-	exact := sketch.NewCountTable(1024)
-	var ratios []float64
-
-	score := func() {
-		top := tr.Query()
-		if len(top) == 0 || exact.Len() == 0 {
-			exact.Reset()
-			return
-		}
-		var got uint64
-		for _, e := range top {
-			got += exact.Get(e.Addr)
-		}
-		best := exactTopKSum(exact, len(top))
-		if best > 0 {
-			ratios = append(ratios, float64(got)/float64(best))
-		}
-		exact.Reset()
-	}
-
-	for i := 0; i < n; i++ {
-		a := at(i)
-		if epoch(a, i) {
-			score()
-		}
-		// Map the address to the tracker key once; the tracker and the
-		// exact reference count the same key.
-		key := gran.Key(a.Addr)
-		tr.ObserveKey(key) //m5:unitcredit exact reference stream: the tracker sees every access unsampled
-		exact.Inc(key, 1)
-	}
-	score()
-
-	if len(ratios) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range ratios {
-		sum += r
-	}
-	return sum / float64(len(ratios))
+	return ScoreTrackerOnWeightedTrace(tr, WeightedTrace{Accs: accs}, epoch)
 }
 
 // ScoreTrackerOnWeightedTrace is ScoreTrackerOnTrace over a weighted
 // trace: each entry flows into the tracker and the exact reference with
-// its weight (Tracker.ObserveKeyN / CountTable.Inc). For an all-ones
-// weight vector — every exact-mode collection — the scores match
-// ScoreTrackerOnTrace exactly; sampled-mode weights keep both sides of
-// each epoch ratio unbiased in expectation while the replay only touches
-// the simulated subset of the stream.
+// its weight (Tracker.ObserveKeyN). For an all-ones weight vector — every
+// exact-mode collection — the scores match ScoreTrackerOnTrace exactly;
+// sampled-mode weights keep both sides of each epoch ratio unbiased in
+// expectation while the replay only touches the simulated subset of the
+// stream; nil weights count every entry once. It builds the trace's
+// epoch truth and scores the tracker against it; Figure 7 builds each
+// truth once for all its cells.
 func ScoreTrackerOnWeightedTrace(tr *tracker.Tracker, wt WeightedTrace, epoch EpochPolicy) float64 {
-	gran := tr.Config().Granularity
-	exact := sketch.NewCountTable(1024)
-	var ratios []float64
-
-	score := func() {
-		top := tr.Query()
-		if len(top) == 0 || exact.Len() == 0 {
-			exact.Reset()
-			return
-		}
-		var got uint64
-		for _, e := range top {
-			got += exact.Get(e.Addr)
-		}
-		best := exactTopKSum(exact, len(top))
-		if best > 0 {
-			ratios = append(ratios, float64(got)/float64(best))
-		}
-		exact.Reset()
-	}
-
-	for i, a := range wt.Accs {
-		if epoch(a, i) {
-			score()
-		}
-		key := gran.Key(a.Addr)
-		w := wt.Weights[i]
-		tr.ObserveKeyN(key, w)
-		exact.Inc(key, w)
-	}
-	score()
-
-	if len(ratios) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range ratios {
-		sum += r
-	}
-	return sum / float64(len(ratios))
-}
-
-// exactTopKSum returns the summed counts of the k largest values — an
-// O(n·k) selection (k is the CAM size, 5 in the paper) over the table.
-// Only the sum of the k largest counts is needed, which is invariant to
-// how ties are broken, so this matches the former full-sort exactly.
-func exactTopKSum(counts *sketch.CountTable, k int) uint64 {
-	if k > counts.Len() {
-		k = counts.Len()
-	}
-	if k <= 0 {
-		return 0
-	}
-	// top holds the k largest counts seen so far, descending (min last).
-	top := make([]uint64, 0, k)
-	counts.Range(func(_, v uint64) bool {
-		if len(top) < k {
-			top = append(top, v)
-			for i := len(top) - 1; i > 0 && top[i] > top[i-1]; i-- {
-				top[i], top[i-1] = top[i-1], top[i]
-			}
-			return true
-		}
-		if v > top[k-1] {
-			top[k-1] = v
-			for i := k - 1; i > 0 && top[i] > top[i-1]; i-- {
-				top[i], top[i-1] = top[i-1], top[i]
-			}
-		}
-		return true
-	})
-	var sum uint64
-	for _, v := range top {
-		sum += v
-	}
-	return sum
+	cfg := tr.Config()
+	return newEpochTruth(wt, cfg.Granularity, epoch, cfg.K).score(tr)
 }

@@ -51,10 +51,12 @@ type HugePFN uint64
 const MaxPhysAddr PhysAddr = 1 << PhysAddrBits
 
 // Page returns the PFN containing the address.
+//
 //m5:hotpath
 func (a PhysAddr) Page() PFN { return PFN(a >> PageShift) }
 
 // Word returns the word number containing the address.
+//
 //m5:hotpath
 func (a PhysAddr) Word() WordNum { return WordNum(a >> WordShift) }
 
@@ -72,6 +74,7 @@ func (a PhysAddr) WordIndex() uint { return uint(a>>WordShift) & (WordsPerPage -
 func (a PhysAddr) String() string { return fmt.Sprintf("0x%012x", uint64(a)) }
 
 // Addr returns the first byte address of the page frame.
+//
 //m5:hotpath
 func (p PFN) Addr() PhysAddr { return PhysAddr(p) << PageShift }
 

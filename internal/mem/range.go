@@ -24,6 +24,7 @@ func (r Range) Size() uint64 {
 }
 
 // Contains reports whether the address falls inside the range.
+//
 //m5:hotpath
 func (r Range) Contains(a PhysAddr) bool { return a >= r.Start && a < r.End }
 

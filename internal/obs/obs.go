@@ -136,6 +136,7 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 // Emit appends an event tagged with this registry's scope. A no-op when
 // the registry is nil or was built without an event log (New rather
 // than NewWithEvents).
+//
 //m5:hotpath
 func (r *Registry) Emit(timeNs uint64, kind string, subject, value uint64) {
 	if r == nil || r.root.events == nil {
@@ -156,6 +157,7 @@ func (r *Registry) Events() *EventLog {
 type Counter struct{ v uint64 }
 
 // Inc adds 1.
+//
 //m5:hotpath
 func (c *Counter) Inc() {
 	if c == nil {
@@ -165,6 +167,7 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
+//
 //m5:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
@@ -186,6 +189,7 @@ func (c *Counter) Value() uint64 {
 type Gauge struct{ v uint64 }
 
 // Set overwrites the level.
+//
 //m5:hotpath
 func (g *Gauge) Set(v uint64) {
 	if g == nil {
@@ -213,6 +217,7 @@ type Histogram struct {
 // Observe records one observation. Bucket search is linear: histograms
 // here have a handful of buckets and the common case (latencies near the
 // low end) exits early without touching most of the slice.
+//
 //m5:hotpath
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {

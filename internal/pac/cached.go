@@ -66,6 +66,7 @@ func NewCached(cfg CachedConfig) *CachedCounter {
 }
 
 // Observe implements trace.Sink.
+//
 //m5:hotpath
 func (c *CachedCounter) Observe(a trace.Access) {
 	key, ok := c.key(a.Addr)

@@ -141,6 +141,7 @@ func (c *Counter) Config() Config { return c.cfg }
 
 // key maps an address to the counter key, or ok=false when outside the
 // monitored region.
+//
 //m5:hotpath
 func (c *Counter) key(a mem.PhysAddr) (uint64, bool) {
 	if !c.cfg.Region.Contains(a) {
@@ -153,6 +154,7 @@ func (c *Counter) key(a mem.PhysAddr) (uint64, bool) {
 }
 
 // Observe implements trace.Sink: count one DRAM access.
+//
 //m5:hotpath
 func (c *Counter) Observe(a trace.Access) {
 	key, ok := c.key(a.Addr)
@@ -179,6 +181,7 @@ func (c *Counter) Observe(a trace.Access) {
 // SRAM value v, the first max-v occurrences fill the counter; after that
 // every block of max occurrences spends one on a spill event (accumulate
 // max into the table, restart at 1) and the rest on increments.
+//
 //m5:hotpath
 func (c *Counter) ObserveN(a trace.Access, n uint64) {
 	if n == 0 {

@@ -280,13 +280,13 @@ func (pp *ParamsPatch) apply(p experiments.Params) (experiments.Params, error) {
 
 // paramsView is the JSON echo of one cell's resolved parameters.
 type paramsView_ struct {
-	Scale       string   `json:"scale"`
-	Warmup      int      `json:"warmup"`
-	Accesses    int      `json:"accesses"`
-	Points      int      `json:"points"`
-	Seed        int64    `json:"seed"`
-	Benchmarks  []string `json:"benchmarks,omitempty"`
-	Parallel    int      `json:"parallel,omitempty"`
+	Scale        string   `json:"scale"`
+	Warmup       int      `json:"warmup"`
+	Accesses     int      `json:"accesses"`
+	Points       int      `json:"points"`
+	Seed         int64    `json:"seed"`
+	Benchmarks   []string `json:"benchmarks,omitempty"`
+	Parallel     int      `json:"parallel,omitempty"`
 	CollectObs   bool     `json:"collect_obs,omitempty"`
 	FastForward  bool     `json:"fastforward,omitempty"`
 	BatchSize    int      `json:"batch,omitempty"`

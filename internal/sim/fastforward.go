@@ -88,6 +88,7 @@ func (r *Runner) ffInit() *ffState {
 // runner never holds pulled-but-unexecuted accesses across calls, so
 // generator checkpoints (Consumed counts) stay in lockstep with exact
 // mode.
+//
 //m5:hotpath
 func (r *Runner) stepBatchFF(max int) int {
 	ff := r.ffs
@@ -119,6 +120,7 @@ func (r *Runner) stepBatchFF(max int) int {
 // returns the segment length m >= 1. Accesses [s, s+m-1) provably fire
 // no ctx flush or daemon tick; access s+m-1 may, and ffCommit runs the
 // exact checks on it.
+//
 //m5:hotpath
 func (r *Runner) ffTranslate(ff *ffState, s, n int) int {
 	var (
@@ -187,6 +189,7 @@ func (r *Runner) ffTranslate(ff *ffState, s, n int) int {
 // classes, mirroring runBatch step for step. Only the final access runs
 // the ctx/tick event checks — interior accesses were proven unable to
 // fire them.
+//
 //m5:hotpath
 func (r *Runner) ffCommit(ff *ffState, s, m int, wbs []mem.PhysAddr) {
 	var (

@@ -1,5 +1,3 @@
-//m5:floatestimate this file IS the sampling-estimate layer: the Horvitz-Thompson estimator and the CLT error budget are float math by construction, and sampled-mode results are estimates, not byte-identity metrics
-//
 // Tiered-fidelity execution (SMARTS-style sampled simulation): a sampled
 // Run alternates *functional warming* stretches with periodic *detailed
 // measurement* windows.
@@ -34,6 +32,8 @@
 // fixed stride (systematic sampling). No RNG state is consulted, so two
 // runs of the same config and seed produce identical schedules, results,
 // and obs counters — the determinism tests pin this.
+//
+//m5:floatestimate this file IS the sampling-estimate layer: the Horvitz-Thompson estimator and the CLT error budget are float math by construction, and sampled-mode results are estimates, not byte-identity metrics
 package sim
 
 import (

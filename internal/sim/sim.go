@@ -371,6 +371,7 @@ func (r *Runner) DRAMChannel(node tiermem.NodeID) *dram.Channel {
 }
 
 // dramReadLatency returns the read latency for a DRAM access at the node.
+//
 //m5:hotpath
 func (r *Runner) dramReadLatency(node tiermem.NodeID, a mem.PhysAddr) uint64 {
 	if ch := r.channels[node]; ch != nil {
@@ -557,6 +558,7 @@ func (r *Runner) StepBatch(max int) int {
 // locals; the hit-level switch is a table lookup; and one trace.Access
 // scratch value feeds both the CXL snoop path and the miss-sink fan-out.
 // The body mirrors Step exactly — determinism tests pin the equivalence.
+//
 //m5:hotpath
 func (r *Runner) runBatch(accs []workload.Access) {
 	var (

@@ -15,8 +15,8 @@ type CountMin struct {
 	cols         int
 	counts       []uint64 // rows*cols, row-major
 	seeds        []uint64
-	idx          []int   // per-Add scratch: one slot index per row
-	mask         uint64  // cols-1 when cols is a power of two, else 0
+	idx          []int  // per-Add scratch: one slot index per row
+	mask         uint64 // cols-1 when cols is a power of two, else 0
 	conservative bool
 }
 
@@ -70,6 +70,7 @@ func (c *CountMin) index(row int, key uint64) int {
 
 // Add implements Counter. It returns the post-increment estimate (the
 // minimum across rows, as produced by the comparator tree in Figure 5).
+//
 //m5:hotpath
 func (c *CountMin) Add(key uint64) uint64 {
 	if c.conservative {
@@ -108,6 +109,7 @@ func (c *CountMin) Add(key uint64) uint64 {
 // counters below min+n to min+n: after each single update every probed
 // slot is at least the new minimum, so the target advances by one per
 // occurrence and the fixpoint is min+n.
+//
 //m5:hotpath
 func (c *CountMin) AddN(key uint64, n uint64) uint64 {
 	if c.conservative {

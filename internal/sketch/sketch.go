@@ -51,6 +51,7 @@ type Counter interface {
 
 // splitmix64 is the 64-bit finalizer from the SplitMix64 generator; it is
 // the hash family used by CM-Sketch rows (seeded per row).
+//
 //m5:hotpath
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -74,12 +75,14 @@ func NewExact() *Exact {
 }
 
 // Add implements Counter.
+//
 //m5:hotpath
 func (e *Exact) Add(key uint64) uint64 {
 	return e.counts.Inc(key, 1)
 }
 
 // AddN implements WeightedCounter.
+//
 //m5:hotpath
 func (e *Exact) AddN(key uint64, n uint64) uint64 {
 	if n == 0 {

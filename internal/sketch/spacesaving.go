@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"container/heap"
-	"slices"
-)
+import "slices"
 
 // SpaceSaving is the counter-based top-K algorithm of Metwally et al.,
 // the Mithril-style alternative the paper compares against (§5.1, §7.1).
@@ -49,19 +46,20 @@ func NewSpaceSaving(n int) *SpaceSaving {
 }
 
 // Add implements Counter.
+//
 //m5:hotpath
 func (s *SpaceSaving) Add(key uint64) uint64 {
 	if slot, ok := s.index.get(key); ok {
 		e := &s.pool[slot]
 		e.count++
-		heap.Fix(&s.entries, e.pos)
+		s.entries.fix(e.pos)
 		return e.count
 	}
 	if len(s.entries) < s.capacity {
 		e := &s.pool[s.used]
 		*e = ssEntry{key: key, count: 1, slot: int32(s.used)}
 		s.used++
-		heap.Push(&s.entries, e)
+		s.entries.push(e)
 		s.index.put(key, e.slot)
 		return 1
 	}
@@ -76,7 +74,7 @@ func (s *SpaceSaving) Add(key uint64) uint64 {
 		//m5:coldpath amortized tombstone compaction.
 		s.rebuildIndex()
 	}
-	heap.Fix(&s.entries, 0)
+	s.entries.fix(0)
 	return min.count
 }
 
@@ -85,6 +83,7 @@ func (s *SpaceSaving) Add(key uint64) uint64 {
 // remaining n-1 are plain increments on the same entry; a tracked key
 // gains n, a newcomer starts at n, and an evicting newcomer inherits
 // min+n with error=min — exactly the sequential outcomes.
+//
 //m5:hotpath
 func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 	if n == 0 {
@@ -94,14 +93,14 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 	if slot, ok := s.index.get(key); ok {
 		e := &s.pool[slot]
 		e.count += n
-		heap.Fix(&s.entries, e.pos)
+		s.entries.fix(e.pos)
 		return e.count
 	}
 	if len(s.entries) < s.capacity {
 		e := &s.pool[s.used]
 		*e = ssEntry{key: key, count: n, slot: int32(s.used)}
 		s.used++
-		heap.Push(&s.entries, e)
+		s.entries.push(e)
 		s.index.put(key, e.slot)
 		return n
 	}
@@ -115,7 +114,7 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 		//m5:coldpath amortized tombstone compaction.
 		s.rebuildIndex()
 	}
-	heap.Fix(&s.entries, 0)
+	s.entries.fix(0)
 	return min.count
 }
 
@@ -158,18 +157,59 @@ func (s *SpaceSaving) Entries() int { return s.capacity }
 // Tracked returns the number of keys currently tracked.
 func (s *SpaceSaving) Tracked() int { return len(s.entries) }
 
-// Top returns the k highest-count (key, count) pairs in descending count
-// order. k may exceed the tracked count.
+// Top returns the k highest-count (key, count) pairs in SortKeyCounts'
+// order: descending count, ties by ascending key. k may exceed the
+// tracked count; k <= 0 yields an empty slice. The order is total over
+// the table's distinct keys, so the k best are one fixed set: one pass
+// keeps them in a bounded heap rooted at the worst kept pair, and only
+// those k are sorted — O(N log k) per query instead of a full sort.
 func (s *SpaceSaving) Top(k int) []KeyCount {
-	out := make([]KeyCount, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, KeyCount{Key: e.key, Count: e.count})
+	live := s.pool[:s.used] // every handed-out slot holds a tracked key
+	k = min(k, len(live))
+	if k <= 0 {
+		return []KeyCount{}
+	}
+	out := make([]KeyCount, k)
+	for i, e := range live[:k] {
+		out[i] = KeyCount{Key: e.key, Count: e.count}
+	}
+	if k < len(live) {
+		for i := k/2 - 1; i >= 0; i-- {
+			siftWorst(out, i)
+		}
+		for _, e := range live[k:] {
+			if kc := (KeyCount{Key: e.key, Count: e.count}); ranksBefore(kc, out[0]) {
+				out[0] = kc
+				siftWorst(out, 0)
+			}
+		}
 	}
 	SortKeyCounts(out)
-	if k < len(out) {
-		out = out[:k]
-	}
 	return out
+}
+
+// ranksBefore reports whether a precedes b in SortKeyCounts' order.
+func ranksBefore(a, b KeyCount) bool {
+	return a.Count > b.Count || a.Count == b.Count && a.Key < b.Key
+}
+
+// siftWorst restores the heap below i in a heap that keeps the
+// lowest-ranked pair at the root.
+func siftWorst(h []KeyCount, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && ranksBefore(h[j], h[j+1]) {
+			j++
+		}
+		if !ranksBefore(h[i], h[j]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // KeyCount pairs a key with its (estimated) count.
@@ -200,27 +240,71 @@ func SortKeyCounts(kc []KeyCount) {
 	})
 }
 
-// ssHeap is a min-heap over counts.
+// ssHeap is a min-heap over counts. fix, push, up and down are
+// container/heap's Fix, Push, up and down specialised to this type: the
+// same comparisons and swaps in the same order, so a tied minimum evicts
+// the entry the interface-driven heap would, without its dynamic calls.
 type ssHeap []*ssEntry
 
-func (h ssHeap) Len() int           { return len(h) }
-func (h ssHeap) Less(i, j int) bool { return h[i].count < h[j].count }
-func (h ssHeap) Swap(i, j int) {
+//m5:hotpath
+func (h ssHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].pos = i
 	h[j].pos = j
 }
-func (h *ssHeap) Push(x interface{}) {
-	e := x.(*ssEntry)
+
+// fix re-establishes the heap order after entry i's count changed.
+//
+//m5:hotpath
+func (h ssHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// push appends e (capacity is preallocated) and sifts it up.
+//
+//m5:hotpath
+func (h *ssHeap) push(e *ssEntry) {
 	e.pos = len(*h)
 	*h = append(*h, e)
+	h.up(e.pos)
 }
-func (h *ssHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+//m5:hotpath
+func (h ssHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].count >= h[i].count {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts entry i0 toward the leaves and reports whether it moved.
+//
+//m5:hotpath
+func (h ssHeap) down(i0 int) bool {
+	n := len(h)
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].count < h[j1].count {
+			j = j2 // right child
+		}
+		if h[j].count >= h[i].count {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // ssIndex is a fixed-capacity open-addressed key→pool-slot index with
@@ -267,6 +351,7 @@ func (x *ssIndex) get(key uint64) (int32, bool) {
 
 // put inserts a key known to be absent, reusing the first tombstone or
 // empty slot on its probe path.
+//
 //m5:hotpath
 func (x *ssIndex) put(key uint64, slot int32) {
 	i := splitmix64(key) & x.mask

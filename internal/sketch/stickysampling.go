@@ -75,6 +75,7 @@ func NewStickySampling(capacity int, seed int64) *StickySampling {
 }
 
 // Add implements Counter.
+//
 //m5:hotpath
 func (s *StickySampling) Add(key uint64) uint64 {
 	if c := s.counts.Get(key); c > 0 {

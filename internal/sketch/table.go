@@ -44,11 +44,13 @@ func (t *CountTable) alloc(capacity int) {
 }
 
 // Len returns the number of live keys.
+//
 //m5:hotpath
 func (t *CountTable) Len() int { return t.n }
 
 // slot returns the slot index holding key, or the empty slot where it
 // would be inserted.
+//
 //m5:hotpath
 func (t *CountTable) slot(key uint64) int {
 	i := splitmix64(key) & t.mask
@@ -59,6 +61,7 @@ func (t *CountTable) slot(key uint64) int {
 }
 
 // Get returns the count for key (0 when absent).
+//
 //m5:hotpath
 func (t *CountTable) Get(key uint64) uint64 {
 	i := t.slot(key)
@@ -71,6 +74,7 @@ func (t *CountTable) Get(key uint64) uint64 {
 // Inc adds delta to key's count, inserting it if absent, and returns the
 // new count. Amortized allocation-free: the backing arrays only grow when
 // occupancy passes 3/4, and the spare generation is reused thereafter.
+//
 //m5:hotpath
 func (t *CountTable) Inc(key, delta uint64) uint64 {
 	i := t.slot(key)
@@ -91,6 +95,7 @@ func (t *CountTable) Inc(key, delta uint64) uint64 {
 
 // Set stores an exact count for key, inserting it if absent. Setting 0
 // stores a live zero (use Filter to drop entries).
+//
 //m5:hotpath
 func (t *CountTable) Set(key, val uint64) {
 	i := t.slot(key)
@@ -136,6 +141,7 @@ func (t *CountTable) Range(f func(key, val uint64) bool) {
 // count and whether to keep the entry. Entries are revisited in slot
 // order and rebuilt into the spare generation, so the operation is
 // allocation-free once the table has warmed up.
+//
 //m5:hotpath
 func (t *CountTable) Filter(f func(key, val uint64) (uint64, bool)) {
 	//m5:coldpath first Filter after construction or growth builds the

@@ -95,6 +95,7 @@ func (r *Reservoir) Restore(s ReservoirSnapshot) {
 }
 
 // Add records one observation.
+//
 //m5:hotpath
 func (r *Reservoir) Add(x float64) {
 	r.seen++

@@ -34,6 +34,7 @@ func (g *MGLRU) Age() { g.epoch++ }
 
 // Touch refreshes a page's generation; called when a page walk or scan
 // observes the page accessed.
+//
 //m5:hotpath
 func (g *MGLRU) Touch(pte *PTE) { pte.Gen = g.epoch }
 

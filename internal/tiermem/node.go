@@ -72,6 +72,7 @@ func NewNode(id NodeID, span mem.Range) *Node {
 func (n *Node) ID() NodeID { return n.id }
 
 // Span returns the node's physical range.
+//
 //m5:hotpath
 func (n *Node) Span() mem.Range { return n.span }
 
@@ -159,20 +160,24 @@ func (n *Node) Restore(s NodeSnapshot) {
 }
 
 // CountRead records one 64B read served by this node.
+//
 //m5:hotpath
 func (n *Node) CountRead() { n.reads++ }
 
 // CountReads records k 64B reads served by this node (the sampled
 // simulator tier's weighted crediting).
+//
 //m5:hotpath
 func (n *Node) CountReads(k uint64) { n.reads += k }
 
 // CountWrite records one 64B write served by this node.
+//
 //m5:hotpath
 func (n *Node) CountWrite() { n.writes++ }
 
 // CountWrites records k 64B writes served by this node (the sampled
 // simulator tier's weighted crediting).
+//
 //m5:hotpath
 func (n *Node) CountWrites(k uint64) { n.writes += k }
 

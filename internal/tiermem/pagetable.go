@@ -13,14 +13,17 @@ type VirtAddr uint64
 type VPN uint64
 
 // Page returns the VPN containing the address.
+//
 //m5:hotpath
 func (a VirtAddr) Page() VPN { return VPN(a >> mem.PageShift) }
 
 // Offset returns the byte offset within the page.
+//
 //m5:hotpath
 func (a VirtAddr) Offset() uint64 { return uint64(a) & (mem.PageSize - 1) }
 
 // Addr returns the first byte address of the virtual page.
+//
 //m5:hotpath
 func (p VPN) Addr() VirtAddr { return VirtAddr(p) << mem.PageShift }
 
@@ -72,6 +75,7 @@ func (pt *PageTable) Len() int { return len(pt.entries) }
 
 // Get returns a pointer to the PTE for in-place updates; it panics on an
 // out-of-range VPN (a wild access — a bug in the caller).
+//
 //m5:hotpath
 func (pt *PageTable) Get(v VPN) *PTE {
 	if uint64(v) >= uint64(len(pt.entries)) {

@@ -112,6 +112,7 @@ func NewSystem(cfg Config) *System {
 }
 
 // Node returns a tier.
+//
 //m5:hotpath
 func (s *System) Node(id NodeID) *Node { return s.nodes[id] }
 
@@ -128,6 +129,7 @@ func (s *System) Costs() CostModel { return s.costs }
 func (s *System) Cores() int { return len(s.tlbs) }
 
 // TLB returns core i's TLB.
+//
 //m5:hotpath
 func (s *System) TLB(core int) *TLB { return s.tlbs[core] }
 
@@ -189,6 +191,7 @@ func (s *System) Translate(core int, va VirtAddr, write bool) TranslateResult {
 // TranslateInto is Translate writing through an out-parameter — the form
 // the simulator's per-access loop uses, where the result struct copy on
 // every return is measurable.
+//
 //m5:hotpath
 func (s *System) TranslateInto(core int, va VirtAddr, write bool, res *TranslateResult) {
 	v := va.Page()
@@ -232,6 +235,7 @@ func (s *System) TranslateInto(core int, va VirtAddr, write bool, res *Translate
 func (s *System) NodeOf(v VPN) NodeID { return s.pt.Get(v).Node }
 
 // NodeOfAddr returns the tier owning a physical address.
+//
 //m5:hotpath
 func (s *System) NodeOfAddr(a mem.PhysAddr) NodeID {
 	if s.nodes[NodeDDR].Span().Contains(a) {
@@ -242,6 +246,7 @@ func (s *System) NodeOfAddr(a mem.PhysAddr) NodeID {
 
 // CountDRAMAccess records one 64B DRAM access (LLC miss fill or writeback)
 // against the owning node's bandwidth counters.
+//
 //m5:hotpath
 func (s *System) CountDRAMAccess(a mem.PhysAddr, write bool) NodeID {
 	id := s.NodeOfAddr(a)
@@ -441,11 +446,13 @@ func (s *System) PromoteBatch(vs []VPN) int {
 }
 
 // KernelNs returns cumulative kernel mm CPU time in nanoseconds.
+//
 //m5:hotpath
 func (s *System) KernelNs() uint64 { return s.kernelNs }
 
 // AddKernelNs charges additional kernel CPU time (used by the migration
 // daemons for their own bookkeeping work).
+//
 //m5:hotpath
 func (s *System) AddKernelNs(ns uint64) { s.kernelNs += ns }
 

@@ -68,12 +68,14 @@ func popShift(size int) uint {
 }
 
 // home is the preferred cell for a key (Fibonacci hashing).
+//
 //m5:hotpath
 func (x *tlbIndex) home(v VPN) uint64 {
 	return (uint64(v) * 0x9E3779B97F4A7C15) >> x.shift
 }
 
 // get returns the slot cached for v, or -1.
+//
 //m5:hotpath
 func (x *tlbIndex) get(v VPN) int32 {
 	for i := x.home(v); ; i = (i + 1) & x.mask {
@@ -88,6 +90,7 @@ func (x *tlbIndex) get(v VPN) int32 {
 }
 
 // put records v -> slot, overwriting any existing entry for v.
+//
 //m5:hotpath
 func (x *tlbIndex) put(v VPN, slot int32) {
 	for i := x.home(v); ; i = (i + 1) & x.mask {
@@ -100,6 +103,7 @@ func (x *tlbIndex) put(v VPN, slot int32) {
 
 // del removes v's entry if present, backward-shifting the probe chain so
 // lookups never need tombstones.
+//
 //m5:hotpath
 func (x *tlbIndex) del(v VPN) {
 	i := x.home(v)
@@ -155,6 +159,7 @@ func NewTLB(capacity int) *TLB {
 // Lookup probes for the VPN. A hit refreshes the reference bit. The memo
 // fast path is kept small enough to inline into the translate loop; the
 // index probe lives in lookupSlow.
+//
 //m5:hotpath
 func (t *TLB) Lookup(v VPN) bool {
 	if t.lastSlot >= 0 && t.lastVPN == v {
@@ -172,6 +177,7 @@ func (t *TLB) Lookup(v VPN) bool {
 // path, which counts the miss exactly once. Every mutation that could
 // stale the memo (Insert eviction, Invalidate, Flush) clears lastSlot, so
 // a true return is always equivalent to a full Lookup hit.
+//
 //m5:hotpath
 func (t *TLB) RepeatHit(v VPN) bool {
 	if t.lastSlot >= 0 && t.lastVPN == v {
@@ -195,6 +201,7 @@ func (t *TLB) lookupSlow(v VPN) bool {
 }
 
 // Insert caches a translation, evicting by clock if full.
+//
 //m5:hotpath
 func (t *TLB) Insert(v VPN) {
 	if t.index.get(v) >= 0 {
@@ -245,6 +252,7 @@ func (t *TLB) Invalidate(v VPN) bool {
 
 // Flush empties the TLB (context switch). The index's backing arrays are
 // reused, so the frequent context-switch flushes never reallocate.
+//
 //m5:hotpath
 func (t *TLB) Flush() {
 	for i := range t.slots {

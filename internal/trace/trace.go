@@ -74,6 +74,7 @@ func (f SinkFunc) Observe(a Access) { f(a) }
 type Tee []Sink
 
 // Observe implements Sink by forwarding to every sink in order.
+//
 //m5:hotpath
 func (t Tee) Observe(a Access) {
 	for _, s := range t {
@@ -84,6 +85,7 @@ func (t Tee) Observe(a Access) {
 // ObserveN implements WeightedSink: sinks that support weighted observes
 // get one O(1) call; the rest replay n sequential Observes, so the fan-out
 // is state-equivalent either way.
+//
 //m5:hotpath
 func (t Tee) ObserveN(a Access, n uint64) {
 	for _, s := range t {

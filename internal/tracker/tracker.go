@@ -104,6 +104,21 @@ type Config struct {
 	DecayOnQuery bool
 }
 
+// Validate reports a configuration New cannot build faithfully: a
+// negative K (New panics building the CAM; a Space-Saving tracker would
+// report nothing) or a negative Entries (New panics, or silently shrinks
+// a CM-Sketch to one column). Zero selects the default for both. Configs
+// from outside the process (CLI flags) go through it before New.
+func (c Config) Validate() error {
+	switch {
+	case c.K < 0:
+		return fmt.Errorf("tracker: K must not be negative, got %d", c.K)
+	case c.Entries < 0:
+		return fmt.Errorf("tracker: Entries must not be negative, got %d", c.Entries)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 5

@@ -50,6 +50,27 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{Algorithm: SpaceSaving, K: 5, Entries: 50},
+		{Algorithm: StickySampling, Entries: 64},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+	for _, cfg := range []Config{
+		{Algorithm: SpaceSaving, K: -3},
+		{Algorithm: CMSketch, K: -1},
+		{Entries: -8},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", cfg)
+		}
+	}
+}
+
 func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -207,6 +207,7 @@ func (c *Cursor) NextBatch(buf []workload.Access) int {
 // kernels. It returns -1 once the cursor has adopted a private live tail
 // (the tail is a plain Generator; callers fall back to NextBatch, which
 // emits the identical stream). The caller must have Grown cols to max.
+//
 //m5:hotpath
 func (c *Cursor) NextColumns(cols *workload.Columns, max int) int {
 	if c.closed || c.tail != nil {
@@ -257,6 +258,7 @@ func (c *Cursor) NextColumns(cols *workload.Columns, max int) int {
 // a skip that stops mid-block walks the varint stream (without writing
 // columns). Returns -1 once a private live tail has been adopted, exactly
 // like NextColumns.
+//
 //m5:hotpath
 func (c *Cursor) SkipColumns(max int) (int, bool) {
 	if c.closed || c.tail != nil {
@@ -316,6 +318,7 @@ func (c *Cursor) SkipColumns(max int) (int, bool) {
 // writing columns, keeping the delta-decode and op-boundary state exact
 // for the next materializing read. It reports whether an op boundary was
 // crossed. The caller guarantees the accesses exist.
+//
 //m5:hotpath
 func (c *Cursor) skipCols(blk *block, m int) bool {
 	i, off, offPos := c.i, c.off, c.offPos
@@ -358,6 +361,7 @@ func (c *Cursor) skipCols(blk *block, m int) bool {
 // current block. The caller guarantees they exist. The offset decode
 // mirrors decode; write bits are re-aligned from in-block indices to
 // batch indices as they are set.
+//
 //m5:hotpath
 func (c *Cursor) decodeCols(blk *block, cols *workload.Columns, base, m int) {
 	i, off, offPos := c.i, c.off, c.offPos

@@ -293,6 +293,7 @@ func encodeBlock(accs []workload.Access) *block {
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 // unzigzag inverts zigzag.
+//
 //m5:hotpath
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
