@@ -212,10 +212,13 @@ func BenchmarkFig7ScoreCell(b *testing.B) {
 		for _, n := range []int{50, 2048, 32768} {
 			b.Run(fmt.Sprintf("%v/N%d", alg, n), func(b *testing.B) {
 				b.ReportAllocs()
+				var hpt, hwt float64
 				for i := 0; i < b.N; i++ {
-					page.score(tracker.New(tracker.Config{Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K}))
-					word.score(tracker.New(tracker.Config{Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K}))
+					hpt = page.score(tracker.New(tracker.Config{Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K}))
+					hwt = word.score(tracker.New(tracker.Config{Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K}))
 				}
+				b.ReportMetric(hpt, "hpt-ratio")
+				b.ReportMetric(hwt, "hwt-ratio")
 			})
 		}
 	}

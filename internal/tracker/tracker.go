@@ -136,7 +136,8 @@ func (c Config) withDefaults() Config {
 type Tracker struct {
 	cfg      Config
 	counter  sketch.Counter
-	topk     *cam.Sorted // nil in Space-Saving mode
+	weighted sketch.WeightedCounter // counter's AddN view; nil for Sticky Sampling
+	topk     *cam.Sorted            // nil in Space-Saving mode
 	ss       *sketch.SpaceSaving
 	observed uint64 // accesses observed in the current epoch
 	queries  uint64 // queries served over the tracker lifetime
@@ -169,6 +170,7 @@ func New(cfg Config) *Tracker {
 	default:
 		panic(fmt.Sprintf("tracker: unknown algorithm %v", cfg.Algorithm))
 	}
+	t.weighted, _ = t.counter.(sketch.WeightedCounter)
 	return t
 }
 
@@ -221,15 +223,14 @@ func (t *Tracker) ObserveKeyN(key uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	wc, ok := t.counter.(sketch.WeightedCounter)
-	if !ok {
+	if t.weighted == nil {
 		for ; n > 0; n-- {
 			t.ObserveKey(key)
 		}
 		return
 	}
 	t.observed += n
-	est := wc.AddN(key, n)
+	est := t.weighted.AddN(key, n)
 	if t.topk == nil {
 		return // Space-Saving ranks inside its own table.
 	}

@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -78,6 +79,33 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 		}
 	}()
 	New(Config{Algorithm: Algorithm(77)})
+}
+
+// ObserveKeyN must leave a tracker where n ObserveKey calls would: through
+// the counter's AddN where it has one, occurrence by occurrence for Sticky
+// Sampling. A small table over a larger key space keeps CAM admissions,
+// Space-Saving evictions and sketch collisions frequent.
+func TestObserveKeyNMatchesRepeatedObserveKey(t *testing.T) {
+	for _, alg := range []Algorithm{CMSketch, ConservativeCMSketch, SpaceSaving, StickySampling} {
+		cfg := Config{Algorithm: alg, Entries: 16, K: 3, Seed: 5}
+		weighted, unit := New(cfg), New(cfg)
+		rng := rand.New(rand.NewSource(1))
+		for step := 0; step < 3000; step++ {
+			key, n := uint64(rng.Intn(40)), uint64(rng.Intn(4))
+			weighted.ObserveKeyN(key, n)
+			for i := uint64(0); i < n; i++ {
+				unit.ObserveKey(key)
+			}
+			got, want := weighted.Peek(), unit.Peek()
+			if step%250 == 249 {
+				got, want = weighted.Query(), unit.Query()
+			}
+			if !slices.Equal(got, want) || weighted.Observed() != unit.Observed() {
+				t.Fatalf("%v step %d: ObserveKeyN top %v (observed %d), repeated ObserveKey %v (observed %d)",
+					alg, step, got, weighted.Observed(), want, unit.Observed())
+			}
+		}
+	}
 }
 
 // feedZipf streams a zipf-distributed page workload into the tracker and
