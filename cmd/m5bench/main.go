@@ -13,30 +13,24 @@
 //	        [-seed N] [-out csvdir] [-parallel N] [-json report.json]
 //	        [-baseline prior.json] [-check]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	        [-tape] [-tapebytes N] [-fastforward] [-batch N]
+//	        [-tapebytes N]
 //	        [-sample] [-samplewindow N] [-samplestride N] [-ci F]
 //
 // The harness vocabulary comes from the experiments registry (-h lists
 // it); every harness is a uniform descriptor the batch frontend here,
 // the m5serve sweep server, and the Go benchmarks all dispatch through.
 //
-// By default workload access streams are served from a shared
-// record-once/replay-many tape pool (-tape=false disables it); every
-// reported number is byte-identical either way, only the wall clock
-// moves. -tapebytes bounds the pool's memory.
-//
-// -fastforward executes whole tape segments through the simulator's
-// vectorized epoch fast-forward engine between migration decisions;
-// -batch overrides the simulator's step-batch size. Both are pure
-// wall-clock knobs: every reported number is byte-identical to a run
-// without them.
+// Workload access streams are served from a shared record-once/replay-many
+// tape pool; replay is byte-identical to live generation, so only the wall
+// clock moves. -tapebytes bounds the pool's memory (0 = unbounded); a
+// stream that outgrows the budget continues on a private live generator.
 //
 // -sample switches every cell to the SMARTS-style sampled fidelity tier:
 // functional warming between detailed measurement windows, elapsed times
 // reported as estimates with Student-t confidence intervals (the sample.*
 // obs counters carry windows measured, per-tier access splits, and the
-// interval width). UNLIKE the flags above this is statistical, not
-// byte-identical — the sample-coverage harness checks the contract.
+// interval width). UNLIKE tapes this is statistical, not byte-identical —
+// the sample-coverage harness checks the contract.
 // -samplewindow / -samplestride override the window geometry; -ci sets a
 // relative error budget that stops measuring once the interval is tight
 // enough.
@@ -81,10 +75,7 @@ func main() {
 		check    = flag.Bool("check", false, "with -baseline: exit non-zero if any harness runs >20% slower than the baseline")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
-		useTape  = flag.Bool("tape", true, "serve workload streams from a shared record-once/replay-many tape pool (results are byte-identical either way)")
 		tapeCap  = flag.Int64("tapebytes", 256<<20, "tape pool byte budget (0 = unbounded); least-recently-used tapes are evicted to stay within it")
-		fastFwd  = flag.Bool("fastforward", false, "execute whole tape segments through the simulator's vectorized fast-forward engine (results are byte-identical either way)")
-		batch    = flag.Int("batch", 0, "simulator step-batch size (0 = default; never changes results)")
 		sample   = flag.Bool("sample", false, "run every cell at the SMARTS-style sampled fidelity tier (statistical — results carry Student-t confidence intervals, NOT byte-identical to exact mode)")
 		sampWin  = flag.Int("samplewindow", 0, "sampled tier: detailed window length in accesses (0 = simulator default)")
 		sampStr  = flag.Int("samplestride", 0, "sampled tier: functional stride between windows in accesses (0 = simulator default)")
@@ -160,8 +151,6 @@ func main() {
 		Points:       *points,
 		Seed:         *seed,
 		Parallel:     *par,
-		FastForward:  *fastFwd,
-		BatchSize:    *batch,
 		Sample:       *sample,
 		SampleWindow: *sampWin,
 		SampleStride: *sampStr,
@@ -181,22 +170,19 @@ func main() {
 	if err := p.Validate(); err != nil {
 		fatalf("%v", err)
 	}
-	var tapeObs *obs.Registry
-	if *useTape {
-		// The pool gets a registry of its own: its tape.* metrics must
-		// not leak into the per-cell snapshots the JSON report carries,
-		// or the report bytes would differ between -tape settings. The
-		// -json report instead exposes it as a top-level tape snapshot.
-		tapeObs = obs.New()
-		p.Tapes = tape.NewPool(uint64(max(*tapeCap, 0)), tapeObs)
-		defer func() {
-			st := p.Tapes.Stats()
-			fmt.Fprintf(os.Stderr,
-				"tape pool: %d tapes, %.1f MiB (%d evictions), %d hits / %d misses, %d live tails\n",
-				st.Tapes, float64(st.Bytes)/(1<<20), st.Evictions, st.Hits, st.Misses, st.LiveTails)
-			p.Tapes.Close()
-		}()
-	}
+	// The pool gets a registry of its own: its tape.* metrics must not
+	// leak into the per-cell snapshots the JSON report carries, which
+	// stay identical to live generation. The -json report instead
+	// exposes it as a top-level tape snapshot.
+	tapeObs := obs.New()
+	p.Tapes = tape.NewPool(uint64(max(*tapeCap, 0)), tapeObs)
+	defer func() {
+		st := p.Tapes.Stats()
+		fmt.Fprintf(os.Stderr,
+			"tape pool: %d tapes, %.1f MiB (%d evictions), %d hits / %d misses, %d live tails\n",
+			st.Tapes, float64(st.Bytes)/(1<<20), st.Evictions, st.Hits, st.Misses, st.LiveTails)
+		p.Tapes.Close()
+	}()
 
 	if *exp == "all" {
 		for _, name := range experiments.HarnessNames() {
@@ -209,9 +195,7 @@ func main() {
 		timed(*exp, p)
 	}
 	if *jsonOut != "" {
-		if tapeObs != nil {
-			report.Tape = tapeObs.Snapshot()
-		}
+		report.Tape = tapeObs.Snapshot()
 		if err := writeReport(*jsonOut); err != nil {
 			fatalf("writing -json report: %v", err)
 		}

@@ -26,9 +26,9 @@ type benchReport struct {
 	Seed        int64           `json:"seed"`
 	Harnesses   []harnessReport `json:"harnesses"`
 	// Tape is the shared tape pool's own observability snapshot (tape.*
-	// counters: bytes, hits, misses, evictions, live_tails) when -tape
-	// and -json are both set. It sits at the report top level because the
-	// pool is shared across harnesses, not owned by any one of them.
+	// counters: bytes, hits, misses, evictions, live_tails). It sits at the
+	// report top level because the pool is shared across harnesses, not
+	// owned by any one of them.
 	Tape             *obs.Snapshot `json:"tape,omitempty"`
 	TotalWallSeconds float64       `json:"total_wall_seconds"`
 }

@@ -20,8 +20,8 @@ import (
 //
 // A second rule closes the harness seam without per-site annotations:
 // in the experiments packages, any function building a sim.Config
-// literal must also call applySpeed in the same body, so the speed and
-// sampling knobs are patched into every cell config.
+// literal must also call applySpeed in the same body, so the sampling
+// tier is patched into every cell config.
 var Plumbing = &Analyzer{
 	Name: "plumbing",
 	Doc:  "config-struct fields must be handled at every //m5:plumb seam",
@@ -274,6 +274,6 @@ func (p *Pass) checkHarnessConfigLiteral(fd *ast.FuncDecl) {
 		return true
 	})
 	if firstLit != nil && !callsApplySpeed {
-		p.Reportf(firstLit.Pos(), "sim.Config literal without an applySpeed call in the same function; the cell config bypasses the speed/sampling knobs — patch it with applySpeed (or build it inside a helper that does)")
+		p.Reportf(firstLit.Pos(), "sim.Config literal without an applySpeed call in the same function; the cell config bypasses the sampling tier — patch it with applySpeed (or build it inside a helper that does)")
 	}
 }

@@ -124,10 +124,6 @@ func (p *PEBS) Observe(a trace.Access) {
 	}
 }
 
-// MaxObserveKernelNs implements trace.KernelCostBounded: one Observe
-// charges kernel time only when the buffer drains, at most DrainCostNs.
-func (p *PEBS) MaxObserveKernelNs() uint64 { return p.cfg.DrainCostNs }
-
 // Tick elects the most-sampled pages, records them, optionally migrates,
 // and decays the sample histogram.
 func (p *PEBS) Tick(nowNs uint64) {

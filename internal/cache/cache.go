@@ -455,8 +455,8 @@ func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 // AccessClass packs one batched access's outcome into a byte:
 // bits 0-1 hold HitLevel-1, bits 2-3 the writeback count (at most 3 per
 // access: LLC demand victim, L2 victim flush, prefetch victim), and bit 4
-// whether a next-line prefetch was issued. The fast-forward engine
-// consumes these instead of per-access Result structs.
+// whether a next-line prefetch was issued. The simulator's sampled-tier
+// functional kernel consumes these instead of per-access Result structs.
 type AccessClass uint8
 
 const classPrefetched AccessClass = 1 << 4

@@ -161,20 +161,6 @@ func (c *Channel) Access(a mem.PhysAddr) (Outcome, uint64) {
 	}
 }
 
-// MaxAccessNs returns the worst-case device latency of one access (the
-// maximum over the row-buffer outcomes) — the bound the simulator's
-// fast-forward scheduler uses to prove event horizons are unreachable.
-func (c *Channel) MaxAccessNs() uint64 {
-	m := c.cfg.Timing.RowHitNs
-	if c.cfg.Timing.RowMissNs > m {
-		m = c.cfg.Timing.RowMissNs
-	}
-	if c.cfg.Timing.RowConflictNs > m {
-		m = c.cfg.Timing.RowConflictNs
-	}
-	return m
-}
-
 // PrechargeAll closes every bank (refresh-like event).
 func (c *Channel) PrechargeAll() {
 	for i := range c.openRow {

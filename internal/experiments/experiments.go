@@ -52,15 +52,6 @@ type Params struct {
 	// byte-identical to live generation, so every harness result is
 	// unchanged; only the wall clock moves.
 	Tapes *tape.Pool
-	// FastForward enables the simulator's epoch fast-forward engine in
-	// every cell (sim.Config.FastForward): whole tape segments execute
-	// through vectorized kernels between event horizons. Results are
-	// byte-identical to exact mode; only the wall clock moves.
-	FastForward bool
-	// BatchSize overrides the simulator's step-batch size in every cell
-	// (sim.Config.BatchSize); 0 keeps the default. Never changes
-	// results.
-	BatchSize int
 	// Warm, when set, serves warmed machine checkpoints from a shared
 	// store (the serve frontend's copy-on-write checkpoint tree) instead
 	// of each cell re-running its own warmup. Checkpoint forks are
@@ -70,9 +61,10 @@ type Params struct {
 	// Sample switches every cell to the simulator's SMARTS-style sampled
 	// fidelity tier (sim.Config.Sampling): functional warming between
 	// detailed measurement windows, headline times reported as estimates
-	// with Student-t confidence intervals. UNLIKE every other speed knob
-	// this is not byte-identical — the contract is statistical (see
-	// SampleCoverage) — so it is off by default everywhere.
+	// with Student-t confidence intervals. UNLIKE tapes and warm
+	// checkpoints this is not byte-identical — the contract is
+	// statistical (see SampleCoverage) — so it is off by default
+	// everywhere.
 	Sample bool
 	// SampleWindow / SampleStride override the sampled tier's detailed
 	// window and functional stride lengths in accesses (0 keeps the
@@ -95,16 +87,12 @@ func (p Params) newGenerator(bench string) (workload.Generator, error) {
 	return workload.New(bench, p.Scale, p.Seed)
 }
 
-// applySpeed copies the speed knobs (fast-forward, batch size, sampling
-// tier) into one cell's simulator config. Every harness routes its
-// sim.Config through this so -fastforward, -batch, and -sample reach
-// every cell. Fast-forward and batch size are result-invariant; the
-// sampling tier is statistical (see Params.Sample).
+// applySpeed copies the sampling tier into one cell's simulator config.
+// Every harness routes its sim.Config through this so -sample reaches
+// every cell. The tier is statistical (see Params.Sample).
 //
 //m5:plumb sim.SamplingConfig ignore=FunctionalThin,WarmPrefix
 func (p Params) applySpeed(cfg *sim.Config) {
-	cfg.FastForward = p.FastForward
-	cfg.BatchSize = p.BatchSize
 	if p.Sample {
 		cfg.Sampling = sim.SamplingConfig{
 			Mode:             sim.SampleModeSampled,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -19,6 +20,17 @@ func tinyParams(benches ...string) Params {
 		Seed:       1,
 		Benchmarks: benches,
 	}
+}
+
+// renderRows serializes harness rows for byte-identity comparison; JSON
+// (unlike %#v) dereferences the obs.Snapshot pointers Fig9 rows carry.
+func renderRows(t *testing.T, rows any) string {
+	t.Helper()
+	b, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestRatioSummary(t *testing.T) {

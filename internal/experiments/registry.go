@@ -128,7 +128,7 @@ func RunHarness(name string, p Params) (*Result, error) {
 // garbage that surfaced as an opaque error deep inside a cell; every
 // registered harness now validates up front (via prepare).
 //
-//m5:plumb Params ignore=Seed,Parallel,CollectObs,Tapes,FastForward,Warm,Sample
+//m5:plumb Params ignore=Seed,Parallel,CollectObs,Tapes,Warm,Sample
 func (p Params) Validate() error {
 	switch {
 	case p.Warmup < 0:
@@ -137,8 +137,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("experiments: negative Accesses %d", p.Accesses)
 	case p.Points < 0:
 		return fmt.Errorf("experiments: negative Points %d", p.Points)
-	case p.BatchSize < 0:
-		return fmt.Errorf("experiments: negative BatchSize %d", p.BatchSize)
 	case p.Scale < workload.ScaleTiny || p.Scale > workload.ScaleLarge:
 		return fmt.Errorf("experiments: unknown scale %v", p.Scale)
 	case p.SampleWindow < 0:
@@ -175,8 +173,8 @@ func (p Params) prepare() (Params, error) {
 // WarmKey identifies one warm-checkpoint shape within a harness: the
 // benchmark plus a harness-chosen kind tag naming the bare
 // configuration that was warmed (e.g. "sec42-hpt"). Together with the
-// Params fields that shape machine state (Scale, Seed, Warmup,
-// FastForward, BatchSize) it keys a shared checkpoint store.
+// Params fields that shape machine state (Scale, Seed, Warmup, and the
+// sampling geometry) it keys a shared checkpoint store.
 type WarmKey struct {
 	Bench string
 	Kind  string

@@ -203,16 +203,14 @@ func (s *Server) accumulateSamples(res *experiments.Result) {
 // ParamsPatch is a partial Params override: nil fields keep the base
 // value. It is both the query-wide override and the per-cell grid entry.
 type ParamsPatch struct {
-	Scale       *string  `json:"scale,omitempty"`
-	Warmup      *int     `json:"warmup,omitempty"`
-	Accesses    *int     `json:"accesses,omitempty"`
-	Points      *int     `json:"points,omitempty"`
-	Seed        *int64   `json:"seed,omitempty"`
-	Benchmarks  []string `json:"benchmarks,omitempty"`
-	Parallel    *int     `json:"parallel,omitempty"`
-	CollectObs  *bool    `json:"collect_obs,omitempty"`
-	FastForward *bool    `json:"fastforward,omitempty"`
-	BatchSize   *int     `json:"batch,omitempty"`
+	Scale      *string  `json:"scale,omitempty"`
+	Warmup     *int     `json:"warmup,omitempty"`
+	Accesses   *int     `json:"accesses,omitempty"`
+	Points     *int     `json:"points,omitempty"`
+	Seed       *int64   `json:"seed,omitempty"`
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	Parallel   *int     `json:"parallel,omitempty"`
+	CollectObs *bool    `json:"collect_obs,omitempty"`
 	// Sampling tier (statistical, NOT byte-identical — see
 	// experiments.Params.Sample). Per-query opt-in: server defaults keep
 	// it off so served results stay byte-identical to batch runs.
@@ -257,12 +255,6 @@ func (pp *ParamsPatch) apply(p experiments.Params) (experiments.Params, error) {
 	if pp.CollectObs != nil {
 		p.CollectObs = *pp.CollectObs
 	}
-	if pp.FastForward != nil {
-		p.FastForward = *pp.FastForward
-	}
-	if pp.BatchSize != nil {
-		p.BatchSize = *pp.BatchSize
-	}
 	if pp.Sample != nil {
 		p.Sample = *pp.Sample
 	}
@@ -288,8 +280,6 @@ type paramsView_ struct {
 	Benchmarks   []string `json:"benchmarks,omitempty"`
 	Parallel     int      `json:"parallel,omitempty"`
 	CollectObs   bool     `json:"collect_obs,omitempty"`
-	FastForward  bool     `json:"fastforward,omitempty"`
-	BatchSize    int      `json:"batch,omitempty"`
 	Sample       bool     `json:"sample,omitempty"`
 	SampleWindow int      `json:"sample_window,omitempty"`
 	SampleStride int      `json:"sample_stride,omitempty"`
@@ -307,8 +297,6 @@ func paramsView(p experiments.Params) paramsView_ {
 		Benchmarks:   p.Benchmarks,
 		Parallel:     p.Parallel,
 		CollectObs:   p.CollectObs,
-		FastForward:  p.FastForward,
-		BatchSize:    p.BatchSize,
 		Sample:       p.Sample,
 		SampleWindow: p.SampleWindow,
 		SampleStride: p.SampleStride,

@@ -182,6 +182,23 @@ func TestCheckpointTreeReuse(t *testing.T) {
 	}
 }
 
+// TestUnknownPatchFieldsIgnored: the patch decoder ignores fields it
+// does not know, so clients that still send knobs the server has since
+// dropped keep working and get the same rows.
+func TestUnknownPatchFieldsIgnored(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{Defaults: serveDefaults()}))
+	defer ts.Close()
+
+	plain := rows(postSweep(t, ts, `{"harness":"sec42","params":{"benchmarks":["lib."]}}`))
+	extra := rows(postSweep(t, ts, `{"harness":"sec42","params":{"benchmarks":["lib."],"dropped_knob":true},"grid":[{"dropped_size":8}]}`))
+	if len(plain) != 1 || len(extra) != 1 {
+		t.Fatalf("got %d and %d rows, want 1 each", len(plain), len(extra))
+	}
+	if a, b := marshal(t, plain[0].Result), marshal(t, extra[0].Result); !bytes.Equal(a, b) {
+		t.Fatalf("unknown fields changed the row:\nplain %s\nextra %s", a, b)
+	}
+}
+
 // TestSweepGrid fans one query across a parameter grid and checks each
 // row matches a direct run with the correspondingly patched Params.
 func TestSweepGrid(t *testing.T) {

@@ -4,14 +4,14 @@
 // results over NDJSON.
 //
 // The tree is the serving counterpart of the warmup sharing individual
-// harnesses already do within one batch run: checkpoints (PR 3), tapes
-// (PR 4), and fast-forward (PR 6) make every simulation a pure,
-// resumable function of (workload, config, prefix), so a warmed machine
-// is a cacheable value. Queries that share a warm prefix fork it instead
-// of re-simulating; queries that need a longer prefix fork the longest
-// cached ancestor and simulate only the delta. Every path hands back
-// machine state bit-identical to a cold warmup — the sim.Checkpoint
-// fork contract — so served results never diverge from batch runs.
+// harnesses already do within one batch run: checkpoints and tapes make
+// every simulation a pure, resumable function of (workload, config,
+// prefix), so a warmed machine is a cacheable value. Queries that share
+// a warm prefix fork it instead of re-simulating; queries that need a
+// longer prefix fork the longest cached ancestor and simulate only the
+// delta. Every path hands back machine state bit-identical to a cold
+// warmup — the sim.Checkpoint fork contract — so served results never
+// diverge from batch runs.
 package serve
 
 import (
@@ -26,21 +26,16 @@ import (
 // treeKey identifies one warm checkpoint: the harness's warm shape
 // (benchmark + kind tag naming the bare config that was warmed) plus
 // every Params field that shapes machine state during warmup.
-// FastForward and BatchSize never change simulated state, but they key
-// the tree anyway: byte-identity between engine modes is an invariant
-// the equivalence suite checks, not something serving should assume.
 type treeKey struct {
-	Bench       string
-	Kind        string
-	Scale       workload.Scale
-	Seed        int64
-	Warmup      int
-	FastForward bool
-	BatchSize   int
-	// Sampled-tier fields: unlike the two above, sampling genuinely
-	// changes machine state (the warmup's simulated clock is coarsened),
-	// so sampled warmups must never share checkpoints with exact ones —
-	// or with sampled warmups of a different geometry.
+	Bench  string
+	Kind   string
+	Scale  workload.Scale
+	Seed   int64
+	Warmup int
+	// Sampled-tier fields: sampling changes machine state (the warmup's
+	// simulated clock is coarsened), so sampled warmups must never share
+	// checkpoints with exact ones — or with sampled warmups of a
+	// different geometry.
 	Sample       bool
 	SampleWindow int
 	SampleStride int
@@ -73,12 +68,6 @@ func (k treeKey) less(o treeKey) bool {
 	if k.Warmup != o.Warmup {
 		return k.Warmup < o.Warmup
 	}
-	if k.FastForward != o.FastForward {
-		return o.FastForward
-	}
-	if k.BatchSize != o.BatchSize {
-		return k.BatchSize < o.BatchSize
-	}
 	if k.Sample != o.Sample {
 		return o.Sample
 	}
@@ -92,8 +81,8 @@ func (k treeKey) less(o treeKey) bool {
 }
 
 func (k treeKey) String() string {
-	s := fmt.Sprintf("%s/%s/%v/seed%d/warm%d/ff%v/b%d",
-		k.Bench, k.Kind, k.Scale, k.Seed, k.Warmup, k.FastForward, k.BatchSize)
+	s := fmt.Sprintf("%s/%s/%v/seed%d/warm%d",
+		k.Bench, k.Kind, k.Scale, k.Seed, k.Warmup)
 	if k.Sample {
 		s += fmt.Sprintf("/smp%d-%d-%v", k.SampleWindow, k.SampleStride, k.TargetCI)
 	}
@@ -175,13 +164,11 @@ func (t *Tree) Stats() TreeStats {
 //m5:plumb experiments.Params ignore=Accesses,Points,Benchmarks,Parallel,CollectObs,Tapes,Warm
 func (t *Tree) WarmCheckpoint(p experiments.Params, key experiments.WarmKey, build func() (*sim.Runner, error)) (*sim.Checkpoint, error) {
 	full := treeKey{
-		Bench:       key.Bench,
-		Kind:        key.Kind,
-		Scale:       p.Scale,
-		Seed:        p.Seed,
-		Warmup:      p.Warmup,
-		FastForward: p.FastForward,
-		BatchSize:   p.BatchSize,
+		Bench:  key.Bench,
+		Kind:   key.Kind,
+		Scale:  p.Scale,
+		Seed:   p.Seed,
+		Warmup: p.Warmup,
 	}
 	if p.Sample {
 		full.Sample = true
@@ -254,8 +241,7 @@ func (t *Tree) bestAncestor(want treeKey) *treeNode {
 	var best *treeNode
 	for k, n := range t.nodes {
 		if k.Bench != want.Bench || k.Kind != want.Kind || k.Scale != want.Scale ||
-			k.Seed != want.Seed || k.FastForward != want.FastForward ||
-			k.BatchSize != want.BatchSize || k.Sample || k.Warmup >= want.Warmup {
+			k.Seed != want.Seed || k.Sample || k.Warmup >= want.Warmup {
 			continue
 		}
 		select {

@@ -4,52 +4,23 @@ import (
 	"reflect"
 	"testing"
 
+	"m5/internal/baseline"
 	m5mgr "m5/internal/m5"
+	"m5/internal/obs"
 	"m5/internal/tiermem"
 	"m5/internal/trace"
 	"m5/internal/tracker"
 	"m5/internal/workload"
+	"m5/internal/workload/tape"
 )
 
 // runUnbatched mirrors Run's span accounting but advances the machine one
 // Step at a time — the reference the batched engine must match exactly.
 func runUnbatched(r *Runner, n int) Result {
-	startNs := r.clockNs
-	startKernel := r.Sys.KernelNs()
-	startAccesses := r.accesses
-	startReads, startWrites := r.dramReads, r.dramWrites
-	r.opLat.Reset()
-	for i := 0; i < n; i++ {
-		if !r.Step() {
-			break
-		}
+	span := r.beginSpan()
+	for i := 0; i < n && r.Step(); i++ {
 	}
-	res := Result{
-		Workload:   r.gen.Name(),
-		Accesses:   r.accesses - startAccesses,
-		ElapsedNs:  r.clockNs - startNs,
-		KernelNs:   r.Sys.KernelNs() - startKernel,
-		Promotions: r.Sys.Promotions(),
-		Demotions:  r.Sys.Demotions(),
-	}
-	if r.daemon != nil {
-		res.Daemon = r.daemon.Name()
-	} else {
-		res.Daemon = "none"
-	}
-	for node := 0; node < 2; node++ {
-		res.DRAMReads[node] = r.dramReads[node] - startReads[node]
-		res.DRAMWrites[node] = r.dramWrites[node] - startWrites[node]
-	}
-	if r.opLat.Len() > 0 {
-		res.OpCount = uint64(r.opLat.Len())
-		res.P50OpNs = r.opLat.Percentile(50)
-		res.P99OpNs = r.opLat.Percentile(99)
-	}
-	if res.ElapsedNs > 0 {
-		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs)
-	}
-	return res
+	return r.endSpan(span)
 }
 
 // countingSink records how many DRAM accesses it observed; it adds no
@@ -61,47 +32,114 @@ type countingSink struct {
 
 func (s *countingSink) Observe(a trace.Access) { s.n++; s.last = a }
 
+// stepCase is one machine shape for TestStepBatchMatchesStep: cfg
+// mutates the config before NewRunner and arm installs daemons and sinks
+// after, so the batched and Step-driven runners are built identically.
+type stepCase struct {
+	name  string
+	bench string
+	sink  bool // attach a countingSink and compare what it saw
+	tape  bool // replay the stream from a shared tape pool
+	cfg   func(c *Config)
+	arm   func(r *Runner)
+}
+
+func armM5(r *Runner) {
+	r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
+}
+
+// stepCases covers every path the batched loop hoists or guards: bare
+// runs, tick-driven daemons (M5/HPT), fault-hook daemons with inline
+// promotion (ANB), a kernel-charging miss sink that is also the daemon
+// (PEBS), op-latency streams (redis), the row-buffer DRAM model with
+// next-line prefetch, frequent context-switch flushes, and tape replay.
+func stepCases() []stepCase {
+	return []stepCase{
+		{name: "bare", bench: "roms"},
+		{name: "kvs-daemon-sink", bench: "redis", sink: true, arm: armM5},
+		{name: "anb-faults", bench: "mcf",
+			arm: func(r *Runner) {
+				r.SetDaemon(baseline.NewANB(r.Sys, baseline.ANBConfig{
+					PeriodNs: 500_000, SamplePages: 64, Migrate: true,
+				}))
+			}},
+		{name: "pebs-sink", bench: "redis",
+			arm: func(r *Runner) {
+				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
+				r.AttachMissSink(p)
+				r.SetDaemon(p)
+			}},
+		{name: "rowbuffer-prefetch", bench: "bfs",
+			cfg: func(c *Config) {
+				c.RowBuffer = true
+				c.Cache = NewScaledCache(1 << 24)
+				c.Cache.NextLinePrefetch = true
+			}},
+		{name: "ctx-short", bench: "cc", arm: armM5,
+			cfg: func(c *Config) { c.CtxSwitchPeriodNs = 60_000 }},
+		{name: "tape", bench: "redis", tape: true, sink: true, arm: armM5},
+	}
+}
+
+// buildStepRunner assembles one runner of the case's shape. pool, when
+// non-nil, serves the access stream from a tape.
+func buildStepRunner(t *testing.T, tc stepCase, metrics *obs.Registry, pool *tape.Pool) (*Runner, *countingSink) {
+	t.Helper()
+	var wl workload.Generator
+	var err error
+	if pool != nil {
+		wl, err = pool.Open(tc.bench, workload.ScaleTiny, 9)
+	} else {
+		wl, err = workload.New(tc.bench, workload.ScaleTiny, 9)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Workload: wl,
+		HPT:      &tracker.Config{Algorithm: tracker.SpaceSaving, Entries: 128, K: 5},
+		Metrics:  metrics,
+	}
+	if tc.cfg != nil {
+		tc.cfg(&cfg)
+	}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		wl.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	var sink *countingSink
+	if tc.sink {
+		sink = &countingSink{}
+		r.AttachMissSink(sink)
+	}
+	if tc.arm != nil {
+		tc.arm(r)
+	}
+	return r, sink
+}
+
 // TestStepBatchMatchesStep pins the batched engine's equivalence claim:
 // Run (which drives StepBatch) and a Step loop with identical accounting
-// produce byte-identical Results from identical machines — including the
-// daemon-tick, op-latency, and miss-sink paths the batched loop guards.
+// produce byte-identical Results — obs snapshots included — and clocks
+// from identical machines, for every machine shape in stepCases.
 func TestStepBatchMatchesStep(t *testing.T) {
-	build := func(bench string, withDaemon, withSink bool) (*Runner, *countingSink) {
-		wl := workload.MustNew(bench, workload.ScaleTiny, 9)
-		r, err := NewRunner(Config{
-			Workload: wl,
-			HPT:      &tracker.Config{Algorithm: tracker.SpaceSaving, Entries: 128, K: 5},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(r.Close)
-		var sink *countingSink
-		if withSink {
-			sink = &countingSink{}
-			r.AttachMissSink(sink)
-		}
-		if withDaemon {
-			r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
-		}
-		return r, sink
-	}
-	cases := []struct {
-		name   string
-		bench  string
-		daemon bool
-		sink   bool
-	}{
-		{"bare", "roms", false, false},
-		{"kvs-daemon-sink", "redis", true, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range stepCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 400_000
-			batched, bSink := build(tc.bench, tc.daemon, tc.sink)
-			unbatched, uSink := build(tc.bench, tc.daemon, tc.sink)
+			var pool *tape.Pool
+			if tc.tape {
+				pool = tape.NewPool(0, nil)
+				t.Cleanup(pool.Close)
+			}
+			batched, bSink := buildStepRunner(t, tc, obs.New(), pool)
+			unbatched, uSink := buildStepRunner(t, tc, obs.New(), pool)
 			got := batched.Run(n)
 			want := runUnbatched(unbatched, n)
+			if got.Obs == nil || len(got.Obs.Counters) == 0 {
+				t.Fatal("batched run produced no obs snapshot")
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("batched Run diverged from Step loop:\n got %+v\nwant %+v", got, want)
 			}
@@ -118,6 +156,36 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			}
 		})
 	}
+
+	// The batched loop never holds pulled-but-unexecuted accesses across
+	// StepBatch calls: uneven spans (as warmup + measurement loops split
+	// a run) land on the Step loop's state, and the generator checkpoint
+	// stays in lockstep with the executed count. Checkpoints need a bare
+	// runner (no daemon, no metrics).
+	t.Run("split-spans", func(t *testing.T) {
+		tc := stepCase{bench: "roms", cfg: func(c *Config) { c.CtxSwitchPeriodNs = 60_000 }}
+		split, _ := buildStepRunner(t, tc, nil, nil)
+		ref, _ := buildStepRunner(t, tc, nil, nil)
+		total := 0
+		for _, span := range []int{1, 999, 17, 100_000, 1, 198_982} {
+			split.Run(span)
+			total += span
+		}
+		runUnbatched(ref, total)
+		if split.clockNs != ref.clockNs || split.accesses != ref.accesses ||
+			split.Sys.KernelNs() != ref.Sys.KernelNs() ||
+			split.dramReads != ref.dramReads || split.dramWrites != ref.dramWrites {
+			t.Errorf("split spans diverged from the Step loop: clock %d vs %d, accesses %d vs %d",
+				split.clockNs, ref.clockNs, split.accesses, ref.accesses)
+		}
+		cp, err := split.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.gen.Consumed != split.accesses {
+			t.Errorf("batched loop buffered ahead: consumed %d, executed %d", cp.gen.Consumed, split.accesses)
+		}
+	})
 }
 
 // TestRunBatchZeroAllocs pins the batched hot loop at zero allocations per

@@ -102,6 +102,7 @@ func (c *channel) serve(now uint64) uint64 {
 type core struct {
 	id      int
 	gen     workload.Generator
+	base    tiermem.VPN // first VPN of the instance's arena
 	cache   *cache.Hierarchy
 	clockNs uint64
 	opStart uint64
@@ -180,8 +181,11 @@ func NewMultiRunner(cfg MultiConfig) (*MultiRunner, error) {
 	// the causal-order scheduler touches them one at a time, so the shared
 	// counters stay deterministic.
 	cacheScope := cfg.Metrics.Scope("cache")
+	// Arenas are allocated back to back: instance i's pages start after
+	// instances 0..i-1.
 	for i, gen := range gens {
-		if _, err := sys.Alloc(int((gen.Footprint()+4095)/4096), tiermem.NodeCXL); err != nil {
+		base, err := sys.Alloc(int((gen.Footprint()+4095)/4096), tiermem.NodeCXL)
+		if err != nil {
 			return nil, fmt.Errorf("sim: allocating instance %d arena: %w", i, err)
 		}
 		cacheCfg := NewScaledCache(gen.Footprint())
@@ -189,11 +193,11 @@ func NewMultiRunner(cfg MultiConfig) (*MultiRunner, error) {
 		m.cores = append(m.cores, &core{
 			id:    i,
 			gen:   gen,
+			base:  base,
 			cache: cache.NewHierarchy(cacheCfg),
 			opLat: stats.NewReservoir(1<<13, 23),
 		})
 	}
-	// Arena bases: instance i's pages start after instances 0..i-1.
 	m.Ctrl = cxl.NewController(cxl.ControllerConfig{
 		Span:      sys.CXLSpan(),
 		EnablePAC: cfg.EnablePAC,
@@ -202,15 +206,6 @@ func NewMultiRunner(cfg MultiConfig) (*MultiRunner, error) {
 		Metrics:   cfg.Metrics.Scope("cxl"),
 	})
 	return m, nil
-}
-
-// base returns instance i's first VPN.
-func (m *MultiRunner) base(i int) tiermem.VPN {
-	var v tiermem.VPN
-	for j := 0; j < i; j++ {
-		v += tiermem.VPN((m.cores[j].gen.Footprint() + 4095) / 4096)
-	}
-	return v
 }
 
 // SetDaemon installs the shared migration daemon. Its ticks are charged to
@@ -246,7 +241,7 @@ func (m *MultiRunner) step(c *core) {
 	}
 	c.accesses++
 	kernelBefore := m.Sys.KernelNs()
-	va := m.base(c.id).Addr() + tiermem.VirtAddr(a.Offset)
+	va := c.base.Addr() + tiermem.VirtAddr(a.Offset)
 	var tr tiermem.TranslateResult
 	m.Sys.TranslateInto(c.id, va, a.Write, &tr)
 	c.clockNs += tr.ExtraNs

@@ -58,7 +58,7 @@ func TestMultiArenasAreDisjoint(t *testing.T) {
 	// Bases must be strictly increasing by footprint.
 	prevEnd := tiermem.VPN(0)
 	for i := 0; i < 3; i++ {
-		b := m.base(i)
+		b := m.cores[i].base
 		if b != prevEnd {
 			t.Errorf("instance %d base = %d, want %d", i, b, prevEnd)
 		}

@@ -13,14 +13,13 @@
 // cadence.
 //
 // Detailed windows run the unmodified exact engine (the same StepBatch
-// path, fast-forward included when enabled); each full window contributes
-// one per-access-latency sample to a streaming Welford accumulator. The
-// span's headline ElapsedNs is then estimated as mean(window ns/access) ×
-// accesses, with a Student-t confidence interval (internal/stats) reported
-// on the Result.
+// path); each full window contributes one per-access-latency sample to a
+// streaming Welford accumulator. The span's headline ElapsedNs is then
+// estimated as mean(window ns/access) × accesses, with a Student-t
+// confidence interval (internal/stats) reported on the Result.
 //
-// Unlike fast-forward, sampling is deliberately NOT byte-identical: the
-// contract is statistical — the equivalence harness
+// Unlike tapes and checkpoints, sampling is deliberately NOT
+// byte-identical: the contract is statistical — the equivalence harness
 // (experiments.SampleCoverage) runs sampled vs. exact across seeds and
 // checks the exact value falls inside the declared interval at the
 // configured confidence. Exact mode (Sampling.Mode unset or "exact") is
@@ -452,6 +451,41 @@ func (r *Runner) runThinnedSpan(k int) int {
 	return ran
 }
 
+// colScratch is the functional tier's reusable columnar scratch, sized
+// once for one batch so stepFunctional and stepSkip never allocate.
+type colScratch struct {
+	cols workload.Columns
+	// phys holds each access's translated physical address; class and wb
+	// are the cache classify kernel's per-access class bytes and ordered
+	// writeback stream.
+	phys  []mem.PhysAddr
+	class []cache.AccessClass
+	wb    []mem.PhysAddr
+	// memoVPN/memoBase mirror the TLB memo: the page and frame base of
+	// the most recent full translation. Trustworthy only when
+	// TLB.RepeatHit(memoVPN) succeeds — every frame change shoots down
+	// the TLB entry, which drops the memo.
+	memoVPN  tiermem.VPN
+	memoBase mem.PhysAddr
+	memoOK   bool
+}
+
+// colInit builds the columnar scratch and the batch buffer the columnar
+// refill transposes through (once per runner).
+func (r *Runner) colInit() *colScratch {
+	cs := &colScratch{
+		phys:  make([]mem.PhysAddr, runnerBatch),
+		class: make([]cache.AccessClass, runnerBatch),
+		wb:    make([]mem.PhysAddr, 0, 64),
+	}
+	cs.cols.Grow(runnerBatch)
+	if r.batch == nil {
+		r.batch = make([]workload.Access, runnerBatch)
+	}
+	r.cols = cs
+	return cs
+}
+
 // stepSkip advances up to one batch of the workload stream without
 // simulating it: the generator moves (tape cursors jump committed blocks
 // without decoding, workload.ColumnarSkipper), the coarse clock advances
@@ -462,20 +496,16 @@ func (r *Runner) runThinnedSpan(k int) int {
 //
 //m5:hotpath
 func (r *Runner) stepSkip(max int) int {
-	ff := r.ffs
-	if ff == nil {
+	cs := r.cols
+	if cs == nil {
 		//m5:coldpath one-time scratch construction on first functional batch.
-		ff = r.ffInit()
-	}
-	if r.batch == nil {
-		//m5:coldpath one-time batch buffer construction.
-		r.batch = make([]workload.Access, r.batchSize)
+		cs = r.colInit()
 	}
 	want := max
-	if want > r.batchSize {
-		want = r.batchSize
+	if want > runnerBatch {
+		want = runnerBatch
 	}
-	n, ops := workload.SkipColumns(r.gen, r.batch, &ff.cols, want)
+	n, ops := workload.SkipColumns(r.gen, r.batch, &cs.cols, want)
 	if n == 0 {
 		return 0
 	}
@@ -517,20 +547,16 @@ func (r *Runner) stepSkip(max int) int {
 //
 //m5:hotpath
 func (r *Runner) stepFunctional(max, weight int) int {
-	ff := r.ffs
-	if ff == nil {
+	cs := r.cols
+	if cs == nil {
 		//m5:coldpath one-time scratch construction on first functional batch.
-		ff = r.ffInit()
-	}
-	if r.batch == nil {
-		//m5:coldpath one-time batch buffer construction.
-		r.batch = make([]workload.Access, r.batchSize)
+		cs = r.colInit()
 	}
 	want := max
-	if want > r.batchSize {
-		want = r.batchSize
+	if want > runnerBatch {
+		want = runnerBatch
 	}
-	n := workload.NextColumns(r.gen, r.batch, &ff.cols, want)
+	n := workload.NextColumns(r.gen, r.batch, &cs.cols, want)
 	if n == 0 {
 		return 0
 	}
@@ -544,23 +570,23 @@ func (r *Runner) stepFunctional(max, weight int) int {
 		tr   tiermem.TranslateResult
 	)
 	for i := 0; i < n; i++ {
-		va := base + tiermem.VirtAddr(ff.cols.Offs[i])
+		va := base + tiermem.VirtAddr(cs.cols.Offs[i])
 		v := va.Page()
-		if ff.memoOK && v == ff.memoVPN && tlb.RepeatHit(v) {
-			ff.phys[i] = ff.memoBase + mem.PhysAddr(va.Offset())
+		if cs.memoOK && v == cs.memoVPN && tlb.RepeatHit(v) {
+			cs.phys[i] = cs.memoBase + mem.PhysAddr(va.Offset())
 		} else {
-			write := ff.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
+			write := cs.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 			r.Sys.TranslateInto(0, va, write, &tr)
-			ff.phys[i] = tr.Phys
-			ff.memoVPN = v
-			ff.memoBase = tr.Phys - mem.PhysAddr(va.Offset())
-			ff.memoOK = true
+			cs.phys[i] = tr.Phys
+			cs.memoVPN = v
+			cs.memoBase = tr.Phys - mem.PhysAddr(va.Offset())
+			cs.memoOK = true
 		}
 	}
 	// The batch spans the whole columnar pull, so the batch-relative
 	// write bitset is the columns' own.
-	wbs := r.Cache.AccessBatch(ff.phys[:n], ff.cols.Writes, ff.class[:n], ff.wb[:0])
-	ff.wb = wbs[:0]
+	wbs := r.Cache.AccessBatch(cs.phys[:n], cs.cols.Writes, cs.class[:n], cs.wb[:0])
+	cs.wb = wbs[:0]
 	var (
 		hasSinks = len(r.sinks) > 0
 		remap    = r.remap
@@ -570,12 +596,12 @@ func (r *Runner) stepFunctional(max, weight int) int {
 		uw       = uint64(weight)
 	)
 	for j := 0; j < n; j++ {
-		c := ff.class[j]
+		c := cs.class[j]
 		if c == 0 {
 			continue // pure L1 hit: no DRAM traffic to account
 		}
 		if c.Level() == cache.HitMemory {
-			phys := ff.phys[j]
+			phys := cs.phys[j]
 			node := r.Sys.NodeOfAddr(phys)
 			if remap != nil {
 				node, _ = remap.Serve(phys.Word(), node)
@@ -586,7 +612,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 				ch.Access(phys) // keep row-buffer locality state warm
 			}
 			if node == tiermem.NodeCXL || hasSinks {
-				write := ff.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
+				write := cs.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
 				scratch = trace.Access{Time: now, Addr: phys, Write: write}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.AccessN(scratch, uw)
@@ -613,7 +639,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			}
 		}
 		if c.Prefetched() {
-			pf := (ff.phys[j] &^ (mem.WordSize - 1)) + mem.WordSize
+			pf := (cs.phys[j] &^ (mem.WordSize - 1)) + mem.WordSize
 			node := r.Sys.CountDRAMAccess(pf, false)
 			r.Sys.Node(node).CountReads(uw - 1)
 			r.dramReads[node] += uw
@@ -646,7 +672,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 	// All kernel time the batch triggered (faults during translation,
 	// sink observes, the tick) stalls the core, exactly as in exact mode.
 	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	if len(ff.cols.OpEnds) > 0 {
+	if len(cs.cols.OpEnds) > 0 {
 		// Op latencies are measured inside detailed windows only; resync
 		// the op origin so a window's first completed op is not charged
 		// for the functional stretch before it.

@@ -259,7 +259,7 @@ func TestFunctionalStepZeroAlloc(t *testing.T) {
 		t.Fatal("warm functional span fell short")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if r.stepFunctional(r.batchSize, 1) == 0 {
+		if r.stepFunctional(runnerBatch, 1) == 0 {
 			t.Fatal("stream ended mid-measurement")
 		}
 	})
@@ -267,7 +267,7 @@ func TestFunctionalStepZeroAlloc(t *testing.T) {
 		t.Errorf("stepFunctional allocates %.1f per batch, want 0", allocs)
 	}
 	skipAllocs := testing.AllocsPerRun(50, func() {
-		if r.stepSkip(r.batchSize) == 0 {
+		if r.stepSkip(runnerBatch) == 0 {
 			t.Fatal("stream ended mid-measurement")
 		}
 	})

@@ -95,26 +95,11 @@ type Config struct {
 	// kernel time under "policy". Nil keeps every instrumented hot path at
 	// a single nil check (zero allocations, no counter work).
 	Metrics *obs.Registry
-	// BatchSize is how many accesses the batched loop pulls from the
-	// generator per refill (default 1024). Batch size never changes
-	// results — it only amortizes generator dispatch — so it is exposed
-	// for sensitivity testing and benching.
-	BatchSize int
-	// FastForward opts into the epoch fast-forward engine: between event
-	// horizons (daemon ticks, context-switch TLB flushes) whole tape
-	// segments execute through vectorized translate/classify/commit
-	// kernels instead of the scalar per-access loop. Byte-identical to
-	// exact mode on every metric and obs counter (the equivalence tests
-	// pin this); the engine silently stays on the exact path whenever a
-	// configuration it cannot bound is present (a word remapper, or a
-	// miss sink without a kernel-cost bound).
-	FastForward bool
 	// Sampling selects the fidelity tier (see sampling.go): the
 	// zero value and "exact" keep the byte-identical engine; "sampled"
 	// alternates functional warming with detailed measurement windows
 	// and reports headline time as an estimate with a Student-t
-	// confidence interval. Composable with FastForward (detailed windows
-	// then run through the fast-forward engine).
+	// confidence interval.
 	Sampling SamplingConfig
 }
 
@@ -141,29 +126,19 @@ type Runner struct {
 	// cache.HitL1..HitLLC (HitMemory takes the DRAM path instead).
 	latHit [4]uint64
 	// batch is the reusable access buffer the batched loop pulls the
-	// generator stream into (also the transpose scratch of the
-	// fast-forward refill path).
-	batch     []workload.Access
-	batchSize int
-
-	// Fast-forward state: ff is the opt-in flag; maxServeNs bounds the
-	// clock advance of one access's serve phase (translate extra and
-	// kernel time are tracked exactly); sinkBoundNs sums the per-Observe
-	// kernel bounds of attached sinks, and sinkUnbounded pins the engine
-	// to the exact path when a sink cannot bound its charge.
-	ff            bool
-	maxServeNs    uint64
-	sinkBoundNs   uint64
-	sinkUnbounded bool
-	ffs           *ffState
+	// generator stream into (also the transpose scratch of the sampled
+	// tier's columnar refill).
+	batch []workload.Access
 
 	// Sampled-mode state (sampling.go): sampled caches
-	// cfg.Sampling.Enabled(); smp is the per-Run scheduler scratch.
+	// cfg.Sampling.Enabled(); smp is the per-Run scheduler scratch and
+	// cols the functional tier's columnar scratch (built on first use).
 	// estPrior persists the measured mean user-side ns/access across Runs
 	// (and through Checkpoint/Fork), so spans too short to schedule their
 	// own windows can still run thinned against a primed estimate.
 	sampled  bool
 	smp      sampleState
+	cols     *colScratch
 	estPrior float64
 
 	ctxNs   uint64
@@ -239,12 +214,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.CtxSwitchPeriodNs == 0 {
 		cfg.CtxSwitchPeriodNs = 1_000_000
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = runnerBatch
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("sim: batch size %d must be positive", cfg.BatchSize)
 	}
 	if err := cfg.Sampling.validate(); err != nil {
 		return nil, err
@@ -322,9 +291,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.latHit[cache.HitL1] = cfg.Costs.L1HitNs
 	r.latHit[cache.HitL2] = cfg.Costs.L2HitNs
 	r.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
-	r.batchSize = cfg.BatchSize
-	r.ff = cfg.FastForward
-	r.maxServeNs = r.maxServeBound()
 	r.sampled = cfg.Sampling.Enabled()
 	if r.sampled {
 		sampleScope := cfg.Metrics.Scope("sample")
@@ -336,32 +302,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.cfg = cfg
 	return r, nil
-}
-
-// maxServeBound returns an upper bound on the clock advance of one
-// access's serve phase — hit latency or DRAM read (worst row-buffer
-// outcome included) plus up to three writebacks. Translate extra time,
-// kernel time, and sink-observe charges are bounded separately by the
-// fast-forward scheduler.
-func (r *Runner) maxServeBound() uint64 {
-	read := r.costs.DDRReadNs
-	if r.costs.CXLReadNs > read {
-		read = r.costs.CXLReadNs
-	}
-	for node := 0; node < 2; node++ {
-		if ch := r.channels[node]; ch != nil {
-			if b := r.linkNs[node] + ch.MaxAccessNs(); b > read {
-				read = b
-			}
-		}
-	}
-	serve := read
-	for _, lat := range r.latHit {
-		if lat > serve {
-			serve = lat
-		}
-	}
-	return serve + 3*r.costs.DRAMWriteNs
 }
 
 // DRAMChannel returns the node's row-buffer channel (nil when the flat
@@ -415,11 +355,6 @@ func (r *Runner) SetDaemon(d Daemon) {
 // see only device traffic, as in hardware.
 func (r *Runner) AttachMissSink(s trace.Sink) {
 	r.sinks = append(r.sinks, s)
-	if b, ok := s.(trace.KernelCostBounded); ok {
-		r.sinkBoundNs += b.MaxObserveKernelNs()
-	} else {
-		r.sinkUnbounded = true
-	}
 }
 
 // SetWordRemap installs a memory-controller-level word remapper (nil
@@ -520,26 +455,21 @@ func (r *Runner) Step() bool {
 	return true
 }
 
-// runnerBatch is the default number of accesses the batched loop pulls
-// from the generator per refill (Config.BatchSize overrides).
+// runnerBatch is the number of accesses the batched loop pulls from the
+// generator per refill. It never changes results: batching only
+// amortizes generator dispatch.
 const runnerBatch = 1024
 
 // StepBatch executes up to max accesses (bounded by one internal batch)
 // and returns how many ran; 0 means the workload stream has ended. It is
 // access-for-access equivalent to calling Step in a loop — the batching
 // only amortizes generator dispatch and hoists loop-invariant branches.
-// With fast-forward enabled (and boundable: no word remapper, every sink
-// kernel-cost bounded) the batch runs through the segment scheduler
-// instead; the result is byte-identical either way.
 func (r *Runner) StepBatch(max int) int {
 	if max <= 0 {
 		return 0
 	}
 	if r.batch == nil {
-		r.batch = make([]workload.Access, r.batchSize)
-	}
-	if r.ff && r.remap == nil && !r.sinkUnbounded {
-		return r.stepBatchFF(max)
+		r.batch = make([]workload.Access, runnerBatch)
 	}
 	buf := r.batch
 	if max < len(buf) {

@@ -41,17 +41,6 @@ type Sink interface {
 	Observe(Access)
 }
 
-// KernelCostBounded is implemented by sinks whose per-Observe kernel-time
-// charge (System.AddKernelNs) has a static upper bound. The simulator's
-// fast-forward engine needs such a bound to prove no event horizon can be
-// crossed mid-segment; a sink that cannot bound its charge keeps the
-// engine on the exact scalar path (which is always correct, just slower).
-type KernelCostBounded interface {
-	// MaxObserveKernelNs bounds the kernel nanoseconds one Observe call
-	// may charge.
-	MaxObserveKernelNs() uint64
-}
-
 // WeightedSink is implemented by sinks that can record one access n times
 // in O(1). ObserveN(a, n) must leave the sink in the same observable state
 // as n consecutive Observe(a) calls; the simulator's sampled tier uses it

@@ -203,8 +203,8 @@ func (c *Cursor) NextBatch(buf []workload.Access) int {
 
 // NextColumns implements workload.ColumnarGenerator: committed blocks
 // decode straight into the packed columnar arrays — no per-access struct
-// materialization — which is what feeds the simulator's fast-forward
-// kernels. It returns -1 once the cursor has adopted a private live tail
+// materialization — which is what feeds the simulator's functional
+// (sampled-tier) kernels. It returns -1 once the cursor has adopted a private live tail
 // (the tail is a plain Generator; callers fall back to NextBatch, which
 // emits the identical stream). The caller must have Grown cols to max.
 //

@@ -74,6 +74,11 @@ func (t *Tape) WriteTo(w io.Writer) (int64, error) {
 // standalone (no pool, no byte budget); a cursor running past the
 // recorded length continues on a live generator rebuilt from the stored
 // catalog identity, so replays are not truncated to the recording.
+//
+// The CRC catches accidents, not crafted files, so nothing is sized from
+// a header count and every block's columns are checked to decode exactly
+// as replay will read them: a malformed file is an error here, never a
+// panic later.
 func ReadTape(r io.Reader) (*Tape, error) {
 	hr := &hashReader{br: bufio.NewReader(r), h: crc32.NewIEEE()}
 
@@ -121,7 +126,7 @@ func ReadTape(r io.Reader) (*Tape, error) {
 	t.wlName = string(wlName)
 	t.footprint = footprint
 	var sum uint64
-	blocks := make([]*block, 0, nblocks)
+	var blocks []*block
 	for bi := uint64(0); bi < nblocks; bi++ {
 		n, err := binary.ReadUvarint(hr)
 		if err != nil || n == 0 || n > blockLen {
@@ -151,6 +156,9 @@ func ReadTape(r io.Reader) (*Tape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tape: block %d op boundaries: %w", bi, err)
 		}
+		if err := checkColumns(int(n), offs, opEnds); err != nil {
+			return nil, fmt.Errorf("tape: block %d: %w", bi, err)
+		}
 		blocks = append(blocks, &block{n: int(n), start: start, offs: offs, writes: writes, opEnds: opEnds})
 		sum += n
 	}
@@ -167,6 +175,40 @@ func ReadTape(r io.Reader) (*Tape, error) {
 	}
 	t.committed.Store(&snapshot{blocks: blocks, total: total})
 	return t, nil
+}
+
+// checkColumns verifies a block's varint columns against its length n:
+// offs must decode to exactly n-1 offset deltas, and opEnds to strictly
+// increasing op-boundary indices below n (the first value is an index,
+// each later one a gap of at least 1). These are the invariants the
+// cursor's decoders index by.
+func checkColumns(n int, offs, opEnds []byte) error {
+	pos := 0
+	for i := 1; i < n; i++ {
+		_, k := binary.Uvarint(offs[pos:])
+		if k <= 0 {
+			return fmt.Errorf("offsets hold %d of %d deltas", i-1, n-1)
+		}
+		pos += k
+	}
+	if pos != len(offs) {
+		return fmt.Errorf("%d bytes after the %d offset deltas", len(offs)-pos, n-1)
+	}
+	var idx uint64
+	for pos = 0; pos < len(opEnds); {
+		v, k := binary.Uvarint(opEnds[pos:])
+		switch {
+		case k <= 0:
+			return fmt.Errorf("malformed op boundary at byte %d", pos)
+		case pos > 0 && v == 0:
+			return fmt.Errorf("repeated op boundary at index %d", idx)
+		case v >= uint64(n) || idx+v >= uint64(n):
+			return fmt.Errorf("op boundary past the block's %d accesses", n)
+		}
+		idx += v
+		pos += k
+	}
+	return nil
 }
 
 // hashReader hashes exactly the bytes handed to the caller (unlike a

@@ -77,9 +77,9 @@ func NextBatch(g Generator, buf []Access) int {
 // Columns is a batch of accesses in columnar (structure-of-arrays) form:
 // Offs holds byte offsets, Writes is a bitset (bit i set = access i is a
 // store), and OpEnds lists the in-batch indices that end client-visible
-// operations, ascending. The fast-forward engine consumes batches in this
-// shape so tape replay can decode straight into packed arrays instead of
-// per-access structs.
+// operations, ascending. The simulator's sampled-tier functional kernel
+// consumes batches in this shape so tape replay can decode straight into
+// packed arrays instead of per-access structs.
 type Columns struct {
 	Offs   []uint64
 	Writes []uint64
