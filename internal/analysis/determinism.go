@@ -21,6 +21,8 @@ var deterministicPkgs = []string{
 	"m5/internal/tracker",
 	"m5/internal/pac",
 	"m5/internal/workload",
+	"m5/internal/m5",
+	"m5/internal/baseline",
 }
 
 // inDeterministicScope reports whether the package path falls under the
@@ -214,11 +216,36 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		return found
 	}
 
+	checkCall := func(s ast.Stmt, call *ast.CallExpr) {
+		for _, a := range call.Args {
+			if usesLoopVar(a) {
+				pass.Reportf(s.Pos(), "map iteration order escapes through call arguments; sort the keys first or annotate //m5:orderinvariant")
+				return
+			}
+		}
+		if fun, ok := call.Fun.(*ast.SelectorExpr); ok && usesLoopVar(fun.X) {
+			pass.Reportf(s.Pos(), "map iteration order escapes through a method call on the iterated value; sort the keys first or annotate //m5:orderinvariant")
+		}
+	}
+
 	var visit func(ast.Stmt)
 	visitAll := func(list []ast.Stmt) {
 		for _, s := range list {
 			visit(s)
 		}
+	}
+	// visitInit also vets the calls of an if/switch init assignment:
+	// `if err := f(k); err == nil` runs f in map order just as a bare
+	// `f(k)` statement does.
+	visitInit := func(s ast.Stmt) {
+		if as, ok := s.(*ast.AssignStmt); ok {
+			for _, rhs := range as.Rhs {
+				if call, ok := rhs.(*ast.CallExpr); ok {
+					checkCall(as, call)
+				}
+			}
+		}
+		visit(s)
 	}
 	visit = func(s ast.Stmt) {
 		switch s := s.(type) {
@@ -242,15 +269,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 				if isBuiltinCall(pass, call, "delete") {
 					return
 				}
-				for _, a := range call.Args {
-					if usesLoopVar(a) {
-						pass.Reportf(s.Pos(), "map iteration order escapes through call arguments; sort the keys first or annotate //m5:orderinvariant")
-						return
-					}
-				}
-				if fun, ok := call.Fun.(*ast.SelectorExpr); ok && usesLoopVar(fun.X) {
-					pass.Reportf(s.Pos(), "map iteration order escapes through a method call on the iterated value; sort the keys first or annotate //m5:orderinvariant")
-				}
+				checkCall(s, call)
 			}
 		case *ast.ReturnStmt:
 			pass.Reportf(s.Pos(), "return inside map iteration makes the result depend on map order; sort the keys first or annotate //m5:orderinvariant")
@@ -261,7 +280,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		case *ast.BlockStmt:
 			visitAll(s.List)
 		case *ast.IfStmt:
-			visit(s.Init)
+			visitInit(s.Init)
 			visit(s.Body)
 			visit(s.Else)
 		case *ast.ForStmt:
@@ -271,14 +290,14 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		case *ast.RangeStmt:
 			visit(s.Body)
 		case *ast.SwitchStmt:
-			visit(s.Init)
+			visitInit(s.Init)
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					visitAll(cc.Body)
 				}
 			}
 		case *ast.TypeSwitchStmt:
-			visit(s.Init)
+			visitInit(s.Init)
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					visitAll(cc.Body)

@@ -70,3 +70,18 @@ func Spawn(m map[string]int, f func(string)) {
 func WindowOffset(period int) int {
 	return rand.Intn(period) // want "use of package-global math/rand.Intn"
 }
+
+// PromoteDense promotes every dense unit in map order. Once capacity runs
+// short, the visit order decides which units move.
+func PromoteDense(hits map[uint64]int, dense int, promote func(uint64) error) int {
+	n := 0
+	for head, h := range hits {
+		if h < dense {
+			continue
+		}
+		if err := promote(head); err == nil { // want "map iteration order escapes through call arguments"
+			n++
+		}
+	}
+	return n
+}

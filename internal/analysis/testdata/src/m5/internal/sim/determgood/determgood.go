@@ -4,6 +4,7 @@ package determgood
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -73,4 +74,23 @@ func WindowOffset(seed int64, position uint64, period int) int {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return int(z % uint64(period))
+}
+
+// PromoteDense collects the dense units, sorts them, then promotes in
+// head order, so which units move never depends on map order.
+func PromoteDense(hits map[uint64]int, dense int, promote func(uint64) error) int {
+	heads := make([]uint64, 0, len(hits))
+	for head, h := range hits {
+		if h >= dense {
+			heads = append(heads, head)
+		}
+	}
+	slices.Sort(heads)
+	n := 0
+	for _, head := range heads {
+		if err := promote(head); err == nil {
+			n++
+		}
+	}
+	return n
 }

@@ -46,10 +46,6 @@ type Level struct {
 	// choice.
 	lru  []uint64
 	tick uint64
-	// last is the array index most recently hit or filled — the anchor of
-	// the batched same-line fast path. It is advisory: consumers must
-	// confirm the tag still matches (lastHolds) before trusting it.
-	last int32
 
 	hits   uint64
 	misses uint64
@@ -116,7 +112,6 @@ func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 				d = 1
 			}
 			l.lru[i] = l.tick<<1 | d
-			l.last = int32(i)
 			l.hits++
 			return true
 		}
@@ -162,34 +157,7 @@ func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok
 	}
 	l.tags[pick] = line
 	l.lru[pick] = l.tick<<1 | d
-	l.last = int32(pick)
 	return victim, dirty, ok
-}
-
-// lastHolds reports whether the most recently hit/filled slot still holds
-// the given line — i.e. whether a repeatHit on the next access to that
-// line is exactly equivalent to a full Lookup hit. Back-invalidation can
-// steal the slot (it rewrites the tag), which this check catches.
-//
-//m5:hotpath
-func (l *Level) lastHolds(line uint64) bool {
-	return l.tags[l.last] == line
-}
-
-// repeatHit replays a Lookup hit on the slot recorded in last without
-// re-probing the set: same tick bump, same packed-LRU stamp merge, same
-// hit count. Callers must have verified lastHolds for the line first.
-//
-//m5:hotpath
-func (l *Level) repeatHit(write bool) {
-	i := l.last
-	l.tick++
-	d := l.lru[i] & 1
-	if write {
-		d = 1
-	}
-	l.lru[i] = l.tick<<1 | d
-	l.hits++
 }
 
 // Invalidate removes the line if present, returning whether it was present
@@ -450,75 +418,6 @@ func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	}
 	h.wbScratch = res.Writeback[:0]
 	return res
-}
-
-// AccessClass packs one batched access's outcome into a byte:
-// bits 0-1 hold HitLevel-1, bits 2-3 the writeback count (at most 3 per
-// access: LLC demand victim, L2 victim flush, prefetch victim), and bit 4
-// whether a next-line prefetch was issued. The simulator's sampled-tier
-// functional kernel consumes these instead of per-access Result structs.
-type AccessClass uint8
-
-const classPrefetched AccessClass = 1 << 4
-
-// Level returns where the access was served.
-//
-//m5:hotpath
-func (c AccessClass) Level() HitLevel { return HitLevel(c&3) + 1 }
-
-// Writebacks returns how many DRAM writebacks the access generated.
-//
-//m5:hotpath
-func (c AccessClass) Writebacks() int { return int(c>>2) & 3 }
-
-// Prefetched reports whether a next-line prefetch was issued.
-//
-//m5:hotpath
-func (c AccessClass) Prefetched() bool { return c&classPrefetched != 0 }
-
-// AccessBatch classifies a batch of physical accesses in one pass,
-// mutating hierarchy state exactly as len(phys) sequential Access calls
-// would. writes is a bitset (bit i set = access i is a store); class must
-// have len(phys) entries and receives one AccessClass per access; dirty
-// writeback line addresses are appended to wb in access order (each
-// access's Writebacks() count delimits its span) and the grown slice is
-// returned. Prefetched lines are not materialized — reconstruct them as
-// (addr &^ 63) + 64 when Prefetched() is set.
-//
-// Consecutive accesses to the same cache line short-circuit to an L1
-// repeat hit: the previous access left the line L1-resident and MRU, so a
-// full probe can only hit the same slot. The collapse is guarded by a tag
-// check (lastHolds) so pathological configurations where an access
-// back-invalidates its own line (single-set LLC prefetch victim) fall
-// back to the exact path.
-//
-//m5:hotpath
-func (h *Hierarchy) AccessBatch(phys []mem.PhysAddr, writes []uint64, class []AccessClass, wb []mem.PhysAddr) []mem.PhysAddr {
-	prevLine := invalidTag
-	for i, a := range phys {
-		write := writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
-		line := lineAddr(a)
-		if line == prevLine {
-			h.accesses++
-			h.l1.repeatHit(write)
-			h.obsL1Hits.Inc()
-			class[i] = AccessClass(HitL1 - 1)
-			continue
-		}
-		res := h.Access(a, write)
-		c := AccessClass(res.Level-1) | AccessClass(len(res.Writeback))<<2
-		if len(res.Prefetched) != 0 {
-			c |= classPrefetched
-		}
-		class[i] = c
-		wb = append(wb, res.Writeback...)
-		if h.l1.lastHolds(line) {
-			prevLine = line
-		} else {
-			prevLine = invalidTag
-		}
-	}
-	return wb
 }
 
 // fillL2 fills L2; a dirty victim is flushed to the LLC (not DRAM).

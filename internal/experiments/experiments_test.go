@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -548,6 +549,29 @@ func TestExtHuge(t *testing.T) {
 	r := rows[0]
 	if r.Base4K <= 0 || r.Huge2M <= 0 {
 		t.Fatalf("non-positive norm perf: %+v", r)
+	}
+}
+
+// TestHugeRunRepeatable pins the §8 arm's determinism. Once DDR runs
+// short, the order in which dense 2MB units are promoted decides which
+// ones move, so back-to-back runs of one cell must return one Result.
+func TestHugeRunRepeatable(t *testing.T) {
+	p := Params{Scale: workload.ScaleTiny, Warmup: 100_000, Accesses: 500_000, Seed: 1}
+	first, err := hugeRun(p, "redis", true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Promotions == 0 {
+		t.Fatal("no promotions: the cell exercises nothing")
+	}
+	for i := 1; i < 4; i++ {
+		res, err := hugeRun(p, "redis", true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d diverged:\n got %+v\nwant %+v", i, res, first)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"m5/internal/cxl"
 	m5mgr "m5/internal/m5"
-	"m5/internal/mem"
 	"m5/internal/tiermem"
 	"m5/internal/trace"
 	"m5/internal/tracker"
@@ -37,19 +36,4 @@ func Example_manager() {
 	// Output:
 	// page now on: ddr
 	// promotions: 1
-}
-
-// ExampleHugePageAggregator folds hot 4KB pages into hot 2MB huge-page
-// candidates, the §8 extension.
-func ExampleHugePageAggregator() {
-	agg := m5mgr.NewHugePageAggregator()
-	huge := mem.HugePFN(4)
-	agg.Add(huge.FirstPFN(), 100)
-	agg.Add(huge.FirstPFN()+3, 50)
-	for _, h := range agg.Top(1) {
-		fmt.Printf("huge page %d: %d accesses over %d hot 4KB frames\n",
-			h.HugePFN, h.Count, h.DensePages)
-	}
-	// Output:
-	// huge page 4: 150 accesses over 2 hot 4KB frames
 }

@@ -348,26 +348,3 @@ func TestManagerKernelCostIsTiny(t *testing.T) {
 		t.Errorf("M5 tick cost %dns exceeds MMIO+migration budget", cost)
 	}
 }
-
-func TestHugePageAggregator(t *testing.T) {
-	a := NewHugePageAggregator()
-	h := mem.HugePFN(2)
-	a.Add(h.FirstPFN(), 10)
-	a.Add(h.FirstPFN()+1, 5)
-	a.Add(h.FirstPFN(), 3) // same 4KB page again
-	a.Add(mem.HugePFN(7).FirstPFN(), 100)
-	top := a.Top(2)
-	if len(top) != 2 {
-		t.Fatalf("Top = %+v", top)
-	}
-	if top[0].HugePFN != 7 || top[0].Count != 100 || top[0].DensePages != 1 {
-		t.Errorf("top[0] = %+v", top[0])
-	}
-	if top[1].HugePFN != h || top[1].Count != 18 || top[1].DensePages != 2 {
-		t.Errorf("top[1] = %+v", top[1])
-	}
-	a.Reset()
-	if len(a.Top(10)) != 0 {
-		t.Error("Reset should clear aggregation")
-	}
-}

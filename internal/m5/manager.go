@@ -159,62 +159,3 @@ func (m *Manager) Promoter() *Promoter { return m.promoter }
 
 // Queries returns the MMIO tracker queries issued so far.
 func (m *Manager) Queries() uint64 { return m.queries }
-
-// HugePageAggregator implements the §8 extension: folding hot 4KB page
-// addresses from HPT into hot 2MB huge-page candidates, the same way
-// HWT-driven nomination folds hot words into pages.
-type HugePageAggregator struct {
-	counts map[mem.HugePFN]uint64
-	mask   map[mem.HugePFN]map[uint16]bool
-}
-
-// NewHugePageAggregator returns an empty aggregator.
-func NewHugePageAggregator() *HugePageAggregator {
-	return &HugePageAggregator{
-		counts: make(map[mem.HugePFN]uint64),
-		mask:   make(map[mem.HugePFN]map[uint16]bool),
-	}
-}
-
-// Add folds one hot 4KB page observation into its huge page.
-func (a *HugePageAggregator) Add(p mem.PFN, count uint64) {
-	h := p.HugePage()
-	a.counts[h] += count
-	sub := uint16(p - h.FirstPFN())
-	if a.mask[h] == nil {
-		a.mask[h] = make(map[uint16]bool)
-	}
-	a.mask[h][sub] = true
-}
-
-// HotHugePage is one aggregated 2MB candidate.
-type HotHugePage struct {
-	HugePFN mem.HugePFN
-	Count   uint64
-	// DensePages is how many distinct 4KB frames inside the huge page
-	// were hot — the density signal for 2MB migration decisions.
-	DensePages int
-}
-
-// Top returns the k hottest huge pages, hottest first.
-func (a *HugePageAggregator) Top(k int) []HotHugePage {
-	out := make([]HotHugePage, 0, len(a.counts))
-	for h, c := range a.counts {
-		out = append(out, HotHugePage{HugePFN: h, Count: c, DensePages: len(a.mask[h])})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Count > out[j-1].Count; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// Reset clears the aggregation epoch.
-func (a *HugePageAggregator) Reset() {
-	a.counts = make(map[mem.HugePFN]uint64)
-	a.mask = make(map[mem.HugePFN]map[uint16]bool)
-}

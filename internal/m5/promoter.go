@@ -1,6 +1,8 @@
 package m5
 
 import (
+	"slices"
+
 	"m5/internal/mem"
 	"m5/internal/tiermem"
 )
@@ -78,10 +80,16 @@ func (p *Promoter) Promote(pages []HotPage) int {
 		ordered = append(ordered, batch[i])
 	}
 	n := p.sys.PromoteBatch(ordered)
+	// Once DDR runs short, promotion order decides which units move, so
+	// dense units go in head order, never map order.
+	heads := make([]tiermem.VPN, 0, len(hugeHits))
 	for head, hits := range hugeHits {
-		if hits < p.HugeDenseMin {
-			continue
+		if hits >= p.HugeDenseMin {
+			heads = append(heads, head)
 		}
+	}
+	slices.Sort(heads)
+	for _, head := range heads {
 		if err := p.sys.PromoteHuge(head); err == nil {
 			n += mem.PagesPerHugePage
 		} else {

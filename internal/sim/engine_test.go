@@ -23,14 +23,26 @@ func runUnbatched(r *Runner, n int) Result {
 	return r.endSpan(span)
 }
 
-// countingSink records how many DRAM accesses it observed; it adds no
-// simulated time, so batched and unbatched runs must feed it identically.
+// countingSink records how many DRAM accesses it observed, the last one,
+// and a hash of the whole stream; it adds no simulated time, so runs that
+// must agree have to feed it identically.
 type countingSink struct {
 	n    uint64
 	last trace.Access
+	hash uint64
 }
 
-func (s *countingSink) Observe(a trace.Access) { s.n++; s.last = a }
+func (s *countingSink) Observe(a trace.Access) {
+	s.n++
+	s.last = a
+	w := uint64(0)
+	if a.Write {
+		w = 1
+	}
+	for _, v := range [...]uint64{a.Time, uint64(a.Addr), w} {
+		s.hash = (s.hash ^ v) * 0x100000001b3 // one FNV-1a step per field
+	}
+}
 
 // stepCase is one machine shape for TestStepBatchMatchesStep: cfg
 // mutates the config before NewRunner and arm installs daemons and sinks
@@ -150,8 +162,8 @@ func TestStepBatchMatchesStep(t *testing.T) {
 				if bSink.n == 0 {
 					t.Fatal("sink saw no traffic")
 				}
-				if bSink.n != uSink.n || bSink.last != uSink.last {
-					t.Errorf("sink streams diverged: %d/%+v vs %d/%+v", bSink.n, bSink.last, uSink.n, uSink.last)
+				if *bSink != *uSink {
+					t.Errorf("sink streams diverged: %+v vs %+v", *bSink, *uSink)
 				}
 			}
 		})
@@ -186,6 +198,53 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			t.Errorf("batched loop buffered ahead: consumed %d, executed %d", cp.gen.Consumed, split.accesses)
 		}
 	})
+}
+
+// TestSampledSkipMatchesFallback pins the sampled tier's skip fast path
+// against its fallback over every stepCases shape: a runner fed by a tape
+// cursor skips thinned batches through Cursor.Skip, one fed by a live
+// generator reads them with NextBatch and scans for op ends, and the two
+// must agree on the Result (SamplingInfo and obs snapshot included), the
+// clock, and the sink stream.
+func TestSampledSkipMatchesFallback(t *testing.T) {
+	smp := SamplingConfig{Mode: SampleModeSampled, DetailedWindow: 1024, FunctionalStride: 7168}
+	for _, tc := range stepCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 400_000
+			shape := tc.cfg
+			tc.cfg = func(c *Config) {
+				if shape != nil {
+					shape(c)
+				}
+				c.Sampling = smp
+			}
+			pool := tape.NewPool(0, nil)
+			t.Cleanup(pool.Close)
+			taped, tSink := buildStepRunner(t, tc, obs.New(), pool)
+			live, lSink := buildStepRunner(t, tc, obs.New(), nil)
+			if _, ok := taped.gen.(workload.Skipper); !ok {
+				t.Fatal("tape-fed runner has no skip fast path")
+			}
+			if _, ok := live.gen.(workload.Skipper); ok {
+				t.Fatal("live-fed runner should take the fallback")
+			}
+			got, want := taped.Run(n), live.Run(n)
+			if got.Sampling == nil || got.Sampling.AccessesSkipped == 0 {
+				t.Fatalf("no batch was skipped: %+v", got.Sampling)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("tape skip diverged from the fallback:\n got %+v %+v\nwant %+v %+v",
+					got, *got.Sampling, want, *want.Sampling)
+			}
+			if taped.clockNs != live.clockNs || taped.opStart != live.opStart {
+				t.Errorf("clock/op origin diverged: %d/%d vs %d/%d",
+					taped.clockNs, taped.opStart, live.clockNs, live.opStart)
+			}
+			if tc.sink && *tSink != *lSink {
+				t.Errorf("sink streams diverged: %+v vs %+v", *tSink, *lSink)
+			}
+		})
+	}
 }
 
 // TestRunBatchZeroAllocs pins the batched hot loop at zero allocations per

@@ -47,12 +47,10 @@ type MultiConfig struct {
 
 // channel is a single-server queue modelling one tier's data-transfer
 // bandwidth: each 64B access occupies the channel for servicePs
-// picoseconds. The previous float64-ns clock truncated `uint64(start)-now`
-// on every serve, so the fractional service times (64B at 150GB/s ≈
-// 0.427ns) accumulated drift over millions of accesses. The clock is now
-// integer picoseconds, and within one busy period the k-th departure is
-// computed as base + round(k×servicePs) — one rounding per busy period,
-// never a per-serve accumulation.
+// picoseconds. The clock is integer picoseconds, and within one busy
+// period the k-th departure is computed as base + round(k×servicePs) —
+// one rounding per busy period, so fractional service times (64B at
+// 150GB/s ≈ 0.427ns) never accumulate drift over millions of accesses.
 type channel struct {
 	servicePs float64 // exact service time in ps
 	base      uint64  // ps: start of the current busy period

@@ -4,13 +4,12 @@
 //
 // Functional stretches keep every piece of architectural state evolving
 // exactly as exact mode would — TLB fills and shootdowns, page-table
-// accessed/dirty bits, cache tag/LRU state via the batched classify
-// kernel, tier residency counters, CXL device snoops (so PAC/WAC and the
-// HPT/HWT trackers keep counting), miss-sink observes, row-buffer state —
-// but skip the per-access clock arithmetic: the simulated clock advances
-// once per batch at the current estimate of mean ns/access, so daemon
-// ticks and context-switch flushes still fire at their simulated-time
-// cadence.
+// accessed/dirty bits, cache tag/LRU state, tier residency counters, CXL
+// device snoops (so PAC/WAC and the HPT/HWT trackers keep counting),
+// miss-sink observes, row-buffer state — but skip the per-access clock
+// arithmetic: the simulated clock advances once per batch at the current
+// estimate of mean ns/access, so daemon ticks and context-switch flushes
+// still fire at their simulated-time cadence.
 //
 // Detailed windows run the unmodified exact engine (the same StepBatch
 // path); each full window contributes one per-access-latency sample to a
@@ -40,7 +39,6 @@ import (
 	"math"
 
 	"m5/internal/cache"
-	"m5/internal/mem"
 	"m5/internal/stats"
 	"m5/internal/tiermem"
 	"m5/internal/trace"
@@ -451,92 +449,31 @@ func (r *Runner) runThinnedSpan(k int) int {
 	return ran
 }
 
-// colScratch is the functional tier's reusable columnar scratch, sized
-// once for one batch so stepFunctional and stepSkip never allocate.
-type colScratch struct {
-	cols workload.Columns
-	// phys holds each access's translated physical address; class and wb
-	// are the cache classify kernel's per-access class bytes and ordered
-	// writeback stream.
-	phys  []mem.PhysAddr
-	class []cache.AccessClass
-	wb    []mem.PhysAddr
-	// memoVPN/memoBase mirror the TLB memo: the page and frame base of
-	// the most recent full translation. Trustworthy only when
-	// TLB.RepeatHit(memoVPN) succeeds — every frame change shoots down
-	// the TLB entry, which drops the memo.
-	memoVPN  tiermem.VPN
-	memoBase mem.PhysAddr
-	memoOK   bool
-}
-
-// colInit builds the columnar scratch and the batch buffer the columnar
-// refill transposes through (once per runner).
-func (r *Runner) colInit() *colScratch {
-	cs := &colScratch{
-		phys:  make([]mem.PhysAddr, runnerBatch),
-		class: make([]cache.AccessClass, runnerBatch),
-		wb:    make([]mem.PhysAddr, 0, 64),
-	}
-	cs.cols.Grow(runnerBatch)
-	if r.batch == nil {
-		r.batch = make([]workload.Access, runnerBatch)
-	}
-	r.cols = cs
-	return cs
-}
-
 // stepSkip advances up to one batch of the workload stream without
 // simulating it: the generator moves (tape cursors jump committed blocks
-// without decoding, workload.ColumnarSkipper), the coarse clock advances
-// at the current mean-latency estimate, and daemon ticks / context-switch
+// without decoding, workload.Skipper), the coarse clock advances at the
+// current mean-latency estimate, and daemon ticks / context-switch
 // flushes still fire on their simulated-time cadence — but no
 // translation, cache, or device state is touched. The skipped traffic is
 // credited statistically by the next full-fidelity batch (runThinnedSpan).
 //
 //m5:hotpath
 func (r *Runner) stepSkip(max int) int {
-	cs := r.cols
-	if cs == nil {
-		//m5:coldpath one-time scratch construction on first functional batch.
-		cs = r.colInit()
-	}
-	want := max
-	if want > runnerBatch {
-		want = runnerBatch
-	}
-	n, ops := workload.SkipColumns(r.gen, r.batch, &cs.cols, want)
+	n, ops := workload.Skip(r.gen, r.batch[:min(max, runnerBatch)])
 	if n == 0 {
 		return 0
 	}
-	kernelBefore := r.Sys.KernelNs()
-	r.accesses += uint64(n)
-	r.clockNs += uint64(float64(n) * r.smp.est)
-	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
-		r.Sys.TLB(0).Flush()
-		r.nextCtx = r.clockNs + r.ctxNs
-	}
-	if r.daemon != nil && r.clockNs >= r.nextTick {
-		tickKernelBefore := r.Sys.KernelNs()
-		r.daemon.Tick(r.clockNs)
-		r.nextTick = r.clockNs + r.daemon.PeriodNs()
-		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-	}
-	// Tick kernel time still stalls the core.
-	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	if ops {
-		r.opStart = r.clockNs
-	}
+	r.advanceCoarse(n, r.Sys.KernelNs(), ops)
 	return n
 }
 
 // stepFunctional executes up to one batch of accesses at functional
-// fidelity: translation (with the TLB memo short-circuit), the cache
-// classify kernel, tier residency and bandwidth counters, device snoops
-// and sink observes all run exactly as the detailed path would — but no
-// per-access clock arithmetic. The clock advances once per batch at the
-// current mean-latency estimate, keeping daemon ticks and context-switch
-// flushes on their simulated-time cadence.
+// fidelity: translation, the cache hierarchy, tier residency and
+// bandwidth counters, device snoops and sink observes all run exactly as
+// the detailed path would — but no per-access clock arithmetic. The clock
+// advances once per batch at the current mean-latency estimate, keeping
+// daemon ticks and context-switch flushes on their simulated-time
+// cadence.
 //
 // weight > 1 means this batch also stands in for weight-1 thinned-away
 // neighbour batches (runThinnedSpan): every DRAM read/write, device snoop,
@@ -547,73 +484,50 @@ func (r *Runner) stepSkip(max int) int {
 //
 //m5:hotpath
 func (r *Runner) stepFunctional(max, weight int) int {
-	cs := r.cols
-	if cs == nil {
-		//m5:coldpath one-time scratch construction on first functional batch.
-		cs = r.colInit()
-	}
-	want := max
-	if want > runnerBatch {
-		want = runnerBatch
-	}
-	n := workload.NextColumns(r.gen, r.batch, &cs.cols, want)
+	accs := r.batch[:min(max, runnerBatch)]
+	n := workload.NextBatch(r.gen, accs)
 	if n == 0 {
 		return 0
 	}
-	// Kernel mm time (faults, scans, shootdowns, the daemon tick below)
-	// is tracked exactly even at functional fidelity: only user-side
-	// latency is estimated.
+	accs = accs[:n]
+	// Kernel mm time (faults, scans, shootdowns, the daemon tick) is
+	// tracked exactly even at functional fidelity: only user-side latency
+	// is estimated.
 	kernelBefore := r.Sys.KernelNs()
-	var (
-		base = r.base.Addr()
-		tlb  = r.Sys.TLB(0)
-		tr   tiermem.TranslateResult
-	)
-	for i := 0; i < n; i++ {
-		va := base + tiermem.VirtAddr(cs.cols.Offs[i])
-		v := va.Page()
-		if cs.memoOK && v == cs.memoVPN && tlb.RepeatHit(v) {
-			cs.phys[i] = cs.memoBase + mem.PhysAddr(va.Offset())
-		} else {
-			write := cs.cols.Writes[uint(i)>>6]&(1<<(uint(i)&63)) != 0
-			r.Sys.TranslateInto(0, va, write, &tr)
-			cs.phys[i] = tr.Phys
-			cs.memoVPN = v
-			cs.memoBase = tr.Phys - mem.PhysAddr(va.Offset())
-			cs.memoOK = true
-		}
+	// Translate the whole batch first, so a fault-hook promotion during
+	// translation lands before the batch's cache accesses, snoops and sink
+	// observes, never between them.
+	base := r.base.Addr()
+	phys := r.phys[:n]
+	var tr tiermem.TranslateResult
+	for i := range accs {
+		r.Sys.TranslateInto(0, base+tiermem.VirtAddr(accs[i].Offset), accs[i].Write, &tr)
+		phys[i] = tr.Phys
 	}
-	// The batch spans the whole columnar pull, so the batch-relative
-	// write bitset is the columns' own.
-	wbs := r.Cache.AccessBatch(cs.phys[:n], cs.cols.Writes, cs.class[:n], cs.wb[:0])
-	cs.wb = wbs[:0]
 	var (
 		hasSinks = len(r.sinks) > 0
 		remap    = r.remap
 		scratch  trace.Access
-		wbPos    = 0
 		now      = r.clockNs
 		uw       = uint64(weight)
+		ops      = false
 	)
-	for j := 0; j < n; j++ {
-		c := cs.class[j]
-		if c == 0 {
-			continue // pure L1 hit: no DRAM traffic to account
-		}
-		if c.Level() == cache.HitMemory {
-			phys := cs.phys[j]
-			node := r.Sys.NodeOfAddr(phys)
+	for i := range accs {
+		a, pa := &accs[i], phys[i]
+		ops = ops || a.OpEnd
+		res := r.Cache.Access(pa, a.Write)
+		if res.Level == cache.HitMemory {
+			node := r.Sys.NodeOfAddr(pa)
 			if remap != nil {
-				node, _ = remap.Serve(phys.Word(), node)
+				node, _ = remap.Serve(pa.Word(), node)
 			}
 			r.Sys.Node(node).CountReads(uw)
 			r.dramReads[node] += uw
 			if ch := r.channels[node]; ch != nil {
-				ch.Access(phys) // keep row-buffer locality state warm
+				ch.Access(pa) // keep row-buffer locality state warm
 			}
 			if node == tiermem.NodeCXL || hasSinks {
-				write := cs.cols.Writes[uint(j)>>6]&(1<<(uint(j)&63)) != 0
-				scratch = trace.Access{Time: now, Addr: phys, Write: write}
+				scratch = trace.Access{Time: now, Addr: pa, Write: a.Write}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.AccessN(scratch, uw)
 				}
@@ -622,9 +536,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 				}
 			}
 		}
-		for k := c.Writebacks(); k > 0; k-- {
-			wb := wbs[wbPos]
-			wbPos++
+		for _, wb := range res.Writeback {
 			node := r.Sys.CountDRAMAccess(wb, true)
 			r.Sys.Node(node).CountWrites(uw - 1)
 			r.dramWrites[node] += uw
@@ -638,8 +550,7 @@ func (r *Runner) stepFunctional(max, weight int) int {
 				}
 			}
 		}
-		if c.Prefetched() {
-			pf := (cs.phys[j] &^ (mem.WordSize - 1)) + mem.WordSize
+		for _, pf := range res.Prefetched {
 			node := r.Sys.CountDRAMAccess(pf, false)
 			r.Sys.Node(node).CountReads(uw - 1)
 			r.dramReads[node] += uw
@@ -654,10 +565,20 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			}
 		}
 	}
+	r.advanceCoarse(n, kernelBefore, ops)
+	return n
+}
+
+// advanceCoarse closes a functional or skipped batch of n accesses: one
+// clock advance at the estimated mean user-side rate (window means
+// exclude kernel time), the context-switch flush and daemon tick on their
+// simulated-time cadence, then every kernel nanosecond since kernelBefore
+// (faults during translation, sink observes, the tick), which stalls the
+// core exactly as in exact mode.
+//
+//m5:hotpath
+func (r *Runner) advanceCoarse(n int, kernelBefore uint64, ops bool) {
 	r.accesses += uint64(n)
-	// Coarse clock: one advance per batch at the estimated mean
-	// user-side rate (window means exclude kernel time, added exactly
-	// below).
 	r.clockNs += uint64(float64(n) * r.smp.est)
 	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
 		r.Sys.TLB(0).Flush()
@@ -669,14 +590,11 @@ func (r *Runner) stepFunctional(max, weight int) int {
 		r.nextTick = r.clockNs + r.daemon.PeriodNs()
 		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
 	}
-	// All kernel time the batch triggered (faults during translation,
-	// sink observes, the tick) stalls the core, exactly as in exact mode.
 	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	if len(cs.cols.OpEnds) > 0 {
+	if ops {
 		// Op latencies are measured inside detailed windows only; resync
 		// the op origin so a window's first completed op is not charged
 		// for the functional stretch before it.
 		r.opStart = r.clockNs
 	}
-	return n
 }

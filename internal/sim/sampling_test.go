@@ -10,6 +10,7 @@ import (
 	"m5/internal/obs"
 	"m5/internal/tracker"
 	"m5/internal/workload"
+	"m5/internal/workload/tape"
 )
 
 // buildSampled assembles a runner over a tiny workload with the given
@@ -249,30 +250,57 @@ func TestSampledObsCounters(t *testing.T) {
 	}
 }
 
-// TestFunctionalStepZeroAlloc pins the functional warming loop at zero
-// heap allocations once its scratch is built.
+// TestFunctionalStepZeroAlloc pins the functional warming and skip loops
+// at zero heap allocations per batch, on a live generator (NextBatch and
+// the skip fallback) and on a recorded tape (Cursor.Skip).
 func TestFunctionalStepZeroAlloc(t *testing.T) {
 	smp := SamplingConfig{Mode: SampleModeSampled, DetailedWindow: 1024, FunctionalStride: 7168}
-	r := buildSampled(t, "roms", 9, smp, false, nil)
-	r.smp.est = r.samplePriorNs()
-	if r.runFunctionalSpan(4096) != 4096 {
-		t.Fatal("warm functional span fell short")
+	// Long enough that every measured batch replays the recorded prefix:
+	// recording more of a tape allocates by design.
+	tp, err := tape.Record("roms", workload.ScaleTiny, 9, 200_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if r.stepFunctional(runnerBatch, 1) == 0 {
-			t.Fatal("stream ended mid-measurement")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("stepFunctional allocates %.1f per batch, want 0", allocs)
-	}
-	skipAllocs := testing.AllocsPerRun(50, func() {
-		if r.stepSkip(runnerBatch) == 0 {
-			t.Fatal("stream ended mid-measurement")
-		}
-	})
-	if skipAllocs != 0 {
-		t.Errorf("stepSkip allocates %.1f per batch, want 0", skipAllocs)
+	t.Cleanup(tp.Close)
+	for _, src := range []struct {
+		name string
+		gen  func() (workload.Generator, error)
+	}{
+		{"live", func() (workload.Generator, error) { return workload.New("roms", workload.ScaleTiny, 9) }},
+		{"tape", func() (workload.Generator, error) { return tp.NewCursor(), nil }},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			gen, err := src.gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(Config{Workload: gen, Sampling: smp})
+			if err != nil {
+				gen.Close()
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			r.smp.est = r.samplePriorNs()
+			if r.runFunctionalSpan(4096) != 4096 {
+				t.Fatal("warm functional span fell short")
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if r.stepFunctional(runnerBatch, 1) == 0 {
+					t.Fatal("stream ended mid-measurement")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("stepFunctional allocates %.1f per batch, want 0", allocs)
+			}
+			skipAllocs := testing.AllocsPerRun(50, func() {
+				if r.stepSkip(runnerBatch) == 0 {
+					t.Fatal("stream ended mid-measurement")
+				}
+			})
+			if skipAllocs != 0 {
+				t.Errorf("stepSkip allocates %.1f per batch, want 0", skipAllocs)
+			}
+		})
 	}
 }
 

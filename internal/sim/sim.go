@@ -125,20 +125,19 @@ type Runner struct {
 	// latHit flattens the per-access hit-level switch: indexed by
 	// cache.HitL1..HitLLC (HitMemory takes the DRAM path instead).
 	latHit [4]uint64
-	// batch is the reusable access buffer the batched loop pulls the
-	// generator stream into (also the transpose scratch of the sampled
-	// tier's columnar refill).
+	// batch is the reusable access buffer every loop pulls the generator
+	// stream into; phys holds the functional tier's translated addresses
+	// for one batch (sampled runners only).
 	batch []workload.Access
+	phys  []mem.PhysAddr
 
 	// Sampled-mode state (sampling.go): sampled caches
-	// cfg.Sampling.Enabled(); smp is the per-Run scheduler scratch and
-	// cols the functional tier's columnar scratch (built on first use).
+	// cfg.Sampling.Enabled() and smp is the per-Run scheduler scratch.
 	// estPrior persists the measured mean user-side ns/access across Runs
 	// (and through Checkpoint/Fork), so spans too short to schedule their
 	// own windows can still run thinned against a primed estimate.
 	sampled  bool
 	smp      sampleState
-	cols     *colScratch
 	estPrior float64
 
 	ctxNs   uint64
@@ -267,6 +266,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		base:    base,
 		opLat:   stats.NewReservoir(1<<15, 17),
 		costs:   cfg.Costs,
+		batch:   make([]workload.Access, runnerBatch),
 		ctxNs:   cfg.CtxSwitchPeriodNs,
 		nextCtx: cfg.CtxSwitchPeriodNs,
 	}
@@ -293,6 +293,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
 	r.sampled = cfg.Sampling.Enabled()
 	if r.sampled {
+		r.phys = make([]mem.PhysAddr, runnerBatch)
 		sampleScope := cfg.Metrics.Scope("sample")
 		r.obsSampleWindows = sampleScope.Counter("windows_measured")
 		r.obsSampleDetailed = sampleScope.Counter("accesses_detailed")
@@ -468,13 +469,7 @@ func (r *Runner) StepBatch(max int) int {
 	if max <= 0 {
 		return 0
 	}
-	if r.batch == nil {
-		r.batch = make([]workload.Access, runnerBatch)
-	}
-	buf := r.batch
-	if max < len(buf) {
-		buf = buf[:max]
-	}
+	buf := r.batch[:min(max, runnerBatch)]
 	n := workload.NextBatch(r.gen, buf)
 	if n == 0 {
 		return 0

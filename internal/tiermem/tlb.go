@@ -170,24 +170,6 @@ func (t *TLB) Lookup(v VPN) bool {
 	return t.lookupSlow(v)
 }
 
-// RepeatHit replays a memoized hit for v: when the memo still points at
-// v's entry it refreshes the reference bit and counts a hit — exactly
-// what Lookup's fast path does — and returns true. A false return mutates
-// NOTHING (no miss is counted); callers fall back to the full translate
-// path, which counts the miss exactly once. Every mutation that could
-// stale the memo (Insert eviction, Invalidate, Flush) clears lastSlot, so
-// a true return is always equivalent to a full Lookup hit.
-//
-//m5:hotpath
-func (t *TLB) RepeatHit(v VPN) bool {
-	if t.lastSlot >= 0 && t.lastVPN == v {
-		t.slots[t.lastSlot].referred = true
-		t.hits++
-		return true
-	}
-	return false
-}
-
 //m5:hotpath
 func (t *TLB) lookupSlow(v VPN) bool {
 	if i := t.index.get(v); i >= 0 {

@@ -99,7 +99,7 @@ func (c *Cursor) seek(pos uint64) {
 	}
 	c.enterBlock()
 	if c.bi < len(c.snap.blocks) {
-		c.skip(int(pos - base))
+		c.skip(c.snap.blocks[c.bi], int(pos-base))
 	}
 }
 
@@ -115,24 +115,6 @@ func (c *Cursor) enterBlock() {
 	if len(blk.opEnds) > 0 {
 		v, n := binary.Uvarint(blk.opEnds)
 		c.nextOp, c.opPos = int(v), n
-	}
-}
-
-// skip decodes and discards k accesses within the current block.
-func (c *Cursor) skip(k int) {
-	blk := c.snap.blocks[c.bi]
-	for j := 0; j < k; j++ {
-		if c.i > 0 {
-			d, n := binary.Uvarint(blk.offs[c.offPos:])
-			c.offPos += n
-			c.off += uint64(unzigzag(d))
-		} else {
-			c.off = blk.start
-		}
-		if c.i == c.nextOp {
-			c.advanceOp(blk)
-		}
-		c.i++
 	}
 }
 
@@ -201,72 +183,30 @@ func (c *Cursor) NextBatch(buf []workload.Access) int {
 	return n
 }
 
-// NextColumns implements workload.ColumnarGenerator: committed blocks
-// decode straight into the packed columnar arrays — no per-access struct
-// materialization — which is what feeds the simulator's functional
-// (sampled-tier) kernels. It returns -1 once the cursor has adopted a private live tail
-// (the tail is a plain Generator; callers fall back to NextBatch, which
-// emits the identical stream). The caller must have Grown cols to max.
+// Skip implements workload.Skipper: it discards up to len(scratch)
+// accesses without decoding them. A skip that reaches the end of a
+// committed block is O(1), because the next block starts from an absolute
+// offset and the skipped deltas are never needed. Only a skip that stops
+// mid-block walks the block's varints. Past the committed prefix, the
+// private live tail reads into scratch.
 //
 //m5:hotpath
-func (c *Cursor) NextColumns(cols *workload.Columns, max int) int {
-	if c.closed || c.tail != nil {
-		return -1
+func (c *Cursor) Skip(scratch []workload.Access) (int, bool) {
+	if c.closed {
+		return 0, false
 	}
-	cols.Clear(max)
-	n := 0
-	for n < max {
-		if c.pos >= c.snap.total {
-			//m5:coldpath tape extension: once per 4096-access block, and it
-			// allocates (encode) by design.
-			if !c.advance() {
-				break
-			}
-			continue
-		}
-		if c.tail != nil {
-			// advance adopted a live tail mid-call: hand back what was
-			// decoded; the next call reports -1 and the caller falls back.
-			break
-		}
-		blk := c.snap.blocks[c.bi]
-		if c.i >= blk.n {
-			c.bi++
-			//m5:coldpath block transition: once per 4096 accesses.
-			c.enterBlock()
-			continue
-		}
-		m := blk.n - c.i
-		if m > max-n {
-			m = max - n
-		}
-		c.decodeCols(blk, cols, n, m)
-		n += m
-		c.pos += uint64(m)
-	}
-	if n == 0 && c.tail != nil {
-		return -1
-	}
-	cols.Offs = cols.Offs[:n]
-	return n
-}
-
-// SkipColumns implements workload.ColumnarSkipper: discard up to max
-// accesses without materializing them. A skip that reaches the end of a
-// committed block is O(1) — entering the next block resets the
-// delta-decode state, so the remainder's varints never need walking; only
-// a skip that stops mid-block walks the varint stream (without writing
-// columns). Returns -1 once a private live tail has been adopted, exactly
-// like NextColumns.
-//
-//m5:hotpath
-func (c *Cursor) SkipColumns(max int) (int, bool) {
-	if c.closed || c.tail != nil {
-		return -1, false
-	}
+	max := len(scratch)
 	n := 0
 	ops := false
 	for n < max {
+		if c.tail != nil {
+			// A live generator fills scratch unless its stream ended.
+			m, o := workload.Skip(c.tail, scratch[n:])
+			n += m
+			c.pos += uint64(m)
+			ops = ops || o
+			break
+		}
 		if c.pos >= c.snap.total {
 			//m5:coldpath tape extension: once per 4096-access block, and it
 			// allocates (encode) by design.
@@ -274,11 +214,6 @@ func (c *Cursor) SkipColumns(max int) (int, bool) {
 				break
 			}
 			continue
-		}
-		if c.tail != nil {
-			// advance adopted a live tail mid-call: report what was
-			// skipped; the next call returns -1 and the caller falls back.
-			break
 		}
 		blk := c.snap.blocks[c.bi]
 		if c.i >= blk.n {
@@ -289,8 +224,6 @@ func (c *Cursor) SkipColumns(max int) (int, bool) {
 		}
 		m := blk.n - c.i
 		if m <= max-n {
-			// Whole block remainder: the next block starts from an
-			// absolute offset, so the skipped deltas are never needed.
 			if c.nextOp >= 0 {
 				ops = true
 			}
@@ -302,25 +235,22 @@ func (c *Cursor) SkipColumns(max int) (int, bool) {
 			continue
 		}
 		m = max - n
-		if c.skipCols(blk, m) {
+		if c.skip(blk, m) {
 			ops = true
 		}
 		n += m
 		c.pos += uint64(m)
 	}
-	if n == 0 && c.tail != nil {
-		return -1, false
-	}
 	return n, ops
 }
 
-// skipCols walks m accesses of the current block's varint stream without
-// writing columns, keeping the delta-decode and op-boundary state exact
-// for the next materializing read. It reports whether an op boundary was
-// crossed. The caller guarantees the accesses exist.
+// skip walks m accesses of the current block's varint stream without
+// materializing them, keeping the delta-decode and op-boundary state exact
+// for the next read. It reports whether an op boundary was crossed. The
+// caller guarantees the accesses exist.
 //
 //m5:hotpath
-func (c *Cursor) skipCols(blk *block, m int) bool {
+func (c *Cursor) skip(blk *block, m int) bool {
 	i, off, offPos := c.i, c.off, c.offPos
 	offs := blk.offs
 	nextOp := c.nextOp
@@ -355,56 +285,6 @@ func (c *Cursor) skipCols(blk *block, m int) bool {
 	}
 	c.i, c.off, c.offPos = i, off, offPos
 	return ops
-}
-
-// decodeCols fills cols[base:base+m] with the next m accesses of the
-// current block. The caller guarantees they exist. The offset decode
-// mirrors decode; write bits are re-aligned from in-block indices to
-// batch indices as they are set.
-//
-//m5:hotpath
-func (c *Cursor) decodeCols(blk *block, cols *workload.Columns, base, m int) {
-	i, off, offPos := c.i, c.off, c.offPos
-	offs, writes := blk.offs, blk.writes
-	nextOp := c.nextOp
-	outOffs := cols.Offs[base : base+m]
-	ops := cols.OpEnds
-	for j := 0; j < m; j++ {
-		if i > 0 {
-			d := uint64(offs[offPos])
-			offPos++
-			if d >= 0x80 {
-				d &= 0x7f
-				for s := uint(7); ; s += 7 {
-					b := offs[offPos]
-					offPos++
-					if b < 0x80 {
-						d |= uint64(b) << s
-						break
-					}
-					d |= uint64(b&0x7f) << s
-				}
-			}
-			off += uint64(unzigzag(d))
-		} else {
-			off = blk.start
-		}
-		outOffs[j] = off
-		if writes[i>>6]&(1<<(i&63)) != 0 {
-			k := uint(base + j)
-			cols.Writes[k>>6] |= 1 << (k & 63)
-		}
-		if i == nextOp {
-			ops = append(ops, int32(base+j))
-			//m5:coldpath op boundaries are rare (Redis only) and the gap
-			// varint decode is once per operation, not per access.
-			c.advanceOp(blk)
-			nextOp = c.nextOp
-		}
-		i++
-	}
-	cols.OpEnds = ops
-	c.i, c.off, c.offPos = i, off, offPos
 }
 
 // decode fills out with the next len(out) accesses of the current block.

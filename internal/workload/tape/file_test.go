@@ -111,8 +111,8 @@ func TestReadTapeRejectsCraftedFiles(t *testing.T) {
 }
 
 // replayAll is FuzzReadTape's contract: ReadTape returns an error, or
-// every replay decoder (materializing, columnar, skipping, seeking) walks
-// the tape's Len() accesses without panicking. mustLoad fails the test
+// every replay decoder (materializing, skipping, seeking) walks the
+// tape's Len() accesses without panicking. mustLoad fails the test
 // if the data is rejected.
 func replayAll(t *testing.T, data []byte, mustLoad bool) {
 	t.Helper()
@@ -138,19 +138,17 @@ func replayAll(t *testing.T, data []byte, mustLoad bool) {
 		left -= m
 	}
 
-	col := tp.NewCursor()
-	defer col.Close()
-	var cols workload.Columns
-	cols.Grow(batch)
+	alt := tp.NewCursor()
+	defer alt.Close()
 	for left, i := total, 0; left > 0; i++ {
 		var m int
 		if i%2 == 0 {
-			m = col.NextColumns(&cols, min(left, batch))
+			m = alt.NextBatch(buf[:min(left, batch)])
 		} else {
-			m, _ = col.SkipColumns(min(left, batch))
+			m, _ = alt.Skip(buf[:min(left, batch)])
 		}
-		if m <= 0 {
-			t.Fatalf("columnar replay stopped %d accesses short of Len() = %d", left, total)
+		if m == 0 {
+			t.Fatalf("read/skip replay stopped %d accesses short of Len() = %d", left, total)
 		}
 		left -= m
 	}

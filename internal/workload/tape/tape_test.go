@@ -2,6 +2,7 @@ package tape
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -233,6 +234,65 @@ func TestBudgetBoundAndEviction(t *testing.T) {
 		if gotC[i] != wantA[i] {
 			t.Fatalf("mcf (reopened) access %d: got %+v, want %+v", i, gotC[i], wantA[i])
 		}
+	}
+}
+
+// TestSkipMatchesFallback pins Cursor.Skip against workload.Skip's
+// fallback (NextBatch plus an OpEnd scan) on a live generator. Ragged
+// skips and reads of redis, whose operations end every few accesses, must
+// report the same counts and op flags and leave both streams at the same
+// position, also once the pool's budget has put the cursor on a live
+// tail.
+func TestSkipMatchesFallback(t *testing.T) {
+	pool := NewPool(3*maxBlockBytes, nil)
+	defer pool.Close()
+	cur, err := pool.Open("redis", workload.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if _, ok := cur.(workload.Skipper); !ok {
+		t.Fatal("tape cursor has no skip path")
+	}
+	live, err := workload.New("redis", workload.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	// Size 0 means "to the end of the current block", the cursor's O(1)
+	// whole-remainder jump with nothing decoded after it.
+	sizes := []int{1, 3, 17, 0, 256, 1000, 4096, 0, 5000, 4095}
+	a, b := make([]workload.Access, 5000), make([]workload.Access, 5000)
+	crossed, pos := 0, 0
+	for i := 0; i < 60; i++ {
+		size := sizes[i%len(sizes)]
+		if size == 0 {
+			size = blockLen - pos%blockLen
+		}
+		if i%3 == 2 {
+			na, nb := workload.NextBatch(cur, a[:size]), workload.NextBatch(live, b[:size])
+			if na != nb || !slices.Equal(a[:na], b[:nb]) {
+				t.Fatalf("read %d (%d accesses) diverged after skipping", i, size)
+			}
+			pos += na
+			continue
+		}
+		na, oa := workload.Skip(cur, a[:size])
+		nb, ob := workload.Skip(live, b[:size])
+		if na != nb || oa != ob {
+			t.Fatalf("skip %d (%d accesses): cursor %d/%v, fallback %d/%v", i, size, na, oa, nb, ob)
+		}
+		if oa {
+			crossed++
+		}
+		pos += na
+	}
+	if crossed == 0 {
+		t.Error("no skip crossed an op boundary")
+	}
+	if pool.Stats().LiveTails == 0 {
+		t.Error("the cursor never reached a live tail")
 	}
 }
 

@@ -74,130 +74,36 @@ func NextBatch(g Generator, buf []Access) int {
 	return n
 }
 
-// Columns is a batch of accesses in columnar (structure-of-arrays) form:
-// Offs holds byte offsets, Writes is a bitset (bit i set = access i is a
-// store), and OpEnds lists the in-batch indices that end client-visible
-// operations, ascending. The simulator's sampled-tier functional kernel
-// consumes batches in this shape so tape replay can decode straight into
-// packed arrays instead of per-access structs.
-type Columns struct {
-	Offs   []uint64
-	Writes []uint64
-	OpEnds []int32
-}
-
-// Grow ensures the columns can hold batches of up to n accesses. Callers
-// size once at setup; the per-batch paths (Clear, Transpose, columnar
-// decoders) then never allocate.
-func (c *Columns) Grow(n int) {
-	if cap(c.Offs) < n {
-		c.Offs = make([]uint64, n)
-	}
-	if words := (n + 63) >> 6; cap(c.Writes) < words {
-		c.Writes = make([]uint64, words)
-	}
-	if cap(c.OpEnds) < n {
-		c.OpEnds = make([]int32, 0, n)
-	}
-}
-
-// Clear readies the columns for a fresh batch of up to n accesses: Offs
-// is resized to n (fillers shrink it to the produced count), the write
-// bitset words covering n bits are zeroed, and OpEnds is emptied. The
-// caller must have Grown the columns to at least n.
-//
-//m5:hotpath
-func (c *Columns) Clear(n int) {
-	c.Offs = c.Offs[:n]
-	w := c.Writes[:(n+63)>>6]
-	for i := range w {
-		w[i] = 0
-	}
-	c.Writes = w
-	c.OpEnds = c.OpEnds[:0]
-}
-
-// ColumnarGenerator is implemented by generators that can fill Columns
-// directly — tape cursors decode their committed blocks into the packed
-// arrays with no per-access struct materialization. NextColumns returns
-// the number of accesses produced (0 = stream end), or -1 when the
-// columnar path is unavailable for this call (e.g. a tape cursor that
-// outran its tape onto a private live generator) and the caller must fall
-// back to NextBatch; the access stream is element-for-element identical
-// across both paths.
-type ColumnarGenerator interface {
+// Skipper is implemented by generators that can discard accesses without
+// decoding them: tape cursors jump whole committed blocks in O(1) and walk
+// only a partial block's varints. Skipping advances the stream exactly as
+// reading the same accesses would.
+type Skipper interface {
 	Generator
-	NextColumns(c *Columns, max int) int
+	// Skip discards up to len(scratch) accesses and returns how many
+	// (0 = stream end) plus whether any of them ended an operation.
+	// scratch is workspace the implementation may overwrite.
+	Skip(scratch []Access) (n int, ops bool)
 }
 
-// Transpose converts a row-form batch into columnar form (a full refill:
-// previous contents are discarded). The caller must have Grown c to at
-// least len(batch).
+// Skip discards up to len(scratch) accesses from g, preferring the
+// generator's skip path and otherwise reading them into scratch and
+// scanning for operation ends. The stream position afterwards is the same
+// either way. It returns the count discarded and whether an operation
+// boundary was crossed.
 //
 //m5:hotpath
-func Transpose(batch []Access, c *Columns) {
-	c.Clear(len(batch))
-	offs := c.Offs
-	ops := c.OpEnds
-	for i := range batch {
-		offs[i] = batch[i].Offset
-		if batch[i].Write {
-			c.Writes[uint(i)>>6] |= 1 << (uint(i) & 63)
-		}
-		if batch[i].OpEnd {
-			ops = append(ops, int32(i))
+func Skip(g Generator, scratch []Access) (int, bool) {
+	if s, ok := g.(Skipper); ok {
+		return s.Skip(scratch)
+	}
+	n := NextBatch(g, scratch)
+	for i := range scratch[:n] {
+		if scratch[i].OpEnd {
+			return n, true
 		}
 	}
-	c.OpEnds = ops
-}
-
-// NextColumns fills c with the next batch of up to max accesses from g,
-// preferring the generator's columnar path and falling back to a
-// NextBatch into scratch (which must hold max accesses) plus a Transpose.
-// Like NextBatch, a return of 0 means the stream has ended.
-//
-//m5:hotpath
-func NextColumns(g Generator, scratch []Access, c *Columns, max int) int {
-	if cg, ok := g.(ColumnarGenerator); ok {
-		if n := cg.NextColumns(c, max); n >= 0 {
-			c.Offs = c.Offs[:n]
-			return n
-		}
-	}
-	n := NextBatch(g, scratch[:max])
-	Transpose(scratch[:n], c)
-	return n
-}
-
-// ColumnarSkipper is implemented by generators that can discard a span of
-// accesses without materializing it — tape cursors jump whole committed
-// blocks in O(1) and walk only partial-block varints. SkipColumns returns
-// how many accesses were discarded (0 = stream end) plus whether any
-// operation boundary was crossed, or n = -1 when skipping is unavailable
-// for this call (same contract as ColumnarGenerator.NextColumns) and the
-// caller must fall back to a materializing read. Skipping advances the
-// stream position exactly as consuming the same accesses would.
-type ColumnarSkipper interface {
-	Generator
-	SkipColumns(max int) (n int, ops bool)
-}
-
-// SkipColumns discards up to max accesses from g, preferring the
-// generator's skip path and falling back to NextColumns into cols (which
-// the caller must have Grown to max). The stream position afterwards is
-// identical across both paths; only the materialization is avoided. It
-// returns the count discarded and whether an operation boundary was
-// crossed.
-//
-//m5:hotpath
-func SkipColumns(g Generator, scratch []Access, cols *Columns, max int) (int, bool) {
-	if s, ok := g.(ColumnarSkipper); ok {
-		if n, ops := s.SkipColumns(max); n >= 0 {
-			return n, ops
-		}
-	}
-	n := NextColumns(g, scratch, cols, max)
-	return n, len(cols.OpEnds) > 0
+	return n, false
 }
 
 // Checkpoint is a generator's replay state: catalog identity plus stream
