@@ -13,6 +13,14 @@
 // m5sim -h for the full list. -metrics prints the per-layer observability
 // counters after the run; -events N additionally records the last N policy
 // events (period changes, promotion batches) and prints them.
+//
+// -instances N > 1 is the SPECrate-style run (§6): N copies of the
+// workload on independently derived seeds, one per core, share the tiers,
+// the CXL device with its bandwidth queues, and the policy, which runs on
+// core 0. Every policy works there, PEBS included (it samples every
+// core's misses). Accesses and traffic are totals over the cores, the
+// simulated time is the slowest core's, and the op-latency percentiles
+// are the worst core's.
 package main
 
 import (
@@ -62,15 +70,22 @@ func main() {
 		fail(fmt.Errorf("unknown policy %q (one of %v)", *policyFl, policy.Names()))
 	}
 	reg := newRegistry(*metrics, *events)
-	if *instances > 1 {
-		runMulti(*wlName, *policyFl, sc, *instances, *acc, *warmup, *ddr, *seed, reg, *metrics, *events)
-		return
+	n := max(*instances, 1)
+	streams := make([]workload.Generator, n)
+	for i := range streams {
+		streamSeed := *seed
+		if n > 1 {
+			// Derived (not sequential) seeds keep instance streams
+			// statistically independent: seed+i correlates instance i of
+			// run s with instance i-1 of run s+1.
+			streamSeed = parallel.DeriveSeed(*seed, *wlName, fmt.Sprint(i))
+		}
+		if streams[i], err = workload.New(*wlName, sc, streamSeed); err != nil {
+			fail(err)
+		}
 	}
-	wl, err := workload.New(*wlName, sc, *seed)
-	if err != nil {
-		fail(err)
-	}
-	cfg := sim.Config{Workload: wl, DDRFraction: *ddr, Metrics: reg}
+	wl := streams[0]
+	cfg := sim.Config{Workload: wl, CoRunning: streams[1:], Bandwidth: n > 1, DDRFraction: *ddr, Metrics: reg}
 	if cliutil.NeedsHPT(*policyFl) {
 		cfg.HPT = cliutil.DefaultHPT()
 	}
@@ -83,12 +98,16 @@ func main() {
 	}
 	defer r.Close()
 
-	if err := cliutil.InstallPolicy(r, *policyFl, int(wl.Footprint()/4096), reg.Scope("policy")); err != nil {
+	if err := cliutil.InstallPolicy(r, *policyFl, r.Sys.PageTable().Len(), reg.Scope("policy")); err != nil {
 		fail(err)
 	}
 
+	name := wl.Name()
+	if n > 1 {
+		name = fmt.Sprintf("%s x%d", name, n)
+	}
 	fmt.Printf("workload %s (%s, %.1f MB footprint), policy %s, DDR limit %.0f%% of footprint\n",
-		wl.Name(), sc, float64(wl.Footprint())/(1<<20), *policyFl, 100**ddr)
+		name, sc, float64(wl.Footprint())/(1<<20), *policyFl, 100**ddr)
 	start := time.Now()
 	r.Run(*warmup)
 	res := r.Run(*acc)
@@ -143,63 +162,6 @@ func printObservability(reg *obs.Registry, metrics bool, events int) {
 				e.TimeNs, e.Scope, e.Kind, e.Subject, e.Value)
 		}
 	}
-}
-
-// runMulti is the SPECrate-style path: N instances share the tiers, the
-// CXL device, and the daemon, each on its own core.
-func runMulti(wlName, policyName string, sc workload.Scale, instances, acc, warmup int, ddr float64, seed int64, reg *obs.Registry, metrics bool, events int) {
-	cfg := sim.MultiConfig{
-		Instances:   instances,
-		DDRFraction: ddr,
-		Metrics:     reg,
-		MakeWorkload: func(i int) workload.Generator {
-			// Derived (not sequential) seeds keep instance streams
-			// statistically independent: seed+i correlates instance i of
-			// run s with instance i-1 of run s+1.
-			return workload.MustNew(wlName, sc, parallel.DeriveSeed(seed, wlName, fmt.Sprint(i)))
-		},
-	}
-	if cliutil.NeedsHPT(policyName) {
-		cfg.HPT = cliutil.DefaultHPT()
-	}
-	if cliutil.NeedsHWT(policyName) {
-		cfg.HWT = cliutil.DefaultHWT()
-	}
-	m, err := sim.NewMultiRunner(cfg)
-	if err != nil {
-		fail(err)
-	}
-	defer m.Close()
-	// The multi-core runner exposes no LLC-miss stream, so sink-based
-	// policies (PEBS) error out here rather than silently mis-measuring.
-	d, err := policy.New(policyName, policy.Env{
-		Sys:       m.Sys,
-		Ctrl:      m.Ctrl,
-		FootPages: m.Sys.PageTable().Len(),
-		Migrate:   true,
-		Metrics:   reg.Scope("policy"),
-	})
-	if err != nil {
-		fail(fmt.Errorf("policy %q not supported with -instances: %w", policyName, err))
-	}
-	if d != nil {
-		m.SetDaemon(d)
-	}
-	fmt.Printf("workload %s x%d (%s), policy %s\n", wlName, instances, sc, policyName)
-	start := time.Now()
-	m.Run(warmup)
-	res := m.Run(acc)
-	fmt.Printf("host time: %v\n\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("accesses          %d across %d cores\n", res.Accesses, res.Cores)
-	fmt.Printf("slowest core      %.3f ms simulated\n", float64(res.ElapsedNs)/1e6)
-	fmt.Printf("kernel mm time    %.3f ms\n", float64(res.KernelNs)/1e6)
-	fmt.Printf("DRAM reads        ddr=%d cxl=%d (cxl share %.1f%%)\n",
-		res.DRAMReads[tiermem.NodeDDR], res.DRAMReads[tiermem.NodeCXL], 100*res.CXLReadShare())
-	fmt.Printf("migrations        %d promoted, %d demoted\n", res.Promotions, res.Demotions)
-	if res.OpCount > 0 {
-		fmt.Printf("operations        %d (worst per-core p99 %.0f ns)\n", res.OpCount, res.P99OpNs)
-	}
-	printObservability(reg, metrics, events)
 }
 
 func fail(err error) {

@@ -1,9 +1,8 @@
 // SPECrate contention: the paper's evaluation runs eight instances of each
 // SPEC workload sharing one CXL device (§6). This example scales mcf from
-// one to eight co-running instances on the multi-core engine: the device's
-// single DDR4 channel saturates, queueing delay inflates the effective CXL
-// latency, and M5's page migration — which also relieves the shared
-// channel — earns more per page the more instances contend.
+// one to eight co-running instances (one core each) with and without M5:
+// the device's single DDR4 channel saturates and queueing delay inflates
+// the effective CXL latency that page migration works against.
 //
 // Run with: go run ./examples/specrate
 package main
@@ -29,47 +28,39 @@ func main() {
 	for _, n := range []int{1, 2, 4, 8} {
 		none := run(n, false, perCore)
 		withM5 := run(n, true, perCore)
-		speedup := 0.0
-		if none.ElapsedNs > 0 && withM5.ElapsedNs > 0 {
-			tNone := float64(none.Accesses) * 1e9 / float64(none.ElapsedNs)
-			tM5 := float64(withM5.Accesses) * 1e9 / float64(withM5.ElapsedNs)
-			speedup = tM5 / tNone
-			fmt.Printf("%-10d %-16.1f %-16.1f %-12.3f %-14.1f\n",
-				n, tNone/1e6, tM5/1e6, speedup, 100*withM5.CXLReadShare())
+		if none.AccessesPerSec > 0 {
+			fmt.Printf("%-10d %-16.1f %-16.1f %-12.3f %-14.1f\n", n, none.AccessesPerSec/1e6,
+				withM5.AccessesPerSec/1e6, withM5.AccessesPerSec/none.AccessesPerSec, 100*withM5.CXLReadShare())
 		}
 	}
 	fmt.Println()
-	fmt.Println("expected shape: M5's speedup grows (or at least holds) with instance")
-	fmt.Println("count — every page moved off the saturated CXL channel also removes")
-	fmt.Println("queueing delay for the other cores")
+	fmt.Println("throughput: the measured span's accesses over its slowest core's time")
 }
 
-func run(instances int, withM5 bool, perCore int) sim.MultiResult {
-	cfg := sim.MultiConfig{
-		Instances: instances,
-		MakeWorkload: func(i int) workload.Generator {
-			return workload.MustNew("mcf", workload.ScaleTiny, int64(i+1))
-		},
+func run(instances int, withM5 bool, perCore int) sim.Result {
+	cfg := sim.Config{Workload: workload.MustNew("mcf", workload.ScaleTiny, 1), Bandwidth: true}
+	for i := 1; i < instances; i++ {
+		cfg.CoRunning = append(cfg.CoRunning, workload.MustNew("mcf", workload.ScaleTiny, int64(i+1)))
 	}
 	if withM5 {
 		cfg.HPT = &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64}
 	}
-	m, err := sim.NewMultiRunner(cfg)
+	r, err := sim.NewRunner(cfg)
 	if err != nil {
 		panic(err)
 	}
-	defer m.Close()
+	defer r.Close()
 	if withM5 {
-		m.SetDaemon(m5mgr.NewManager(m.Sys, m.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
+		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
 	}
 	// Warm to steady state: fill DDR before measuring.
-	prev := m.Sys.Promotions()
+	prev := r.Sys.Promotions()
 	for i := 0; i < 20; i++ {
-		m.Run(perCore / 4)
-		if m.Sys.Node(tiermem.NodeDDR).FreePages() == 0 || m.Sys.Promotions() == prev {
+		r.Run(perCore / 4)
+		if r.Sys.Node(tiermem.NodeDDR).FreePages() == 0 || r.Sys.Promotions() == prev {
 			break
 		}
-		prev = m.Sys.Promotions()
+		prev = r.Sys.Promotions()
 	}
-	return m.Run(perCore)
+	return r.Run(perCore)
 }

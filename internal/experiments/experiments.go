@@ -89,11 +89,13 @@ func (p Params) newGenerator(bench string) (workload.Generator, error) {
 
 // applySpeed copies the sampling tier into one cell's simulator config.
 // Every harness routes its sim.Config through this so -sample reaches
-// every cell. The tier is statistical (see Params.Sample).
+// every cell. The tier is statistical (see Params.Sample), and it models
+// neither co-running cores nor bandwidth queues, so such machines stay
+// exact.
 //
-//m5:plumb sim.SamplingConfig ignore=FunctionalThin,WarmPrefix
+//m5:plumb sim.SamplingConfig
 func (p Params) applySpeed(cfg *sim.Config) {
-	if p.Sample {
+	if p.Sample && len(cfg.CoRunning) == 0 && !cfg.Bandwidth {
 		cfg.Sampling = sim.SamplingConfig{
 			Mode:             sim.SampleModeSampled,
 			DetailedWindow:   p.SampleWindow,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"m5/internal/baseline"
 	m5mgr "m5/internal/m5"
@@ -18,7 +19,8 @@ type ExtContentionRow struct {
 	Benchmark string
 	Instances int
 	// ThroughputNone / ThroughputM5 are total accesses per simulated
-	// second across all cores.
+	// second across all cores; the accesses include the warm spans'
+	// (contentionRun).
 	ThroughputNone float64
 	ThroughputM5   float64
 	// Speedup is M5 over no migration at this instance count.
@@ -27,7 +29,7 @@ type ExtContentionRow struct {
 
 // ExtContention sweeps co-running instance counts. As instances multiply,
 // the CXL device channel saturates, raising the effective cost of
-// CXL-resident pages — migration's benefit grows with contention.
+// CXL-resident pages.
 func ExtContention(p Params, bench string, instanceCounts []int) ([]ExtContentionRow, error) {
 	p, err := p.prepare()
 	if err != nil {
@@ -36,17 +38,17 @@ func ExtContention(p Params, bench string, instanceCounts []int) ([]ExtContentio
 	if len(instanceCounts) == 0 {
 		instanceCounts = []int{1, 2, 4, 8}
 	}
-	results, err := mapCells(p, len(instanceCounts)*2, func(i int) (sim.MultiResult, error) {
+	results, err := mapCells(p, len(instanceCounts)*2, func(i int) (float64, error) {
 		n, withM5 := instanceCounts[i/2], i%2 == 1
-		res, err := contentionRun(p, bench, n, withM5)
+		tput, err := contentionRun(p, bench, n, withM5)
 		if err != nil {
 			name := "none"
 			if withM5 {
 				name = "m5"
 			}
-			return sim.MultiResult{}, fmt.Errorf("contention %s x%d/%s: %w", bench, n, name, err)
+			return 0, fmt.Errorf("contention %s x%d/%s: %w", bench, n, name, err)
 		}
-		return res, nil
+		return tput, nil
 	})
 	if err != nil {
 		return nil, err
@@ -56,8 +58,8 @@ func ExtContention(p Params, bench string, instanceCounts []int) ([]ExtContentio
 		row := ExtContentionRow{
 			Benchmark:      bench,
 			Instances:      n,
-			ThroughputNone: throughput(results[2*i]),
-			ThroughputM5:   throughput(results[2*i+1]),
+			ThroughputNone: results[2*i],
+			ThroughputM5:   results[2*i+1],
 		}
 		if row.ThroughputNone > 0 {
 			row.Speedup = row.ThroughputM5 / row.ThroughputNone
@@ -67,30 +69,46 @@ func ExtContention(p Params, bench string, instanceCounts []int) ([]ExtContentio
 	return rows, nil
 }
 
-func throughput(r sim.MultiResult) float64 {
-	if r.ElapsedNs == 0 {
-		return 0
+// contentionRun runs one cell — instances co-running copies of bench on
+// seeds Seed, Seed+1, ... — and returns its throughput in accesses per
+// simulated second.
+func contentionRun(p Params, bench string, instances int, withM5 bool) (float64, error) {
+	streams := make([]workload.Generator, 0, instances)
+	closeAll := func() {
+		for _, g := range streams {
+			g.Close()
+		}
 	}
-	return float64(r.Accesses) * 1e9 / float64(r.ElapsedNs)
-}
-
-func contentionRun(p Params, bench string, instances int, withM5 bool) (sim.MultiResult, error) {
-	cfg := sim.MultiConfig{
-		Instances: instances,
-		MakeWorkload: func(i int) workload.Generator {
-			return workload.MustNew(bench, p.Scale, p.Seed+int64(i))
-		},
+	for i := 0; i < instances; i++ {
+		q := p
+		q.Seed = p.Seed + int64(i)
+		g, err := q.newGenerator(bench)
+		if err != nil {
+			closeAll()
+			return 0, err
+		}
+		streams = append(streams, g)
+	}
+	cfg := sim.Config{
+		Workload:  streams[0],
+		CoRunning: streams[1:],
+		Bandwidth: true,
+		// COMPAT: the deleted multi-core engine never flushed TLBs on a
+		// context switch; no deadline is ever reached.
+		CtxSwitchPeriodNs: math.MaxUint64,
 	}
 	if withM5 {
 		cfg.HPT = &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64}
 	}
-	m, err := sim.NewMultiRunner(cfg)
+	p.applySpeed(&cfg) // co-running machines stay exact
+	r, err := sim.NewRunner(cfg)
 	if err != nil {
-		return sim.MultiResult{}, err
+		closeAll()
+		return 0, err
 	}
-	defer m.Close()
+	defer r.Close()
 	if withM5 {
-		m.SetDaemon(m5mgr.NewManager(m.Sys, m.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
+		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
 	}
 	per := p.Accesses / instances
 	if per < 10_000 {
@@ -103,19 +121,26 @@ func contentionRun(p Params, bench string, instances int, withM5 bool) (sim.Mult
 	if chunk < 10_000 {
 		chunk = 10_000
 	}
-	m.Run(chunk)
-	prev := m.Sys.Promotions()
+	warm := r.Run(chunk).Accesses
+	prev := r.Sys.Promotions()
 	for i := 0; i < 20; i++ {
-		if m.Sys.Node(tiermem.NodeDDR).FreePages() == 0 {
+		if r.Sys.Node(tiermem.NodeDDR).FreePages() == 0 {
 			break
 		}
-		m.Run(chunk)
-		if m.Sys.Promotions() == prev {
+		warm += r.Run(chunk).Accesses
+		if r.Sys.Promotions() == prev {
 			break
 		}
-		prev = m.Sys.Promotions()
+		prev = r.Sys.Promotions()
 	}
-	return m.Run(per), nil
+	res := r.Run(per)
+	if res.ElapsedNs == 0 {
+		return 0, nil
+	}
+	// COMPAT: the deleted multi-core engine counted accesses since
+	// construction, so the published throughputs divide the warm spans'
+	// accesses too by the measured span's time.
+	return float64(res.Accesses+warm) * 1e9 / float64(res.ElapsedNs), nil
 }
 
 // ExtPEBSRow compares the PEBS/Memtis-style sampler — which the paper

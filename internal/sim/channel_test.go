@@ -71,3 +71,18 @@ func TestChannelDelayNeverExceedsBacklog(t *testing.T) {
 		}
 	}
 }
+
+func TestChannelQueueing(t *testing.T) {
+	c := channel{servicePs: 10_000} // 10ns service
+	if d := c.serve(100); d != 0 {
+		t.Errorf("idle channel delay = %d", d)
+	}
+	// Immediately following access at the same instant queues.
+	if d := c.serve(100); d != 10 {
+		t.Errorf("back-to-back delay = %d, want 10", d)
+	}
+	// An access after the channel drained sees no delay.
+	if d := c.serve(1000); d != 0 {
+		t.Errorf("late access delay = %d", d)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m5/internal/baseline"
+	"m5/internal/cache"
 	m5mgr "m5/internal/m5"
 	"m5/internal/obs"
 	"m5/internal/tiermem"
@@ -14,11 +15,111 @@ import (
 	"m5/internal/workload/tape"
 )
 
+// Step executes exactly one access of this core and returns false when
+// its stream has ended. It is the per-access reference the batched
+// engine must match: the same machine written out without hoisting,
+// batching or the hit-latency table.
+func (r *Runner) Step() bool {
+	a, ok := r.gen.Next()
+	if !ok {
+		return false
+	}
+	r.accesses++
+	kernelBefore := r.Sys.KernelNs()
+	va := r.base.Addr() + tiermem.VirtAddr(a.Offset)
+	tr := r.Sys.Translate(r.id, va, a.Write)
+	r.clockNs += tr.ExtraNs
+
+	res := r.Cache.Access(tr.Phys, a.Write)
+	switch res.Level {
+	case cache.HitL1:
+		r.clockNs += r.costs.L1HitNs
+	case cache.HitL2:
+		r.clockNs += r.costs.L2HitNs
+	case cache.HitLLC:
+		r.clockNs += r.costs.LLCHitNs
+	case cache.HitMemory:
+		node := r.Sys.NodeOfAddr(tr.Phys)
+		if r.remap != nil {
+			served, extra := r.remap.Serve(tr.Phys.Word(), node)
+			r.clockNs += extra
+			node = served
+		}
+		r.Sys.Node(node).CountRead()
+		r.dramReads[node]++
+		if r.queue != nil {
+			r.clockNs += r.queue[node].serve(r.clockNs)
+		}
+		r.clockNs += r.dramReadLatency(node, tr.Phys)
+		if node == tiermem.NodeCXL {
+			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
+		}
+		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
+	}
+	for _, wb := range res.Writeback {
+		node := r.Sys.CountDRAMAccess(wb, true)
+		r.dramWrites[node]++
+		r.clockNs += r.costs.DRAMWriteNs
+		if r.queue != nil {
+			r.queue[node].serve(r.clockNs)
+		}
+		if node == tiermem.NodeCXL {
+			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
+		}
+		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
+	}
+	for _, pf := range res.Prefetched {
+		node := r.Sys.CountDRAMAccess(pf, false)
+		r.dramReads[node]++
+		if node == tiermem.NodeCXL {
+			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: pf})
+		}
+		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: pf})
+	}
+
+	if a.OpEnd {
+		r.opLat.Add(float64(r.clockNs - r.opStart))
+		r.opStart = r.clockNs
+	}
+	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
+		r.Sys.TLB(r.id).Flush()
+		r.nextCtx = r.clockNs + r.ctxNs
+	}
+	if r.daemon != nil && r.clockNs >= r.nextTick {
+		tickKernelBefore := r.Sys.KernelNs()
+		r.daemon.Tick(r.clockNs)
+		r.nextTick = r.clockNs + r.daemon.PeriodNs()
+		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
+	}
+	r.clockNs += r.Sys.KernelNs() - kernelBefore
+	return true
+}
+
 // runUnbatched mirrors Run's span accounting but advances the machine one
 // Step at a time — the reference the batched engine must match exactly.
+// On a co-running machine every step goes to the core with the smallest
+// clock, ties to the lower index, until each core has run n accesses.
 func runUnbatched(r *Runner, n int) Result {
 	span := r.beginSpan()
-	for i := 0; i < n && r.Step(); i++ {
+	left := make([]int, len(r.cores))
+	for i := range left {
+		left[i] = n
+	}
+	for {
+		pick := -1
+		for i, c := range r.cores {
+			if left[i] > 0 && (pick < 0 || c.clockNs < r.cores[pick].clockNs) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			break
+		}
+		if r.cores[pick].Step() {
+			left[pick]--
+		} else {
+			left[pick] = 0
+		}
 	}
 	return r.endSpan(span)
 }
@@ -133,7 +234,7 @@ func buildStepRunner(t *testing.T, tc stepCase, metrics *obs.Registry, pool *tap
 }
 
 // TestStepBatchMatchesStep pins the batched engine's equivalence claim:
-// Run (which drives StepBatch) and a Step loop with identical accounting
+// Run (which drives stepBatch) and a Step loop with identical accounting
 // produce byte-identical Results — obs snapshots included — and clocks
 // from identical machines, for every machine shape in stepCases.
 func TestStepBatchMatchesStep(t *testing.T) {
@@ -170,7 +271,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 	}
 
 	// The batched loop never holds pulled-but-unexecuted accesses across
-	// StepBatch calls: uneven spans (as warmup + measurement loops split
+	// stepBatch calls: uneven spans (as warmup + measurement loops split
 	// a run) land on the Step loop's state, and the generator checkpoint
 	// stays in lockstep with the executed count. Checkpoints need a bare
 	// runner (no daemon, no metrics).
@@ -198,6 +299,127 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			t.Errorf("batched loop buffered ahead: consumed %d, executed %d", cp.gen.Consumed, split.accesses)
 		}
 	})
+}
+
+// coCase is one co-running machine shape for TestCoRunningMatchesStep:
+// cores copies of bench on seeds 1..cores, queued like ext-contention's
+// machines. cfg mutates the config before NewRunner and arm installs
+// daemons and sinks after.
+type coCase struct {
+	name  string
+	bench string
+	cores int
+	sink  bool
+	cfg   func(c *Config)
+	arm   func(r *Runner)
+}
+
+// armContentionM5 installs ext-contention's M5 manager; the HPT it reads
+// is set by withContentionHPT.
+func armContentionM5(r *Runner) {
+	r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
+}
+
+func withContentionHPT(c *Config) {
+	c.HPT = &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64}
+}
+
+// buildCoRunner assembles one co-running machine of the case's shape.
+func buildCoRunner(t *testing.T, tc coCase, metrics *obs.Registry) (*Runner, *countingSink) {
+	t.Helper()
+	streams := make([]workload.Generator, tc.cores)
+	for i := range streams {
+		streams[i] = workload.MustNew(tc.bench, workload.ScaleTiny, int64(i+1))
+	}
+	cfg := Config{Workload: streams[0], CoRunning: streams[1:], Bandwidth: true, Metrics: metrics}
+	if tc.cfg != nil {
+		tc.cfg(&cfg)
+	}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		for _, g := range streams {
+			g.Close()
+		}
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	var sink *countingSink
+	if tc.sink {
+		sink = &countingSink{}
+		r.AttachMissSink(sink)
+	}
+	if tc.arm != nil {
+		tc.arm(r)
+	}
+	return r, sink
+}
+
+// TestCoRunningMatchesStep pins the co-running scheduler: Run on a
+// machine of N cores (one-access turns over each core's pulled batch)
+// equals a per-access min-clock loop over Step — Result with obs
+// snapshot, every core's clock, and the sink stream — across two spans,
+// so accesses a core pulled but did not run carry over correctly.
+func TestCoRunningMatchesStep(t *testing.T) {
+	m5 := func(name, bench string, cores int) coCase {
+		return coCase{name: name, bench: bench, cores: cores, cfg: withContentionHPT, arm: armContentionM5}
+	}
+	cases := []coCase{
+		{name: "mcf-x2", bench: "mcf", cores: 2},
+		m5("mcf-x2-m5", "mcf", 2),
+		{name: "mcf-x4", bench: "mcf", cores: 4},
+		m5("mcf-x4-m5", "mcf", 4),
+		{name: "mcf-x8", bench: "mcf", cores: 8},
+		m5("mcf-x8-m5", "mcf", 8),
+		{name: "redis-x2-ops", bench: "redis", cores: 2},
+		{name: "pebs-sink", bench: "redis", cores: 2, sink: true,
+			arm: func(r *Runner) {
+				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
+				r.AttachMissSink(p)
+				r.SetDaemon(p)
+			}},
+		{name: "ctx-short", bench: "cc", cores: 4, arm: armContentionM5,
+			cfg: func(c *Config) {
+				withContentionHPT(c)
+				c.CtxSwitchPeriodNs = 60_000
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			batched, bSink := buildCoRunner(t, tc, obs.New())
+			ref, rSink := buildCoRunner(t, tc, obs.New())
+			for _, n := range []int{7_777, 40_000} {
+				got, want := batched.Run(n), runUnbatched(ref, n)
+				if got.Accesses != uint64(n*tc.cores) {
+					t.Fatalf("span ran %d accesses, want %d", got.Accesses, n*tc.cores)
+				}
+				if tc.bench == "redis" && got.OpCount == 0 {
+					t.Error("KVS cores reported no op latency")
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("co-running Run diverged from the Step loop:\n got %+v\nwant %+v", got, want)
+				}
+			}
+			for i, c := range batched.cores {
+				if c.clockNs != ref.cores[i].clockNs {
+					t.Errorf("core %d clock diverged: %d vs %d", i, c.clockNs, ref.cores[i].clockNs)
+				}
+			}
+			if tc.arm != nil && batched.Sys.Promotions() == 0 {
+				t.Error("the daemon migrated nothing — the case exercises too little")
+			}
+			if last := batched.cores[tc.cores-1]; last.nextCtx == last.ctxNs {
+				t.Error("the last core never flushed its TLB")
+			}
+			if tc.sink {
+				if bSink.n == 0 {
+					t.Fatal("sink saw no traffic")
+				}
+				if *bSink != *rSink {
+					t.Errorf("sink streams diverged: %+v vs %+v", *bSink, *rSink)
+				}
+			}
+		})
+	}
 }
 
 // TestSampledSkipMatchesFallback pins the sampled tier's skip fast path
@@ -250,7 +472,8 @@ func TestSampledSkipMatchesFallback(t *testing.T) {
 // TestRunBatchZeroAllocs pins the batched hot loop at zero allocations per
 // batch once the machine is warm: the engine reuses its access buffer and
 // scratch trace record, and every layer below it (cache, TLB, nodes,
-// trackers) runs on preallocated state.
+// trackers, bandwidth queues) runs on preallocated state — on a lone core
+// and on a co-running one.
 func TestRunBatchZeroAllocs(t *testing.T) {
 	wl := workload.MustNew("roms", workload.ScaleTiny, 1)
 	r, err := NewRunner(Config{
@@ -273,6 +496,19 @@ func TestRunBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("runBatch allocates %.1f objects per batch, want 0", allocs)
+	}
+
+	co, _ := buildCoRunner(t, coCase{bench: "roms", cores: 2, cfg: withContentionHPT, arm: armContentionM5}, nil)
+	co.Run(100_000)
+	core := co.cores[1]
+	if n = workload.NextBatch(core.gen, buf); n != runnerBatch {
+		t.Fatalf("NextBatch = %d, want %d", n, runnerBatch)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		core.runBatch(buf[:n])
+	})
+	if allocs != 0 {
+		t.Errorf("co-running runBatch allocates %.1f objects per batch, want 0", allocs)
 	}
 }
 
@@ -357,6 +593,18 @@ func TestCheckpointRefusesExternalState(t *testing.T) {
 			t.Error("row-buffer runner must refuse to checkpoint")
 		}
 	})
+	t.Run("bandwidth", func(t *testing.T) {
+		r := newRunner(t, "roms", Config{Bandwidth: true})
+		if _, err := r.Checkpoint(); err == nil {
+			t.Error("queued runner must refuse to checkpoint")
+		}
+	})
+	t.Run("co-running", func(t *testing.T) {
+		r, _ := buildCoRunner(t, coCase{bench: "roms", cores: 2, cfg: func(c *Config) { c.Bandwidth = false }}, nil)
+		if _, err := r.Checkpoint(); err == nil {
+			t.Error("co-running machine must refuse to checkpoint")
+		}
+	})
 }
 
 func benchRunner(b *testing.B) *Runner {
@@ -385,7 +633,7 @@ func BenchmarkRunnerStepBatch(b *testing.B) {
 	r := benchRunner(b)
 	b.ResetTimer()
 	for left := b.N; left > 0; {
-		did := r.StepBatch(left)
+		did := r.stepBatch(left)
 		if did == 0 {
 			b.Fatal("stream ended")
 		}

@@ -11,7 +11,7 @@
 // estimate of mean ns/access, so daemon ticks and context-switch flushes
 // still fire at their simulated-time cadence.
 //
-// Detailed windows run the unmodified exact engine (the same StepBatch
+// Detailed windows run the unmodified exact engine (the same stepBatch
 // path); each full window contributes one per-access-latency sample to a
 // streaming Welford accumulator. The span's headline ElapsedNs is then
 // estimated as mean(window ns/access) × accesses, with a Student-t
@@ -59,15 +59,17 @@ const (
 const (
 	defaultDetailedWindow   = 4096
 	defaultFunctionalStride = 45056
-	// defaultFunctionalThin simulates 1 in N batches of the thinned
-	// stretches at full architectural fidelity (crediting its DRAM/tracker
-	// traffic for the N-1 skipped neighbours); the rest only advance the
-	// stream and the coarse clock.
-	defaultFunctionalThin = 8
-	// defaultWarmPrefix is how many accesses before each detailed window
-	// run at full functional fidelity (no thinning), so the window opens
+	// functionalThin subsamples the functional stretches at batch
+	// granularity: 1 in functionalThin batches runs the full functional
+	// kernel (translation, cache, device snoops) with its DRAM and tracker
+	// traffic credited once per skipped neighbour (a Horvitz-Thompson
+	// estimate, so traffic counters stay unbiased); the other batches only
+	// advance the stream and the coarse clock.
+	functionalThin = 8
+	// warmPrefix is how many accesses before each detailed window run at
+	// full functional fidelity regardless of thinning, so the window opens
 	// on freshly-warmed cache and TLB state.
-	defaultWarmPrefix = 4096
+	warmPrefix = 4096
 	// sampleMinWindows is the floor on measured windows before a TargetCI
 	// early stop may trigger: t-intervals over fewer samples are too
 	// fragile to act on.
@@ -94,18 +96,6 @@ type SamplingConfig struct {
 	// half-width falls below TargetCI × mean, the rest of the span runs
 	// purely functional. Zero measures every scheduled window.
 	TargetCI float64
-	// FunctionalThin subsamples the functional stretches at batch
-	// granularity: 1 in FunctionalThin batches runs the full functional
-	// kernel (translation, cache, device snoops) with its DRAM and tracker
-	// traffic credited once per skipped neighbour (a Horvitz-Thompson
-	// estimate, so traffic counters stay unbiased); the other batches only
-	// advance the stream and the coarse clock. 1 disables thinning;
-	// default 8.
-	FunctionalThin int
-	// WarmPrefix is how many accesses immediately before each detailed
-	// window run at full functional fidelity regardless of thinning, so
-	// windows measure against freshly-warmed cache/TLB state. Default 4096.
-	WarmPrefix int
 	// Seed perturbs the first-window offset (systematic-sampling phase).
 	// Window placement is a pure function of (Seed, config, stream
 	// position); no RNG state is involved.
@@ -128,17 +118,6 @@ func (s SamplingConfig) withDefaults() SamplingConfig {
 	if s.FunctionalStride == 0 {
 		s.FunctionalStride = defaultFunctionalStride
 	}
-	if s.FunctionalThin == 0 {
-		s.FunctionalThin = defaultFunctionalThin
-	}
-	if s.WarmPrefix == 0 {
-		s.WarmPrefix = defaultWarmPrefix
-	}
-	if s.WarmPrefix > s.FunctionalStride {
-		// A warm prefix longer than the stretch itself just means the
-		// whole stretch runs unthinned.
-		s.WarmPrefix = s.FunctionalStride
-	}
 	return s
 }
 
@@ -153,9 +132,6 @@ func (s SamplingConfig) validate() error {
 	}
 	if s.DetailedWindow < 0 || s.FunctionalStride < 0 {
 		return fmt.Errorf("sim: sampling window %d / stride %d must be non-negative", s.DetailedWindow, s.FunctionalStride)
-	}
-	if s.FunctionalThin < 0 || s.WarmPrefix < 0 {
-		return fmt.Errorf("sim: sampling thin %d / warm prefix %d must be non-negative", s.FunctionalThin, s.WarmPrefix)
 	}
 	if s.TargetCI < 0 || s.TargetCI >= 1 {
 		return fmt.Errorf("sim: sampling target CI %v must be in [0, 1)", s.TargetCI)
@@ -267,7 +243,9 @@ func (r *Runner) runSampled(n int) Result {
 	} else {
 		pos := 0
 		next := int(sampleOffset(r.cfg.Sampling.Seed, span.accesses) % uint64(period))
-		warm := r.cfg.Sampling.WarmPrefix
+		// A warm prefix longer than the stretch itself just means the
+		// whole stretch runs unthinned.
+		warm := min(warmPrefix, r.cfg.Sampling.FunctionalStride)
 		for pos < n {
 			if st.ciDone || pos < next {
 				target := n
@@ -388,7 +366,7 @@ func (r *Runner) runSampled(n int) Result {
 func (r *Runner) runExactSpan(k int) int {
 	ran := 0
 	for ran < k {
-		did := r.StepBatch(k - ran)
+		did := r.stepBatch(k - ran)
 		if did == 0 {
 			break
 		}
@@ -414,22 +392,18 @@ func (r *Runner) runFunctionalSpan(k int) int {
 }
 
 // runThinnedSpan drives a batch-thinned functional stretch: 1 in
-// Sampling.FunctionalThin batches runs the full functional kernel, with
-// its DRAM and tracker traffic credited once per skipped neighbour
+// functionalThin batches runs the full functional kernel, with its DRAM
+// and tracker traffic credited once per skipped neighbour
 // (Horvitz-Thompson, so traffic counters stay unbiased in expectation);
 // the others advance the stream and coarse clock only. The skip debt
 // (smp.owed) persists across spans of one Run so boundary batches still
 // get credited.
 func (r *Runner) runThinnedSpan(k int) int {
-	thin := r.cfg.Sampling.FunctionalThin
-	if thin <= 1 {
-		return r.runFunctionalSpan(k)
-	}
 	st := &r.smp
 	ran := 0
 	for ran < k {
 		var did int
-		if st.owed >= thin-1 {
+		if st.owed >= functionalThin-1 {
 			did = r.stepFunctional(k-ran, 1+st.owed)
 			if did > 0 {
 				st.owed = 0

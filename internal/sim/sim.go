@@ -9,7 +9,9 @@
 // Time is a deterministic nanosecond clock: each access pays its cache or
 // DRAM latency plus any translation cost; each daemon tick adds the kernel
 // time it consumed (the paper pins the migration processes to the
-// benchmark's core, §6).
+// benchmark's core, §6). Co-running cores (the paper's SPECrate setup,
+// Config.CoRunning) each keep their own clock and take turns in causal
+// order on the same batched loop.
 package sim
 
 import (
@@ -101,13 +103,37 @@ type Config struct {
 	// and reports headline time as an estimate with a Student-t
 	// confidence interval.
 	Sampling SamplingConfig
+	// CoRunning supplies the streams of cores 1..N-1; Workload runs on
+	// core 0 (the paper's SPECrate setup co-runs 8 copies, §6). Each core
+	// has a private cache hierarchy, TLB, clock and arena (allocated back
+	// to back on CXL after core 0's), and shares the tiers, the CXL
+	// controller, the miss sinks, the word remapper and the bandwidth
+	// queues; the daemon runs on core 0. DDRFraction and the default TLB
+	// size then apply to the total footprint. Run(n) advances every core
+	// n accesses. Sampling, HugePages and checkpoints need a single core.
+	CoRunning []workload.Generator
+	// Bandwidth queues DRAM traffic on per-tier bandwidth channels
+	// (ddrBandwidthGBs, cxlBandwidthGBs): a read miss waits for its tier's
+	// channel and a writeback occupies it, so co-running cores that
+	// saturate a tier see queueing delay. Metrics gains "chan.ddr" and
+	// "chan.cxl" scopes. The sampled tier does not model the queues.
+	//
+	// COMPAT: a per-machine option only because the deleted multi-core
+	// engine queued at every core count while the single-core harnesses
+	// never did. Queueing fig9's cells would add chan.* keys to their obs
+	// snapshots, and not queueing ext-contention's x1 cell moves it (seed
+	// 2, none: 5.527 -> 5.528 M/s): a miss issued in the same nanosecond
+	// as a writeback waits about 3ns.
+	Bandwidth bool
 }
 
-// Runner is one assembled experiment instance.
+// Runner is one assembled experiment instance. A machine with co-running
+// cores is one Runner per core over the shared Sys and Ctrl; the caller
+// holds core 0's, which owns the daemon, the metrics and the scheduler.
 type Runner struct {
 	Sys   *tiermem.System
 	Ctrl  *cxl.Controller
-	Cache *cache.Hierarchy
+	Cache *cache.Hierarchy // this core's private hierarchy
 
 	cfg      Config // retained (with defaults applied) so checkpoints can rebuild the machine
 	gen      workload.Generator
@@ -159,6 +185,16 @@ type Runner struct {
 	accesses   uint64
 	dramReads  [2]uint64
 	dramWrites [2]uint64
+
+	// id is the core index (its TLB). cores lists every core of the
+	// machine, core 0 first; it is set on core 0 only. pend holds a
+	// core's pulled but not yet executed accesses between co-running
+	// turns. queue is the machine's bandwidth channels (nil unless
+	// Config.Bandwidth), shared by every core.
+	id    int
+	cores []*Runner
+	pend  []workload.Access
+	queue *[2]channel
 }
 
 // NewScaledCache returns a hierarchy config scaled for the MB-range
@@ -183,7 +219,7 @@ func NewScaledCache(footprintBytes uint64) cache.HierarchyConfig {
 
 // NewRunner builds the machine for a workload: it sizes the tiers from the
 // footprint, allocates every page on CXL, and wires the controller's snoop
-// path.
+// path. With co-running streams it builds one core per stream.
 //
 //m5:plumb Config
 func NewRunner(cfg Config) (*Runner, error) {
@@ -196,20 +232,30 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Costs == (tiermem.CostModel{}) {
 		cfg.Costs = tiermem.DefaultCosts()
 	}
-	footPages := (cfg.Workload.Footprint() + 4095) / 4096
-	if footPages == 0 {
-		return nil, fmt.Errorf("sim: workload %q has empty footprint", cfg.Workload.Name())
+	streams := append([]workload.Generator{cfg.Workload}, cfg.CoRunning...)
+	pages := make([]uint64, len(streams))
+	var totalPages uint64
+	for i, g := range streams {
+		pages[i] = (g.Footprint() + 4095) / 4096
+		if pages[i] == 0 {
+			return nil, fmt.Errorf("sim: workload %q has empty footprint", g.Name())
+		}
+		totalPages += pages[i]
 	}
 	nHuge := 0
 	if cfg.HugePages {
-		nHuge = int((footPages + mem.PagesPerHugePage - 1) / mem.PagesPerHugePage)
+		if len(cfg.CoRunning) > 0 {
+			return nil, fmt.Errorf("sim: huge pages need a single core")
+		}
+		nHuge = int((pages[0] + mem.PagesPerHugePage - 1) / mem.PagesPerHugePage)
 		if nHuge == 0 {
 			return nil, fmt.Errorf("sim: footprint below one huge page")
 		}
-		footPages = uint64(nHuge) * mem.PagesPerHugePage
+		pages[0] = uint64(nHuge) * mem.PagesPerHugePage
+		totalPages = pages[0]
 	}
 	if cfg.TLBEntries == 0 {
-		cfg.TLBEntries = scaledTLBEntries(footPages)
+		cfg.TLBEntries = scaledTLBEntries(totalPages / uint64(len(streams)))
 	}
 	if cfg.CtxSwitchPeriodNs == 0 {
 		cfg.CtxSwitchPeriodNs = 1_000_000
@@ -217,32 +263,32 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Sampling.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Sampling.Enabled() && (len(cfg.CoRunning) > 0 || cfg.Bandwidth) {
+		return nil, fmt.Errorf("sim: the sampled tier models neither co-running cores nor bandwidth queues")
+	}
 	cfg.Sampling = cfg.Sampling.withDefaults()
-	ddrLimit := uint64(float64(footPages) * cfg.DDRFraction) //m5:floatok setup-time DDR capacity sizing
+	ddrLimit := uint64(float64(totalPages) * cfg.DDRFraction) //m5:floatok setup-time DDR capacity sizing
 	if ddrLimit == 0 {
 		ddrLimit = 1
 	}
+	// Physical DDR is provisioned at the limit+slack; the cgroup limit is
+	// what constrains the workload.
+	slack := uint64(mem.PagesPerHugePage)
+	if cfg.Bandwidth {
+		// COMPAT: the deleted multi-core engine provisioned 16 frames of
+		// slack. The slack moves every CXL frame: with 512, the CI-settings
+		// x8 m5 contention cell reads 182.261 M/s instead of 153.497.
+		slack = 16
+	}
 	sys := tiermem.NewSystem(tiermem.Config{
-		// Physical DDR is provisioned at the limit+slack; the cgroup
-		// limit is what constrains the workload.
-		DDRPages:      ddrLimit + mem.PagesPerHugePage,
-		CXLPages:      footPages + 64,
+		DDRPages:      ddrLimit + slack,
+		CXLPages:      totalPages + 64,
 		DDRLimitPages: ddrLimit,
-		Cores:         1,
+		Cores:         len(streams),
 		TLBEntries:    cfg.TLBEntries,
 		Costs:         cfg.Costs,
 		Metrics:       cfg.Metrics.Scope("mem"),
 	})
-	var base tiermem.VPN
-	var err error
-	if cfg.HugePages {
-		base, err = sys.AllocHuge(nHuge, tiermem.NodeCXL)
-	} else {
-		base, err = sys.Alloc(int(footPages), tiermem.NodeCXL)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: allocating arena: %w", err)
-	}
 	ctrl := cxl.NewController(cxl.ControllerConfig{
 		Span:      sys.CXLSpan(),
 		EnablePAC: cfg.EnablePAC,
@@ -251,46 +297,80 @@ func NewRunner(cfg Config) (*Runner, error) {
 		HWT:       cfg.HWT,
 		Metrics:   cfg.Metrics.Scope("cxl"),
 	})
-	cacheCfg := cfg.Cache
-	if cacheCfg == (cache.HierarchyConfig{}) {
-		cacheCfg = NewScaledCache(cfg.Workload.Footprint())
+	var queue *[2]channel
+	if cfg.Bandwidth {
+		queue = &[2]channel{
+			tiermem.NodeDDR: newChannel(ddrBandwidthGBs, cfg.Metrics.Scope("chan.ddr")),
+			tiermem.NodeCXL: newChannel(cxlBandwidthGBs, cfg.Metrics.Scope("chan.cxl")),
+		}
 	}
-	// Set after the zero-value check above, or a caller passing only a
-	// registry would dodge the scaled-cache default.
-	cacheCfg.Metrics = cfg.Metrics.Scope("cache")
-	r := &Runner{
-		Sys:     sys,
-		Ctrl:    ctrl,
-		Cache:   cache.NewHierarchy(cacheCfg),
-		gen:     cfg.Workload,
-		base:    base,
-		opLat:   stats.NewReservoir(1<<15, 17),
-		costs:   cfg.Costs,
-		batch:   make([]workload.Access, runnerBatch),
-		ctxNs:   cfg.CtxSwitchPeriodNs,
-		nextCtx: cfg.CtxSwitchPeriodNs,
+	var channels [2]*dram.Channel
+	var linkNs [2]uint64
+	if cfg.RowBuffer {
+		ddr, cxlDev := dram.DDR5Host(), dram.DDR4Device()
+		ddr.Metrics = cfg.Metrics.Scope("dram.ddr")
+		cxlDev.Metrics = cfg.Metrics.Scope("dram.cxl")
+		channels[tiermem.NodeDDR] = dram.New(ddr)
+		channels[tiermem.NodeCXL] = dram.New(cxlDev)
+		// The fixed tier latency decomposes into link/controller time
+		// plus the device's row-miss case, keeping averages comparable
+		// with the flat model.
+		linkNs[tiermem.NodeDDR] = cfg.Costs.DDRReadNs - ddr.Timing.RowMissNs
+		linkNs[tiermem.NodeCXL] = cfg.Costs.CXLReadNs - cxlDev.Timing.RowMissNs
 	}
+	// Every core's private hierarchy folds into one shared "cache" scope:
+	// cores run one access at a time, so the shared counters stay
+	// deterministic.
+	cacheScope := cfg.Metrics.Scope("cache")
+	cores := make([]*Runner, len(streams))
+	for i, gen := range streams {
+		var base tiermem.VPN
+		var err error
+		if cfg.HugePages {
+			base, err = sys.AllocHuge(nHuge, tiermem.NodeCXL)
+		} else {
+			base, err = sys.Alloc(int(pages[i]), tiermem.NodeCXL)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sim: allocating core %d arena: %w", i, err)
+		}
+		cacheCfg := cfg.Cache
+		if cacheCfg == (cache.HierarchyConfig{}) {
+			cacheCfg = NewScaledCache(gen.Footprint())
+		}
+		// Set after the zero-value check above, or a caller passing only a
+		// registry would dodge the scaled-cache default.
+		cacheCfg.Metrics = cacheScope
+		c := &Runner{
+			Sys:      sys,
+			Ctrl:     ctrl,
+			Cache:    cache.NewHierarchy(cacheCfg),
+			gen:      gen,
+			base:     base,
+			channels: channels,
+			linkNs:   linkNs,
+			opLat:    stats.NewReservoir(1<<15, 17),
+			costs:    cfg.Costs,
+			batch:    make([]workload.Access, runnerBatch),
+			ctxNs:    cfg.CtxSwitchPeriodNs,
+			nextCtx:  cfg.CtxSwitchPeriodNs,
+			id:       i,
+			queue:    queue,
+		}
+		c.latHit[cache.HitL1] = cfg.Costs.L1HitNs
+		c.latHit[cache.HitL2] = cfg.Costs.L2HitNs
+		c.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
+		cores[i] = c
+	}
+	r := cores[0]
+	r.cfg = cfg
+	r.cores = cores
 	r.metrics = cfg.Metrics
 	policyScope := cfg.Metrics.Scope("policy")
 	r.obsTickKernel = policyScope.Histogram("tick_kernel_ns", tickKernelBounds)
 	memScope := cfg.Metrics.Scope("mem")
 	r.obsKernelNs = memScope.Gauge("kernel_ns")
 	r.obsResidentDDR = memScope.Gauge("resident_ddr_pages")
-	if cfg.RowBuffer {
-		ddr, cxlDev := dram.DDR5Host(), dram.DDR4Device()
-		ddr.Metrics = cfg.Metrics.Scope("dram.ddr")
-		cxlDev.Metrics = cfg.Metrics.Scope("dram.cxl")
-		r.channels[tiermem.NodeDDR] = dram.New(ddr)
-		r.channels[tiermem.NodeCXL] = dram.New(cxlDev)
-		// The fixed tier latency decomposes into link/controller time
-		// plus the device's row-miss case, keeping averages comparable
-		// with the flat model.
-		r.linkNs[tiermem.NodeDDR] = cfg.Costs.DDRReadNs - ddr.Timing.RowMissNs
-		r.linkNs[tiermem.NodeCXL] = cfg.Costs.CXLReadNs - cxlDev.Timing.RowMissNs
-	}
-	r.latHit[cache.HitL1] = cfg.Costs.L1HitNs
-	r.latHit[cache.HitL2] = cfg.Costs.L2HitNs
-	r.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
 	r.sampled = cfg.Sampling.Enabled()
 	if r.sampled {
 		r.phys = make([]mem.PhysAddr, runnerBatch)
@@ -301,7 +381,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.obsSampleSkipped = sampleScope.Counter("accesses_skipped")
 		r.obsSampleCIHalf = sampleScope.Gauge("ci_halfwidth_ppm")
 	}
-	r.cfg = cfg
 	return r, nil
 }
 
@@ -351,109 +430,22 @@ func (r *Runner) SetDaemon(d Daemon) {
 }
 
 // AttachMissSink adds an observer of the DRAM access stream (the LLC-miss
-// stream): PEBS samplers, trace recorders, and the like. CXL-side
-// functions (PAC/WAC/HPT/HWT) are attached to the controller instead and
-// see only device traffic, as in hardware.
+// stream of every core): PEBS samplers, trace recorders, and the like.
+// CXL-side functions (PAC/WAC/HPT/HWT) are attached to the controller
+// instead and see only device traffic, as in hardware.
 func (r *Runner) AttachMissSink(s trace.Sink) {
-	r.sinks = append(r.sinks, s)
+	for _, c := range r.cores {
+		c.sinks = append(c.sinks, s)
+	}
 }
 
 // SetWordRemap installs a memory-controller-level word remapper (nil
 // disables). The remapper decides, per LLC miss, which tier serves the
 // word — the IFMM swap path.
-func (r *Runner) SetWordRemap(m WordRemap) { r.remap = m }
-
-// NowNs returns the simulated clock.
-func (r *Runner) NowNs() uint64 { return r.clockNs }
-
-// Step executes exactly one workload access and returns false when the
-// workload stream has ended.
-func (r *Runner) Step() bool {
-	a, ok := r.gen.Next()
-	if !ok {
-		return false
+func (r *Runner) SetWordRemap(m WordRemap) {
+	for _, c := range r.cores {
+		c.remap = m
 	}
-	r.accesses++
-	kernelBefore := r.Sys.KernelNs()
-	va := r.base.Addr() + tiermem.VirtAddr(a.Offset)
-	tr := r.Sys.Translate(0, va, a.Write)
-	r.clockNs += tr.ExtraNs
-
-	res := r.Cache.Access(tr.Phys, a.Write)
-	switch res.Level {
-	case cache.HitL1:
-		r.clockNs += r.costs.L1HitNs
-	case cache.HitL2:
-		r.clockNs += r.costs.L2HitNs
-	case cache.HitLLC:
-		r.clockNs += r.costs.LLCHitNs
-	case cache.HitMemory:
-		node := r.Sys.NodeOfAddr(tr.Phys)
-		if r.remap != nil {
-			served, extra := r.remap.Serve(tr.Phys.Word(), node)
-			r.clockNs += extra
-			node = served
-		}
-		if node == tiermem.NodeDDR {
-			r.Sys.Node(tiermem.NodeDDR).CountRead() //m5:unitcredit exact engine: one access, weight 1
-		} else {
-			r.Sys.Node(tiermem.NodeCXL).CountRead() //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.dramReads[node]++
-		r.clockNs += r.dramReadLatency(node, tr.Phys)
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}) //m5:unitcredit exact engine: one access, weight 1
-	}
-	for _, wb := range res.Writeback {
-		node := r.Sys.CountDRAMAccess(wb, true)
-		r.dramWrites[node]++
-		r.clockNs += r.costs.DRAMWriteNs
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: wb, Write: true}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: wb, Write: true}) //m5:unitcredit exact engine: one access, weight 1
-	}
-	// Prefetch fills consume DRAM bandwidth and are visible to the CXL
-	// controller's counters — the hardware cannot tell demand from
-	// prefetch — but add no demand latency to the core.
-	for _, pf := range res.Prefetched {
-		node := r.Sys.CountDRAMAccess(pf, false)
-		r.dramReads[node]++
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: pf}) //m5:unitcredit exact engine: one access, weight 1
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: pf}) //m5:unitcredit exact engine: one access, weight 1
-	}
-
-	if a.OpEnd {
-		r.opLat.Add(float64(r.clockNs - r.opStart))
-		r.opStart = r.clockNs
-	}
-
-	// Periodic context switch: flush the TLB so accessed bits keep being
-	// set by fresh page walks (the passive invalidation path of §2.1).
-	if r.ctxNs > 0 && r.clockNs >= r.nextCtx {
-		r.Sys.TLB(0).Flush()
-		r.nextCtx = r.clockNs + r.ctxNs
-	}
-
-	// The migration daemon shares the core.
-	if r.daemon != nil && r.clockNs >= r.nextTick {
-		tickKernelBefore := r.Sys.KernelNs()
-		r.daemon.Tick(r.clockNs)
-		r.nextTick = r.clockNs + r.daemon.PeriodNs()
-		r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
-	}
-
-	// All kernel mm work this access triggered — fault handling (with any
-	// inline ANB promotion), PTE scans, shootdowns, migrate_pages(), and
-	// the daemon tick itself — stalls this core for exactly the kernel
-	// time it consumed (the paper pins kernel threads to the workload
-	// core, §6).
-	r.clockNs += r.Sys.KernelNs() - kernelBefore
-	return true
 }
 
 // runnerBatch is the number of accesses the batched loop pulls from the
@@ -461,11 +453,11 @@ func (r *Runner) Step() bool {
 // amortizes generator dispatch.
 const runnerBatch = 1024
 
-// StepBatch executes up to max accesses (bounded by one internal batch)
+// stepBatch executes up to max accesses (bounded by one internal batch)
 // and returns how many ran; 0 means the workload stream has ended. It is
-// access-for-access equivalent to calling Step in a loop — the batching
-// only amortizes generator dispatch and hoists loop-invariant branches.
-func (r *Runner) StepBatch(max int) int {
+// access-for-access equivalent to a per-access loop — the batching only
+// amortizes generator dispatch and hoists loop-invariant branches.
+func (r *Runner) stepBatch(max int) int {
 	if max <= 0 {
 		return 0
 	}
@@ -478,11 +470,13 @@ func (r *Runner) StepBatch(max int) int {
 	return n
 }
 
-// runBatch is the batched hot loop. Loop-invariant state (sink presence,
-// remapper, daemon, context-switch period, arena base) is hoisted into
-// locals; the hit-level switch is a table lookup; and one trace.Access
-// scratch value feeds both the CXL snoop path and the miss-sink fan-out.
-// The body mirrors Step exactly — determinism tests pin the equivalence.
+// runBatch is the batched hot loop of one core. Loop-invariant state
+// (sink presence, remapper, daemon, context-switch period, arena base) is
+// hoisted into locals, while the core index and the bandwidth queues are
+// read where they are used; the hit-level switch is a table lookup; and
+// one trace.Access scratch value feeds both the CXL snoop path and the
+// miss-sink fan-out. The per-access reference in engine_test.go pins the
+// equivalence.
 //
 //m5:hotpath
 func (r *Runner) runBatch(accs []workload.Access) {
@@ -500,7 +494,7 @@ func (r *Runner) runBatch(accs []workload.Access) {
 		r.accesses++
 		kernelBefore := r.Sys.KernelNs()
 		va := base + tiermem.VirtAddr(a.Offset)
-		r.Sys.TranslateInto(0, va, a.Write, &tr)
+		r.Sys.TranslateInto(r.id, va, a.Write, &tr)
 		r.clockNs += tr.ExtraNs
 
 		res := r.Cache.Access(tr.Phys, a.Write)
@@ -515,6 +509,9 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			}
 			r.Sys.Node(node).CountRead() //m5:unitcredit exact engine: one access, weight 1
 			r.dramReads[node]++
+			if r.queue != nil {
+				r.clockNs += r.queue[node].serve(r.clockNs)
+			}
 			r.clockNs += r.dramReadLatency(node, tr.Phys)
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}
@@ -530,6 +527,9 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			node := r.Sys.CountDRAMAccess(wb, true)
 			r.dramWrites[node]++
 			r.clockNs += r.costs.DRAMWriteNs
+			if r.queue != nil {
+				r.queue[node].serve(r.clockNs) // occupies the channel; the core does not wait
+			}
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: wb, Write: true}
 				if node == tiermem.NodeCXL {
@@ -540,6 +540,9 @@ func (r *Runner) runBatch(accs []workload.Access) {
 				}
 			}
 		}
+		// Prefetch fills consume DRAM bandwidth and are visible to the CXL
+		// controller's counters — the hardware cannot tell demand from
+		// prefetch — but add no demand latency to the core.
 		for _, pf := range res.Prefetched {
 			node := r.Sys.CountDRAMAccess(pf, false)
 			r.dramReads[node]++
@@ -559,11 +562,15 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			r.opStart = r.clockNs
 		}
 
+		// Periodic context switch: flush the TLB so accessed bits keep
+		// being set by fresh page walks (the passive invalidation path of
+		// §2.1).
 		if ctxOn && r.clockNs >= r.nextCtx {
-			r.Sys.TLB(0).Flush()
+			r.Sys.TLB(r.id).Flush()
 			r.nextCtx = r.clockNs + r.ctxNs
 		}
 
+		// The migration daemon shares core 0.
 		if daemon != nil && r.clockNs >= r.nextTick {
 			tickKernelBefore := r.Sys.KernelNs()
 			daemon.Tick(r.clockNs)
@@ -571,27 +578,72 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			r.obsTickKernel.Observe(r.Sys.KernelNs() - tickKernelBefore)
 		}
 
+		// All kernel mm work this access triggered — fault handling (with
+		// any inline ANB promotion), PTE scans, shootdowns,
+		// migrate_pages(), and the daemon tick itself — stalls this core
+		// for exactly the kernel time it consumed (the paper pins kernel
+		// threads to the workload core, §6).
 		r.clockNs += r.Sys.KernelNs() - kernelBefore
 	}
 }
 
-// Run executes n accesses (or until the stream ends) and returns metrics
-// for that span. Internally it drives the batched loop; the result is
-// access-for-access identical to a Step loop. With Config.Sampling set to
-// "sampled" the span runs through the tiered-fidelity scheduler instead
-// (sampling.go) and the headline time is a windowed estimate.
+// runCores drives every core of a co-running machine up to n accesses
+// further in causal order: each turn runs one access on the core with the
+// smallest clock (ties to the lower index), so shared state — page
+// tables, trackers, bandwidth queues, the daemon — is touched in global
+// time order. A core stops early only when its stream ends.
+func (r *Runner) runCores(n int) {
+	left := make([]int, len(r.cores))
+	for i := range left {
+		left[i] = n
+	}
+	for {
+		pick := -1
+		for i, c := range r.cores {
+			if left[i] > 0 && (pick < 0 || c.clockNs < r.cores[pick].clockNs) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			return
+		}
+		c := r.cores[pick]
+		if len(c.pend) == 0 {
+			k := workload.NextBatch(c.gen, c.batch)
+			if k == 0 {
+				left[pick] = 0
+				continue
+			}
+			c.pend = c.batch[:k]
+		}
+		c.runBatch(c.pend[:1])
+		c.pend = c.pend[1:]
+		left[pick]--
+	}
+}
+
+// Run executes n accesses on every core (or until a stream ends) and
+// returns metrics for that span. Internally it drives the batched loop;
+// the result is access-for-access identical to a per-access loop. With
+// Config.Sampling set to "sampled" the span runs through the
+// tiered-fidelity scheduler instead (sampling.go) and the headline time
+// is a windowed estimate.
 func (r *Runner) Run(n int) Result {
 	if r.sampled {
 		return r.runSampled(n)
 	}
 	span := r.beginSpan()
-	r.runExactSpan(n)
+	if len(r.cores) > 1 {
+		r.runCores(n)
+	} else {
+		r.runExactSpan(n)
+	}
 	return r.endSpan(span)
 }
 
 // spanStart is the counter baseline captured at the start of one Run span.
 type spanStart struct {
-	clockNs  uint64
+	clockNs  []uint64 // per core
 	kernelNs uint64
 	accesses uint64
 	reads    [2]uint64
@@ -599,22 +651,35 @@ type spanStart struct {
 }
 
 func (r *Runner) beginSpan() spanStart {
-	r.opLat.Reset()
-	return spanStart{
-		clockNs:  r.clockNs,
-		kernelNs: r.Sys.KernelNs(),
-		accesses: r.accesses,
-		reads:    r.dramReads,
-		writes:   r.dramWrites,
+	span := spanStart{kernelNs: r.Sys.KernelNs()}
+	for _, c := range r.cores {
+		c.opLat.Reset()
+		span.clockNs = append(span.clockNs, c.clockNs)
 	}
+	span.accesses, span.reads, span.writes = r.traffic()
+	return span
 }
 
-// endSpan assembles the span's Result from the counter deltas.
+// traffic sums the access and DRAM traffic counters over every core.
+func (r *Runner) traffic() (accesses uint64, reads, writes [2]uint64) {
+	for _, c := range r.cores {
+		accesses += c.accesses
+		for node := range reads {
+			reads[node] += c.dramReads[node]
+			writes[node] += c.dramWrites[node]
+		}
+	}
+	return accesses, reads, writes
+}
+
+// endSpan assembles the span's Result from the counter deltas. Across
+// co-running cores the elapsed time is the slowest core's span and the
+// op-latency percentiles are the worst core's.
 func (r *Runner) endSpan(span spanStart) Result {
+	accesses, reads, writes := r.traffic()
 	res := Result{
 		Workload:   r.gen.Name(),
-		Accesses:   r.accesses - span.accesses,
-		ElapsedNs:  r.clockNs - span.clockNs,
+		Accesses:   accesses - span.accesses,
 		KernelNs:   r.Sys.KernelNs() - span.kernelNs,
 		Promotions: r.Sys.Promotions(),
 		Demotions:  r.Sys.Demotions(),
@@ -625,13 +690,16 @@ func (r *Runner) endSpan(span spanStart) Result {
 		res.Daemon = "none"
 	}
 	for node := 0; node < 2; node++ {
-		res.DRAMReads[node] = r.dramReads[node] - span.reads[node]
-		res.DRAMWrites[node] = r.dramWrites[node] - span.writes[node]
+		res.DRAMReads[node] = reads[node] - span.reads[node]
+		res.DRAMWrites[node] = writes[node] - span.writes[node]
 	}
-	if r.opLat.Len() > 0 {
-		res.OpCount = uint64(r.opLat.Len())
-		res.P50OpNs = r.opLat.Percentile(50)
-		res.P99OpNs = r.opLat.Percentile(99)
+	for i, c := range r.cores {
+		res.ElapsedNs = max(res.ElapsedNs, c.clockNs-span.clockNs[i])
+		if c.opLat.Len() > 0 {
+			res.OpCount += uint64(c.opLat.Len())
+			res.P50OpNs = max(res.P50OpNs, c.opLat.Percentile(50))
+			res.P99OpNs = max(res.P99OpNs, c.opLat.Percentile(99))
+		}
 	}
 	if res.ElapsedNs > 0 {
 		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs) //m5:floatok report-side throughput derivation from integer counters
@@ -646,17 +714,23 @@ func (r *Runner) endSpan(span spanStart) Result {
 	return res
 }
 
-// Close releases the workload generator.
-func (r *Runner) Close() { r.gen.Close() }
+// Close releases every core's workload generator.
+func (r *Runner) Close() {
+	for _, c := range r.cores {
+		c.gen.Close()
+	}
+}
 
 // Result summarizes one measured span.
 type Result struct {
 	Workload string
 	Daemon   string
-	// Accesses is the number of workload memory operations executed.
+	// Accesses is the number of workload memory operations executed,
+	// summed over every core.
 	Accesses uint64
 	// ElapsedNs is simulated wall time — the end-to-end performance
-	// metric (inverse of throughput).
+	// metric (inverse of throughput). With co-running cores it is the
+	// slowest core's (SPECrate reports the slowest copy).
 	ElapsedNs uint64
 	// KernelNs is CPU time consumed by kernel mm work in the span — the
 	// §4.2 identification-overhead metric.
@@ -668,6 +742,8 @@ type Result struct {
 	Promotions uint64
 	Demotions  uint64
 	// OpCount and latency percentiles are present for KVS workloads.
+	// With co-running cores OpCount sums every core's operations and the
+	// percentiles are the worst core's.
 	OpCount uint64
 	P50OpNs float64
 	P99OpNs float64
