@@ -23,6 +23,15 @@ var deterministicPkgs = []string{
 	"m5/internal/workload",
 	"m5/internal/m5",
 	"m5/internal/baseline",
+	"m5/internal/cache",
+	"m5/internal/ifmm",
+	"m5/internal/cam",
+	"m5/internal/stats",
+	"m5/internal/policy",
+	"m5/internal/mem",
+	"m5/internal/trace",
+	"m5/internal/obs",
+	"m5/internal/hwcost",
 }
 
 // inDeterministicScope reports whether the package path falls under the

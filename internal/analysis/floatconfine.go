@@ -36,7 +36,6 @@ var floatScopePkgs = []string{
 	"m5/internal/sim",
 	"m5/internal/cache",
 	"m5/internal/cxl",
-	"m5/internal/dram",
 	"m5/internal/mem",
 	"m5/internal/obs",
 	"m5/internal/tiermem",

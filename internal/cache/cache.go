@@ -253,10 +253,6 @@ type Result struct {
 	// The slice aliases a per-Hierarchy scratch buffer and is only valid
 	// until the next Access call.
 	Writeback []mem.PhysAddr
-	// Prefetched holds the line addresses the next-line prefetcher
-	// fetched from DRAM on this access (absent lines only). Like
-	// Writeback, it is only valid until the next Access call.
-	Prefetched []mem.PhysAddr
 }
 
 // HierarchyConfig sizes the full three-level hierarchy. Zero values pick
@@ -271,15 +267,11 @@ type HierarchyConfig struct {
 	LLCWayBytes int
 	// LLCWays is the number of ways allocated (CAT).
 	LLCWays int
-	// NextLinePrefetch enables a simple hardware prefetcher: each LLC
-	// demand miss also fills the next line. Prefetches are DRAM traffic
-	// the CXL controller's trackers see (they cannot tell demand from
-	// prefetch), an effect real deployments must account for.
-	NextLinePrefetch bool
 	// Metrics, when non-nil, receives the hierarchy's counters (l1_hits,
-	// l2_hits, llc_hits, dram_reads, writebacks, prefetches). Handles are
-	// interned at NewHierarchy; the Access hot path stays allocation-free
-	// and pays only a nil check when disabled.
+	// l2_hits, llc_hits, dram_reads, writebacks, and prefetches, which
+	// always reads 0). Handles are interned at NewHierarchy; the Access
+	// hot path stays allocation-free and pays only a nil check when
+	// disabled.
 	Metrics *obs.Registry
 }
 
@@ -302,18 +294,15 @@ func (c HierarchyConfig) withDefaults() HierarchyConfig {
 // Hierarchy is the three-level inclusive cache model.
 type Hierarchy struct {
 	l1, l2, llc *Level
-	prefetch    bool
 	accesses    uint64
 	dramReads   uint64
 	dramWrites  uint64
-	prefetches  uint64
-	// wbScratch and pfScratch back Result.Writeback/Prefetched so the
-	// per-access hot path performs zero heap allocations; each Access
-	// call invalidates the slices returned by the previous one.
+	// wbScratch backs Result.Writeback so the per-access hot path
+	// performs zero heap allocations; each Access call invalidates the
+	// slice returned by the previous one.
 	wbScratch []mem.PhysAddr
-	pfScratch []mem.PhysAddr
 	// res backs the pointer Access returns — same lifetime contract as
-	// the scratch slices: valid until the next Access call.
+	// the scratch slice: valid until the next Access call.
 	res Result
 
 	obsL1Hits     *obs.Counter
@@ -321,7 +310,6 @@ type Hierarchy struct {
 	obsLLCHits    *obs.Counter
 	obsDramReads  *obs.Counter
 	obsWritebacks *obs.Counter
-	obsPrefetches *obs.Counter
 }
 
 // NewHierarchy builds the hierarchy, applying platform defaults for zero
@@ -335,23 +323,25 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 			SizeBytes: cfg.LLCWayBytes * cfg.LLCWays,
 			Ways:      cfg.LLCWays,
 		}),
-		prefetch:  cfg.NextLinePrefetch,
 		wbScratch: make([]mem.PhysAddr, 0, 4),
-		pfScratch: make([]mem.PhysAddr, 0, 2),
 	}
 	h.obsL1Hits = cfg.Metrics.Counter("l1_hits")
 	h.obsL2Hits = cfg.Metrics.Counter("l2_hits")
 	h.obsLLCHits = cfg.Metrics.Counter("llc_hits")
 	h.obsDramReads = cfg.Metrics.Counter("dram_reads")
 	h.obsWritebacks = cfg.Metrics.Counter("writebacks")
-	h.obsPrefetches = cfg.Metrics.Counter("prefetches")
+	// COMPAT: the hierarchy no longer prefetches, but the checked obs
+	// snapshots (BENCH_PR6.json, perfbench's fullsys references) carry
+	// cache.prefetches = 0, so the counter stays registered and is never
+	// incremented.
+	cfg.Metrics.Counter("prefetches")
 	return h
 }
 
 // Access runs one load/store through the hierarchy and reports where it was
 // served plus any DRAM writebacks generated. The returned Result is owned
-// by the Hierarchy — like its Writeback/Prefetched slices, it is only
-// valid until the next Access call; copy it to retain it.
+// by the Hierarchy — like its Writeback slice, it is only valid until the
+// next Access call; copy it to retain it.
 //
 //m5:hotpath
 func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
@@ -363,14 +353,14 @@ func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	}
 	if h.l2.Lookup(a, write) {
 		h.obsL2Hits.Inc()
-		h.fillL1(a, write, nil)
+		h.fillL1(a, write)
 		h.res = Result{Level: HitL2}
 		return &h.res
 	}
 	if h.llc.Lookup(a, write) {
 		h.obsLLCHits.Inc()
 		wb := h.fillL2(a, write, h.wbScratch[:0])
-		h.fillL1(a, write, nil)
+		h.fillL1(a, write)
 		h.wbScratch = wb[:0]
 		h.res = Result{Level: HitLLC, Writeback: wb}
 		return &h.res
@@ -390,34 +380,10 @@ func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 		}
 	}
 	wb = h.fillL2(a, write, wb)
-	h.fillL1(a, write, nil)
+	h.fillL1(a, write)
+	h.wbScratch = wb[:0]
 	h.res = Result{Level: HitMemory, Fill: true, Writeback: wb}
-	res := &h.res
-
-	// Next-line prefetch: fill line+1 into the LLC if absent. A dirty
-	// prefetch victim writes back like any other eviction.
-	if h.prefetch {
-		next := (a &^ (mem.WordSize - 1)) + mem.WordSize
-		if !h.llc.Lookup(next, false) {
-			h.dramReads++
-			h.prefetches++
-			h.obsDramReads.Inc()
-			h.obsPrefetches.Inc()
-			if victim, dirty, ok := h.llc.Fill(next, false); ok {
-				_, d1 := h.l1.Invalidate(victim)
-				_, d2 := h.l2.Invalidate(victim)
-				if dirty || d1 || d2 {
-					h.dramWrites++
-					h.obsWritebacks.Inc()
-					res.Writeback = append(res.Writeback, victim)
-				}
-			}
-			res.Prefetched = append(h.pfScratch[:0], next)
-			h.pfScratch = res.Prefetched[:0]
-		}
-	}
-	h.wbScratch = res.Writeback[:0]
-	return res
+	return &h.res
 }
 
 // fillL2 fills L2; a dirty victim is flushed to the LLC (not DRAM).
@@ -439,7 +405,7 @@ func (h *Hierarchy) fillL2(a mem.PhysAddr, write bool, wb []mem.PhysAddr) []mem.
 }
 
 //m5:hotpath
-func (h *Hierarchy) fillL1(a mem.PhysAddr, write bool, _ []mem.PhysAddr) {
+func (h *Hierarchy) fillL1(a mem.PhysAddr, write bool) {
 	if victim, dirty, ok := h.l1.Fill(a, write); ok && dirty {
 		if !h.l2.Lookup(victim, true) {
 			h.llc.Lookup(victim, true)
@@ -455,7 +421,6 @@ type Snapshot struct {
 	accesses    uint64
 	dramReads   uint64
 	dramWrites  uint64
-	prefetches  uint64
 }
 
 // Snapshot deep-copies the hierarchy state.
@@ -467,7 +432,6 @@ func (h *Hierarchy) Snapshot() Snapshot {
 		accesses:   h.accesses,
 		dramReads:  h.dramReads,
 		dramWrites: h.dramWrites,
-		prefetches: h.prefetches,
 	}
 }
 
@@ -480,7 +444,6 @@ func (h *Hierarchy) Restore(s Snapshot) {
 	h.accesses = s.accesses
 	h.dramReads = s.dramReads
 	h.dramWrites = s.dramWrites
-	h.prefetches = s.prefetches
 }
 
 // Accesses returns the total number of accesses issued.
@@ -491,9 +454,6 @@ func (h *Hierarchy) DRAMReads() uint64 { return h.dramReads }
 
 // DRAMWrites returns the number of writebacks that reached DRAM.
 func (h *Hierarchy) DRAMWrites() uint64 { return h.dramWrites }
-
-// Prefetches returns next-line prefetch fills issued.
-func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
 
 // MPKI returns LLC misses per kilo-access (the paper selects SPEC
 // workloads by LLC MPKI, §6).

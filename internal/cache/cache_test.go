@@ -249,73 +249,3 @@ func TestInclusionInvariant(t *testing.T) {
 		t.Skip("no L1-resident lines sampled")
 	}
 }
-
-func TestNextLinePrefetch(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
-		L1:               Config{SizeBytes: 1 << 10, Ways: 2},
-		L2:               Config{SizeBytes: 4 << 10, Ways: 4},
-		LLCWayBytes:      4 << 10,
-		LLCWays:          4,
-		NextLinePrefetch: true,
-	})
-	r := h.Access(0x10000, false)
-	if len(r.Prefetched) != 1 || r.Prefetched[0] != 0x10040 {
-		t.Fatalf("Prefetched = %v", r.Prefetched)
-	}
-	if h.Prefetches() != 1 {
-		t.Errorf("Prefetches = %d", h.Prefetches())
-	}
-	if h.DRAMReads() != 2 { // demand + prefetch
-		t.Errorf("DRAMReads = %d", h.DRAMReads())
-	}
-	// The prefetched line is now LLC-resident: accessing it misses L1/L2
-	// but hits the LLC — no new DRAM read, and no new prefetch (the
-	// prefetcher fires only on demand misses).
-	r2 := h.Access(0x10040, false)
-	if r2.Level != HitLLC {
-		t.Errorf("prefetched line level = %v, want LLC", r2.Level)
-	}
-	if h.DRAMReads() != 2 {
-		t.Errorf("DRAMReads = %d, want 2", h.DRAMReads())
-	}
-}
-
-func TestPrefetchSkipsResidentLine(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
-		L1:               Config{SizeBytes: 1 << 10, Ways: 2},
-		L2:               Config{SizeBytes: 4 << 10, Ways: 4},
-		LLCWayBytes:      4 << 10,
-		LLCWays:          4,
-		NextLinePrefetch: true,
-	})
-	h.Access(0x20040, false) // brings 0x20040 (demand) and 0x20080 (prefetch)
-	before := h.Prefetches()
-	h.Access(0x20000, false) // next line 0x20040 is resident: no prefetch
-	if h.Prefetches() != before {
-		t.Error("prefetcher should skip resident lines")
-	}
-}
-
-func TestPrefetchReducesStreamingMissLatencyEvents(t *testing.T) {
-	run := func(pf bool) (demandMisses uint64) {
-		h := NewHierarchy(HierarchyConfig{
-			L1:               Config{SizeBytes: 1 << 10, Ways: 2},
-			L2:               Config{SizeBytes: 2 << 10, Ways: 2},
-			LLCWayBytes:      8 << 10,
-			LLCWays:          8,
-			NextLinePrefetch: pf,
-		})
-		var misses uint64
-		for i := 0; i < 4096; i++ {
-			if h.Access(mem.PhysAddr(i*64), false).Level == HitMemory {
-				misses++
-			}
-		}
-		return misses
-	}
-	with := run(true)
-	without := run(false)
-	if with*2 > without {
-		t.Errorf("streaming demand misses with prefetch (%d) should be ~half of without (%d)", with, without)
-	}
-}

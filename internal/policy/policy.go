@@ -89,13 +89,12 @@ func Register(s Spec) {
 // no-migration baseline) followed by every registered policy sorted by
 // name.
 func Names() []string {
-	out := make([]string, 0, len(specs)+1)
-	out = append(out, "none")
+	names := make([]string, 0, len(specs))
 	for name := range specs {
-		out = append(out, name)
+		names = append(names, name)
 	}
-	sort.Strings(out[1:])
-	return out
+	sort.Strings(names)
+	return append([]string{"none"}, names...)
 }
 
 // Lookup returns the Spec for a registered name.

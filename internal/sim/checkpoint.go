@@ -47,9 +47,9 @@ type Checkpoint struct {
 
 // Checkpoint captures the runner's state. It refuses runners whose state
 // extends beyond the engine's deep-clone reach: an installed daemon or
-// word remapper, attached miss sinks, the row-buffer DRAM model,
-// bandwidth queues, co-running cores, a metrics registry, or a generator
-// not built through the workload catalog.
+// word remapper, attached miss sinks, bandwidth queues, co-running cores,
+// a metrics registry, or a generator not built through the workload
+// catalog.
 // The intended protocol is: build a bare runner, warm it, checkpoint, then
 // install per-policy state on each fork.
 func (r *Runner) Checkpoint() (*Checkpoint, error) {
@@ -60,8 +60,6 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: cannot checkpoint a runner with a word remapper installed")
 	case len(r.sinks) > 0:
 		return nil, fmt.Errorf("sim: cannot checkpoint a runner with miss sinks attached")
-	case r.channels[0] != nil || r.channels[1] != nil:
-		return nil, fmt.Errorf("sim: cannot checkpoint a runner using the row-buffer DRAM model")
 	case r.queue != nil:
 		return nil, fmt.Errorf("sim: cannot checkpoint a runner with bandwidth queues")
 	case len(r.cores) > 1:

@@ -18,7 +18,7 @@ import (
 // Step executes exactly one access of this core and returns false when
 // its stream has ended. It is the per-access reference the batched
 // engine must match: the same machine written out without hoisting,
-// batching or the hit-latency table.
+// batching or the latency tables.
 func (r *Runner) Step() bool {
 	a, ok := r.gen.Next()
 	if !ok {
@@ -50,9 +50,11 @@ func (r *Runner) Step() bool {
 		if r.queue != nil {
 			r.clockNs += r.queue[node].serve(r.clockNs)
 		}
-		r.clockNs += r.dramReadLatency(node, tr.Phys)
 		if node == tiermem.NodeCXL {
+			r.clockNs += r.costs.CXLReadNs
 			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
+		} else {
+			r.clockNs += r.costs.DDRReadNs
 		}
 		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
 	}
@@ -67,14 +69,6 @@ func (r *Runner) Step() bool {
 			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
 		}
 		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
-	}
-	for _, pf := range res.Prefetched {
-		node := r.Sys.CountDRAMAccess(pf, false)
-		r.dramReads[node]++
-		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: pf})
-		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: pf})
 	}
 
 	if a.OpEnd {
@@ -164,8 +158,8 @@ func armM5(r *Runner) {
 // stepCases covers every path the batched loop hoists or guards: bare
 // runs, tick-driven daemons (M5/HPT), fault-hook daemons with inline
 // promotion (ANB), a kernel-charging miss sink that is also the daemon
-// (PEBS), op-latency streams (redis), the row-buffer DRAM model with
-// next-line prefetch, frequent context-switch flushes, and tape replay.
+// (PEBS), op-latency streams (redis), frequent context-switch flushes,
+// and tape replay.
 func stepCases() []stepCase {
 	return []stepCase{
 		{name: "bare", bench: "roms"},
@@ -181,12 +175,6 @@ func stepCases() []stepCase {
 				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
 				r.AttachMissSink(p)
 				r.SetDaemon(p)
-			}},
-		{name: "rowbuffer-prefetch", bench: "bfs",
-			cfg: func(c *Config) {
-				c.RowBuffer = true
-				c.Cache = NewScaledCache(1 << 24)
-				c.Cache.NextLinePrefetch = true
 			}},
 		{name: "ctx-short", bench: "cc", arm: armM5,
 			cfg: func(c *Config) { c.CtxSwitchPeriodNs = 60_000 }},
@@ -585,12 +573,6 @@ func TestCheckpointRefusesExternalState(t *testing.T) {
 		r.AttachMissSink(&countingSink{})
 		if _, err := r.Checkpoint(); err == nil {
 			t.Error("sink-carrying runner must refuse to checkpoint")
-		}
-	})
-	t.Run("row-buffer", func(t *testing.T) {
-		r := newRunner(t, "roms", Config{RowBuffer: true})
-		if _, err := r.Checkpoint(); err == nil {
-			t.Error("row-buffer runner must refuse to checkpoint")
 		}
 	})
 	t.Run("bandwidth", func(t *testing.T) {

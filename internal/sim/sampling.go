@@ -6,10 +6,10 @@
 // exactly as exact mode would — TLB fills and shootdowns, page-table
 // accessed/dirty bits, cache tag/LRU state, tier residency counters, CXL
 // device snoops (so PAC/WAC and the HPT/HWT trackers keep counting),
-// miss-sink observes, row-buffer state — but skip the per-access clock
-// arithmetic: the simulated clock advances once per batch at the current
-// estimate of mean ns/access, so daemon ticks and context-switch flushes
-// still fire at their simulated-time cadence.
+// miss-sink observes — but skip the per-access clock arithmetic: the
+// simulated clock advances once per batch at the current estimate of
+// mean ns/access, so daemon ticks and context-switch flushes still fire
+// at their simulated-time cadence.
 //
 // Detailed windows run the unmodified exact engine (the same stepBatch
 // path); each full window contributes one per-access-latency sample to a
@@ -453,8 +453,8 @@ func (r *Runner) stepSkip(max int) int {
 // neighbour batches (runThinnedSpan): every DRAM read/write, device snoop,
 // and sink observe is credited weight times, so traffic counters and
 // tracker counts stay unbiased in expectation. State transitions (cache
-// fills, row-buffer activations) happen once — repeating them would fake
-// locality that the skipped batches may not have had.
+// fills) happen once — repeating them would fake locality that the
+// skipped batches may not have had.
 //
 //m5:hotpath
 func (r *Runner) stepFunctional(max, weight int) int {
@@ -497,9 +497,6 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			}
 			r.Sys.Node(node).CountReads(uw)
 			r.dramReads[node] += uw
-			if ch := r.channels[node]; ch != nil {
-				ch.Access(pa) // keep row-buffer locality state warm
-			}
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: now, Addr: pa, Write: a.Write}
 				if node == tiermem.NodeCXL {
@@ -516,20 +513,6 @@ func (r *Runner) stepFunctional(max, weight int) int {
 			r.dramWrites[node] += uw
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: now, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.AccessN(scratch, uw)
-				}
-				if hasSinks {
-					r.sinks.ObserveN(scratch, uw)
-				}
-			}
-		}
-		for _, pf := range res.Prefetched {
-			node := r.Sys.CountDRAMAccess(pf, false)
-			r.Sys.Node(node).CountReads(uw - 1)
-			r.dramReads[node] += uw
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: now, Addr: pf}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.AccessN(scratch, uw)
 				}

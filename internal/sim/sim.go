@@ -19,7 +19,6 @@ import (
 
 	"m5/internal/cache"
 	"m5/internal/cxl"
-	"m5/internal/dram"
 	"m5/internal/mem"
 	"m5/internal/obs"
 	"m5/internal/stats"
@@ -58,11 +57,6 @@ type Config struct {
 	// DDRFraction sizes the DDR cgroup limit as a fraction of the
 	// workload footprint (the paper's 3GB over ~6-8GB ≈ 0.5). Default 0.5.
 	DDRFraction float64
-	// Cache configures the hierarchy; zero-value uses platform defaults.
-	// For scaled-down experiments pick a NewScaledCache.
-	Cache cache.HierarchyConfig
-	// Costs is the latency/cost model (default DefaultCosts).
-	Costs tiermem.CostModel
 	// HPT / HWT enable trackers on the CXL controller.
 	HPT *tracker.Config
 	HWT *tracker.Config
@@ -75,27 +69,15 @@ type Config struct {
 	// migrations move whole units. Requires a footprint of at least one
 	// huge page.
 	HugePages bool
-	// RowBuffer enables the DRAM row-buffer timing model (package dram):
-	// the fixed per-tier read latencies split into a link/controller part
-	// plus a row-hit/miss/conflict device part, so streaming traffic sees
-	// lower effective DRAM latency than scattered traffic — the Ramulator
-	// fidelity level of the paper's trace methodology.
-	RowBuffer bool
-	// TLBEntries sizes the core TLB. The default scales with the
-	// footprint, preserving the paper's TLB-coverage ratio (1536 entries
-	// over ~2M pages): a scaled-down instance gets a scaled-down TLB, so
-	// accessed bits keep flowing from TLB-miss page walks — the signal
-	// DAMON and MGLRU live on.
-	TLBEntries int
 	// CtxSwitchPeriodNs flushes the TLB periodically (context switches /
 	// timer ticks), the "architectural events" §2.1 cites as the passive
 	// invalidation path. Default 1ms of simulated time (a 1kHz tick).
 	CtxSwitchPeriodNs uint64
 	// Metrics, when non-nil, is the experiment's observability registry:
-	// the runner fans scoped children out to every layer ("cache",
-	// "dram.ddr", "dram.cxl", "cxl", "mem") and observes daemon-tick
-	// kernel time under "policy". Nil keeps every instrumented hot path at
-	// a single nil check (zero allocations, no counter work).
+	// the runner fans scoped children out to every layer ("cache", "cxl",
+	// "mem") and observes daemon-tick kernel time under "policy". Nil
+	// keeps every instrumented hot path at a single nil check (zero
+	// allocations, no counter work).
 	Metrics *obs.Registry
 	// Sampling selects the fidelity tier (see sampling.go): the
 	// zero value and "exact" keep the byte-identical engine; "sampled"
@@ -108,9 +90,9 @@ type Config struct {
 	// has a private cache hierarchy, TLB, clock and arena (allocated back
 	// to back on CXL after core 0's), and shares the tiers, the CXL
 	// controller, the miss sinks, the word remapper and the bandwidth
-	// queues; the daemon runs on core 0. DDRFraction and the default TLB
-	// size then apply to the total footprint. Run(n) advances every core
-	// n accesses. Sampling, HugePages and checkpoints need a single core.
+	// queues; the daemon runs on core 0. DDRFraction then applies to the
+	// total footprint. Run(n) advances every core n accesses. Sampling,
+	// HugePages and checkpoints need a single core.
 	CoRunning []workload.Generator
 	// Bandwidth queues DRAM traffic on per-tier bandwidth channels
 	// (ddrBandwidthGBs, cxlBandwidthGBs): a read miss waits for its tier's
@@ -140,9 +122,7 @@ type Runner struct {
 	base     tiermem.VPN
 	daemon   Daemon
 	remap    WordRemap
-	channels [2]*dram.Channel // nil unless RowBuffer is enabled
-	linkNs   [2]uint64        // link/controller latency above the device
-	sinks    trace.Tee        // observers of the full DRAM-access stream
+	sinks    trace.Tee // observers of the full DRAM-access stream
 	clockNs  uint64
 	nextTick uint64
 	opStart  uint64
@@ -150,7 +130,10 @@ type Runner struct {
 	costs    tiermem.CostModel
 	// latHit flattens the per-access hit-level switch: indexed by
 	// cache.HitL1..HitLLC (HitMemory takes the DRAM path instead).
-	latHit [4]uint64
+	// latRead is the DRAM read latency of each tier, indexed by
+	// tiermem.NodeID.
+	latHit  [4]uint64
+	latRead [2]uint64
 	// batch is the reusable access buffer every loop pulls the generator
 	// stream into; phys holds the functional tier's translated addresses
 	// for one batch (sampled runners only).
@@ -197,11 +180,11 @@ type Runner struct {
 	queue *[2]channel
 }
 
-// NewScaledCache returns a hierarchy config scaled for the MB-range
+// newScaledCache returns a hierarchy config scaled for the MB-range
 // footprints of the reproduction's workload instances: the cache must be
 // small relative to the footprint or no DRAM traffic survives filtering
 // (the paper's LLC-to-footprint ratio is ~16MB : 6-8GB).
-func NewScaledCache(footprintBytes uint64) cache.HierarchyConfig {
+func newScaledCache(footprintBytes uint64) cache.HierarchyConfig {
 	// Target an LLC of ~1/256 of the footprint, rounded down to a power
 	// of two (so sets divide evenly), clamped to [64KB, 8MB].
 	llc := uint64(64 << 10)
@@ -217,9 +200,11 @@ func NewScaledCache(footprintBytes uint64) cache.HierarchyConfig {
 	}
 }
 
-// NewRunner builds the machine for a workload: it sizes the tiers from the
-// footprint, allocates every page on CXL, and wires the controller's snoop
-// path. With co-running streams it builds one core per stream.
+// NewRunner builds the machine for a workload: it sizes the tiers, the
+// caches and the TLB from the footprint, allocates every page on CXL, and
+// wires the controller's snoop path, with the latencies of
+// tiermem.DefaultCosts. With co-running streams it builds one core per
+// stream.
 //
 //m5:plumb Config
 func NewRunner(cfg Config) (*Runner, error) {
@@ -228,9 +213,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.DDRFraction == 0 {
 		cfg.DDRFraction = 0.5
-	}
-	if cfg.Costs == (tiermem.CostModel{}) {
-		cfg.Costs = tiermem.DefaultCosts()
 	}
 	streams := append([]workload.Generator{cfg.Workload}, cfg.CoRunning...)
 	pages := make([]uint64, len(streams))
@@ -253,9 +235,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		pages[0] = uint64(nHuge) * mem.PagesPerHugePage
 		totalPages = pages[0]
-	}
-	if cfg.TLBEntries == 0 {
-		cfg.TLBEntries = scaledTLBEntries(totalPages / uint64(len(streams)))
 	}
 	if cfg.CtxSwitchPeriodNs == 0 {
 		cfg.CtxSwitchPeriodNs = 1_000_000
@@ -285,10 +264,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		CXLPages:      totalPages + 64,
 		DDRLimitPages: ddrLimit,
 		Cores:         len(streams),
-		TLBEntries:    cfg.TLBEntries,
-		Costs:         cfg.Costs,
+		TLBEntries:    scaledTLBEntries(totalPages / uint64(len(streams))),
 		Metrics:       cfg.Metrics.Scope("mem"),
 	})
+	costs := sys.Costs()
 	ctrl := cxl.NewController(cxl.ControllerConfig{
 		Span:      sys.CXLSpan(),
 		EnablePAC: cfg.EnablePAC,
@@ -303,20 +282,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			tiermem.NodeDDR: newChannel(ddrBandwidthGBs, cfg.Metrics.Scope("chan.ddr")),
 			tiermem.NodeCXL: newChannel(cxlBandwidthGBs, cfg.Metrics.Scope("chan.cxl")),
 		}
-	}
-	var channels [2]*dram.Channel
-	var linkNs [2]uint64
-	if cfg.RowBuffer {
-		ddr, cxlDev := dram.DDR5Host(), dram.DDR4Device()
-		ddr.Metrics = cfg.Metrics.Scope("dram.ddr")
-		cxlDev.Metrics = cfg.Metrics.Scope("dram.cxl")
-		channels[tiermem.NodeDDR] = dram.New(ddr)
-		channels[tiermem.NodeCXL] = dram.New(cxlDev)
-		// The fixed tier latency decomposes into link/controller time
-		// plus the device's row-miss case, keeping averages comparable
-		// with the flat model.
-		linkNs[tiermem.NodeDDR] = cfg.Costs.DDRReadNs - ddr.Timing.RowMissNs
-		linkNs[tiermem.NodeCXL] = cfg.Costs.CXLReadNs - cxlDev.Timing.RowMissNs
 	}
 	// Every core's private hierarchy folds into one shared "cache" scope:
 	// cores run one access at a time, so the shared counters stay
@@ -334,32 +299,27 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: allocating core %d arena: %w", i, err)
 		}
-		cacheCfg := cfg.Cache
-		if cacheCfg == (cache.HierarchyConfig{}) {
-			cacheCfg = NewScaledCache(gen.Footprint())
-		}
-		// Set after the zero-value check above, or a caller passing only a
-		// registry would dodge the scaled-cache default.
+		cacheCfg := newScaledCache(gen.Footprint())
 		cacheCfg.Metrics = cacheScope
 		c := &Runner{
-			Sys:      sys,
-			Ctrl:     ctrl,
-			Cache:    cache.NewHierarchy(cacheCfg),
-			gen:      gen,
-			base:     base,
-			channels: channels,
-			linkNs:   linkNs,
-			opLat:    stats.NewReservoir(1<<15, 17),
-			costs:    cfg.Costs,
-			batch:    make([]workload.Access, runnerBatch),
-			ctxNs:    cfg.CtxSwitchPeriodNs,
-			nextCtx:  cfg.CtxSwitchPeriodNs,
-			id:       i,
-			queue:    queue,
+			Sys:     sys,
+			Ctrl:    ctrl,
+			Cache:   cache.NewHierarchy(cacheCfg),
+			gen:     gen,
+			base:    base,
+			opLat:   stats.NewReservoir(1<<15, 17),
+			costs:   costs,
+			batch:   make([]workload.Access, runnerBatch),
+			ctxNs:   cfg.CtxSwitchPeriodNs,
+			nextCtx: cfg.CtxSwitchPeriodNs,
+			id:      i,
+			queue:   queue,
 		}
-		c.latHit[cache.HitL1] = cfg.Costs.L1HitNs
-		c.latHit[cache.HitL2] = cfg.Costs.L2HitNs
-		c.latHit[cache.HitLLC] = cfg.Costs.LLCHitNs
+		c.latHit[cache.HitL1] = costs.L1HitNs
+		c.latHit[cache.HitL2] = costs.L2HitNs
+		c.latHit[cache.HitLLC] = costs.LLCHitNs
+		c.latRead[tiermem.NodeDDR] = costs.DDRReadNs
+		c.latRead[tiermem.NodeCXL] = costs.CXLReadNs
 		cores[i] = c
 	}
 	r := cores[0]
@@ -384,29 +344,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// DRAMChannel returns the node's row-buffer channel (nil when the flat
-// latency model is in use).
-func (r *Runner) DRAMChannel(node tiermem.NodeID) *dram.Channel {
-	return r.channels[node]
-}
-
-// dramReadLatency returns the read latency for a DRAM access at the node.
-//
-//m5:hotpath
-func (r *Runner) dramReadLatency(node tiermem.NodeID, a mem.PhysAddr) uint64 {
-	if ch := r.channels[node]; ch != nil {
-		_, lat := ch.Access(a)
-		return r.linkNs[node] + lat
-	}
-	if node == tiermem.NodeCXL {
-		return r.costs.CXLReadNs
-	}
-	return r.costs.DDRReadNs
-}
-
 // scaledTLBEntries keeps TLB coverage proportional to the paper's
 // platform: 1536 entries for a multi-GB footprint, scaled down (but at
-// least 16 entries) for the reduced instances.
+// least 16 entries) for the reduced instances, so accessed bits keep
+// flowing from TLB-miss page walks — the signal DAMON and MGLRU live on.
 func scaledTLBEntries(footPages uint64) int {
 	n := footPages / 64
 	if n < 16 {
@@ -473,7 +414,8 @@ func (r *Runner) stepBatch(max int) int {
 // runBatch is the batched hot loop of one core. Loop-invariant state
 // (sink presence, remapper, daemon, context-switch period, arena base) is
 // hoisted into locals, while the core index and the bandwidth queues are
-// read where they are used; the hit-level switch is a table lookup; and
+// read where they are used; the hit-level and tier latencies are table
+// lookups; and
 // one trace.Access scratch value feeds both the CXL snoop path and the
 // miss-sink fan-out. The per-access reference in engine_test.go pins the
 // equivalence.
@@ -512,7 +454,7 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			if r.queue != nil {
 				r.clockNs += r.queue[node].serve(r.clockNs)
 			}
-			r.clockNs += r.dramReadLatency(node, tr.Phys)
+			r.clockNs += r.latRead[node]
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}
 				if node == tiermem.NodeCXL {
@@ -532,22 +474,6 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			}
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: wb, Write: true}
-				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
-				}
-			}
-		}
-		// Prefetch fills consume DRAM bandwidth and are visible to the CXL
-		// controller's counters — the hardware cannot tell demand from
-		// prefetch — but add no demand latency to the core.
-		for _, pf := range res.Prefetched {
-			node := r.Sys.CountDRAMAccess(pf, false)
-			r.dramReads[node]++
-			if node == tiermem.NodeCXL || hasSinks {
-				scratch = trace.Access{Time: r.clockNs, Addr: pf}
 				if node == tiermem.NodeCXL {
 					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
 				}
@@ -695,8 +621,8 @@ func (r *Runner) endSpan(span spanStart) Result {
 	}
 	for i, c := range r.cores {
 		res.ElapsedNs = max(res.ElapsedNs, c.clockNs-span.clockNs[i])
-		if c.opLat.Len() > 0 {
-			res.OpCount += uint64(c.opLat.Len())
+		if c.opLat.Seen() > 0 {
+			res.OpCount += c.opLat.Seen()
 			res.P50OpNs = max(res.P50OpNs, c.opLat.Percentile(50))
 			res.P99OpNs = max(res.P99OpNs, c.opLat.Percentile(99))
 		}

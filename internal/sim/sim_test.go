@@ -186,6 +186,57 @@ func TestPACSeesOnlyCXLTraffic(t *testing.T) {
 	}
 }
 
+// countOpEnds counts the operation ends among accesses [skip, skip+n) of
+// a fresh generator of bench at seed.
+func countOpEnds(t *testing.T, bench string, seed int64, skip, n int) uint64 {
+	t.Helper()
+	g := workload.MustNew(bench, workload.ScaleTiny, seed)
+	defer g.Close()
+	buf := make([]workload.Access, runnerBatch)
+	var ops uint64
+	for pos := 0; pos < skip+n; {
+		k := workload.NextBatch(g, buf[:min(len(buf), skip+n-pos)])
+		if k == 0 {
+			t.Fatalf("%s stream ended after %d accesses", bench, pos)
+		}
+		for i, a := range buf[:k] {
+			if a.OpEnd && pos+i >= skip {
+				ops++
+			}
+		}
+		pos += k
+	}
+	return ops
+}
+
+// TestOpCountCountsEveryOperation: OpCount is the number of operations
+// the span completed, not the op-latency reservoir's retained sample,
+// which stops at 32768 per core.
+func TestOpCountCountsEveryOperation(t *testing.T) {
+	const warmup, span = 100_000, 500_000
+	t.Run("single", func(t *testing.T) {
+		r := newRunner(t, "redis", Config{})
+		r.Run(warmup)
+		res := r.Run(span)
+		want := countOpEnds(t, "redis", 1, warmup, span)
+		if res.OpCount != want {
+			t.Errorf("OpCount = %d, want %d", res.OpCount, want)
+		}
+		if res.OpCount <= 1<<15 {
+			t.Errorf("OpCount = %d does not exceed the reservoir's 32768 samples", res.OpCount)
+		}
+	})
+	t.Run("co-running", func(t *testing.T) {
+		r, _ := buildCoRunner(t, coCase{bench: "redis", cores: 2}, nil)
+		r.Run(warmup)
+		res := r.Run(span)
+		want := countOpEnds(t, "redis", 1, warmup, span) + countOpEnds(t, "redis", 2, warmup, span)
+		if res.OpCount != want {
+			t.Errorf("OpCount = %d, want %d summed over both cores", res.OpCount, want)
+		}
+	})
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		wl := workload.MustNew("cc", workload.ScaleTiny, 7)
@@ -203,11 +254,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestScaledCacheClamps(t *testing.T) {
-	small := NewScaledCache(1 << 12)
+	small := newScaledCache(1 << 12)
 	if small.LLCWayBytes*small.LLCWays < 64<<10 {
 		t.Error("LLC should clamp up to 64KB")
 	}
-	huge := NewScaledCache(1 << 40)
+	huge := newScaledCache(1 << 40)
 	if huge.LLCWayBytes*huge.LLCWays > 8<<20 {
 		t.Error("LLC should clamp down to 8MB")
 	}
