@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"m5/internal/mem"
 	"m5/internal/obs"
@@ -26,53 +27,77 @@ type Config struct {
 	Ways int
 }
 
-// invalidTag marks an empty way. Real tags are line addresses
-// (byte address >> 6), which can never reach 2^64-1.
-const invalidTag = ^uint64(0)
+// maxWays is the widest level a set's recency word can order: 16 ranks
+// of one 4-bit way number each fill the 64-bit word.
+const maxWays = 16
+
+// nibbles has the low bit of every nibble set; the SWAR rank search
+// broadcasts a way number and subtracts with it.
+const nibbles = 0x1111111111111111
+
+// setState is one set's replacement and coherence state.
+type setState struct {
+	// order lists the set's ways by recency: nibble k holds the way at
+	// rank k, rank 0 the most recently used; nibbles above the top rank
+	// are don't-care. Every fill and hit moves its way to rank 0;
+	// invalidation leaves the order alone.
+	order uint64
+	dirty uint16 // bit w: way w holds a modified line
+	valid uint16 // bit w: way w holds a line
+}
 
 // Level is one set-associative cache level with true-LRU replacement.
-// Validity is folded into the tag array (invalidTag marks an empty way), so
-// the probe loop compares one word per way instead of a bool plus a word.
+// Victim choice is a word operation: a set with a free way fills its
+// lowest free way (the trailing zeros of the inverted valid mask), and a
+// full set evicts the way at the top rank of its recency word. Every way
+// of a full set has been filled, and every touch moved its way to rank
+// 0, so the top rank is the least recently used way.
 type Level struct {
 	sets    int
 	ways    int
 	setMask uint64 // sets-1 when sets is a power of two
 	setPow2 bool
-	tags    []uint64 // sets*ways; tag is the line address (addr >> 6)
-	// lru packs (stamp<<1 | dirty) per line: the dirty bit rides in the
-	// low bit of the LRU word so the fill and lookup paths never touch a
-	// third array. Stamps are unique per level, so ordering the packed
-	// words orders the stamps — victim choice is exactly the plain-stamp
-	// choice.
-	lru  []uint64
-	tick uint64
+	full    uint16 // valid mask of a full set
+	// top is the bit offset of the top rank's nibble, 4*(ways-1).
+	top uint
+	// tags holds sets*ways line addresses (addr >> 6); a tag counts only
+	// while its way's valid bit is set.
+	tags  []uint64
+	state []setState
 
 	hits   uint64
 	misses uint64
 }
 
 // NewLevel builds a cache level. Size and associativity must describe at
-// least one set of whole lines.
+// least one set of whole lines, with at most 16 ways.
 func NewLevel(cfg Config) *Level {
-	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.SizeBytes <= 0 {
+		panic(fmt.Sprintf("cache: invalid config %+v (ways must be 1..%d)", cfg, maxWays))
 	}
 	lines := cfg.SizeBytes / mem.WordSize
 	if lines%cfg.Ways != 0 || lines == 0 {
 		panic(fmt.Sprintf("cache: size %dB not divisible into %d-way sets", cfg.SizeBytes, cfg.Ways))
 	}
 	sets := lines / cfg.Ways
-	n := sets * cfg.Ways
 	l := &Level{
 		sets:    sets,
 		ways:    cfg.Ways,
 		setPow2: sets&(sets-1) == 0,
 		setMask: uint64(sets - 1),
-		tags:    make([]uint64, n),
-		lru:     make([]uint64, n),
+		full:    uint16(1<<cfg.Ways - 1),
+		top:     uint(4 * (cfg.Ways - 1)),
+		tags:    make([]uint64, sets*cfg.Ways),
+		state:   make([]setState, sets),
 	}
-	for i := range l.tags {
-		l.tags[i] = invalidTag
+	// Any permutation serves as the starting order: ways fill lowest
+	// first, and once a set is full every way has been touched.
+	var order uint64
+	for w := 0; w < cfg.Ways; w++ {
+		order |= uint64(w) << (4 * w)
+	}
+	for i := range l.state {
+		l.state[i].order = order
 	}
 	return l
 }
@@ -94,24 +119,41 @@ func (l *Level) set(line uint64) int {
 	return int(line % uint64(l.sets))
 }
 
+// touch moves way w to rank 0, and every way more recent than w one rank
+// older. XOR with w broadcast to every nibble zeroes w's nibble, and the
+// borrow trick marks the lowest zero nibble exactly (any false positive
+// sits above it), so the trailing zeros give w's rank.
+//
+//m5:hotpath
+func (s *setState) touch(w int) {
+	o := s.order
+	if o&0xF == uint64(w) {
+		return
+	}
+	x := o ^ uint64(w)*nibbles
+	at := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	below := uint64(1)<<at - 1
+	s.order = o&^(below<<4|0xF) | (o&below)<<4 | uint64(w)
+}
+
 // Lookup probes the level without filling. It returns whether the line is
-// present; a hit refreshes LRU state and merges the dirty bit.
+// present; a hit makes the line most recently used and merges the dirty
+// bit.
 //
 //m5:hotpath
 func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 	line := lineAddr(a)
-	base := l.set(line) * l.ways
+	set := l.set(line)
+	s := &l.state[set]
+	base := set * l.ways
 	// One bounds check on the subslice, none in the probe loop.
 	tags := l.tags[base : base+l.ways]
 	for w := range tags {
-		if tags[w] == line {
-			i := base + w
-			l.tick++
-			d := l.lru[i] & 1
+		if tags[w] == line && s.valid>>w&1 != 0 {
+			s.touch(w)
 			if write {
-				d = 1
+				s.dirty |= 1 << w
 			}
-			l.lru[i] = l.tick<<1 | d
 			l.hits++
 			return true
 		}
@@ -127,36 +169,28 @@ func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
 //m5:hotpath
 func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
 	line := lineAddr(a)
-	base := l.set(line) * l.ways
-	tags := l.tags[base : base+l.ways]
-	lru := l.lru[base : base+l.ways]
-	// One pass: stop at the first invalid way (preferred), tracking the
-	// minimum-LRU way as the eviction candidate along the way. LRU stamps
-	// are unique per level, so the minimum — and thus the victim — is the
-	// same one the two-pass scan picked.
-	pick, p := -1, 0
-	for w := range tags {
-		if tags[w] == invalidTag {
-			pick = base + w
-			break
-		}
-		if lru[w] < lru[p] {
-			p = w
-		}
-	}
-	if pick < 0 {
-		pick = base + p
-		victim = mem.PhysAddr(l.tags[pick] << mem.WordShift)
-		dirty = l.lru[pick]&1 != 0
+	set := l.set(line)
+	s := &l.state[set]
+	var w int
+	if free := l.full &^ s.valid; free != 0 {
+		w = bits.TrailingZeros16(free)
+		s.valid |= 1 << w
+		s.touch(w)
+	} else {
+		// The victim holds the top rank; moving it to rank 0 shifts
+		// every other way down one.
+		w = int(s.order >> l.top & 0xF)
+		s.order = s.order<<4 | uint64(w)
+		victim = mem.PhysAddr(l.tags[set*l.ways+w] << mem.WordShift)
+		dirty = s.dirty>>w&1 != 0
 		ok = true
 	}
-	l.tick++
-	var d uint64
+	l.tags[set*l.ways+w] = line
 	if write {
-		d = 1
+		s.dirty |= 1 << w
+	} else {
+		s.dirty &^= 1 << w
 	}
-	l.tags[pick] = line
-	l.lru[pick] = l.tick<<1 | d
 	return victim, dirty, ok
 }
 
@@ -166,12 +200,14 @@ func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok
 //m5:hotpath
 func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 	line := lineAddr(a)
-	base := l.set(line) * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.tags[i] == line {
-			l.tags[i] = invalidTag
-			return true, l.lru[i]&1 != 0
+	set := l.set(line)
+	s := &l.state[set]
+	base := set * l.ways
+	tags := l.tags[base : base+l.ways]
+	for w := range tags {
+		if tags[w] == line && s.valid>>w&1 != 0 {
+			s.valid &^= 1 << w
+			return true, s.dirty>>w&1 != 0
 		}
 	}
 	return false, false
@@ -180,8 +216,7 @@ func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 // LevelSnapshot is a deep copy of one cache level's state.
 type LevelSnapshot struct {
 	tags   []uint64
-	lru    []uint64
-	tick   uint64
+	state  []setState
 	hits   uint64
 	misses uint64
 }
@@ -190,8 +225,7 @@ type LevelSnapshot struct {
 func (l *Level) Snapshot() LevelSnapshot {
 	return LevelSnapshot{
 		tags:   append([]uint64(nil), l.tags...),
-		lru:    append([]uint64(nil), l.lru...),
-		tick:   l.tick,
+		state:  append([]setState(nil), l.state...),
 		hits:   l.hits,
 		misses: l.misses,
 	}
@@ -200,8 +234,7 @@ func (l *Level) Snapshot() LevelSnapshot {
 // Restore rewinds the level to a snapshot taken from a same-shape level.
 func (l *Level) Restore(s LevelSnapshot) {
 	copy(l.tags, s.tags)
-	copy(l.lru, s.lru)
-	l.tick = s.tick
+	copy(l.state, s.state)
 	l.hits = s.hits
 	l.misses = s.misses
 }

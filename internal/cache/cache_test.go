@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"m5/internal/mem"
@@ -89,12 +91,213 @@ func TestLevelInvalidate(t *testing.T) {
 }
 
 func TestLevelPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, tc := range []struct {
+		cfg  Config
+		want string // substring of the panic message
+	}{
+		{Config{SizeBytes: 0, Ways: 1}, "invalid config"},
+		{Config{SizeBytes: 64, Ways: 0}, "invalid config"},
+		// The recency word orders at most 16 ways.
+		{Config{SizeBytes: 17 * 64, Ways: 17}, "ways must be 1..16"},
+		{Config{SizeBytes: 3 * 64, Ways: 2}, "not divisible"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("NewLevel(%+v) panic = %q, want it to mention %q", tc.cfg, msg, tc.want)
+				}
+			}()
+			NewLevel(tc.cfg)
+		}()
+	}
+}
+
+// stampLevel is the stamp-based true-LRU level the packed recency words
+// replaced, kept as the oracle for Level: an empty way holds a sentinel
+// tag, each line keeps a (stamp<<1 | dirty) word stamped from a
+// per-level tick on every fill and hit, and a fill takes the first empty
+// way, else the minimum-stamp way.
+type stampLevel struct {
+	sets, ways   int
+	tags, lru    []uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+const stampInvalid = ^uint64(0)
+
+func newStampLevel(cfg Config) *stampLevel {
+	sets := cfg.SizeBytes / mem.WordSize / cfg.Ways
+	l := &stampLevel{sets: sets, ways: cfg.Ways,
+		tags: make([]uint64, sets*cfg.Ways), lru: make([]uint64, sets*cfg.Ways)}
+	for i := range l.tags {
+		l.tags[i] = stampInvalid
+	}
+	return l
+}
+
+func (l *stampLevel) base(a mem.PhysAddr) (uint64, int) {
+	line := uint64(a) >> mem.WordShift
+	return line, int(line%uint64(l.sets)) * l.ways
+}
+
+func (l *stampLevel) Lookup(a mem.PhysAddr, write bool) bool {
+	line, base := l.base(a)
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == line {
+			l.tick++
+			d := l.lru[i] & 1
+			if write {
+				d = 1
+			}
+			l.lru[i] = l.tick<<1 | d
+			l.hits++
+			return true
 		}
-	}()
-	NewLevel(Config{SizeBytes: 0, Ways: 1})
+	}
+	l.misses++
+	return false
+}
+
+func (l *stampLevel) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
+	line, base := l.base(a)
+	pick, p := -1, base
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == stampInvalid {
+			pick = i
+			break
+		}
+		if l.lru[i] < l.lru[p] {
+			p = i
+		}
+	}
+	if pick < 0 {
+		pick = p
+		victim = mem.PhysAddr(l.tags[pick] << mem.WordShift)
+		dirty = l.lru[pick]&1 != 0
+		ok = true
+	}
+	l.tick++
+	var d uint64
+	if write {
+		d = 1
+	}
+	l.tags[pick] = line
+	l.lru[pick] = l.tick<<1 | d
+	return victim, dirty, ok
+}
+
+func (l *stampLevel) Invalidate(a mem.PhysAddr) (present, dirty bool) {
+	line, base := l.base(a)
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == line {
+			l.tags[i] = stampInvalid
+			return true, l.lru[i]&1 != 0
+		}
+	}
+	return false, false
+}
+
+// levelOp is one step of a random Level stream; levelStep applies it and
+// renders every return value, so two levels agree exactly when their
+// renderings do.
+type levelOp struct {
+	kind  int // 0 Lookup, 1 Fill, 2 Invalidate, 3 Lookup then Fill on a miss
+	addr  mem.PhysAddr
+	write bool
+}
+
+type levelAPI interface {
+	Lookup(mem.PhysAddr, bool) bool
+	Fill(mem.PhysAddr, bool) (mem.PhysAddr, bool, bool)
+	Invalidate(mem.PhysAddr) (bool, bool)
+}
+
+func levelStep(l levelAPI, op levelOp) string {
+	switch op.kind {
+	case 0:
+		return fmt.Sprint("lookup ", l.Lookup(op.addr, op.write))
+	case 1:
+		v, d, ok := l.Fill(op.addr, op.write)
+		return fmt.Sprint("fill ", v, d, ok)
+	case 2:
+		p, d := l.Invalidate(op.addr)
+		return fmt.Sprint("inval ", p, d)
+	default:
+		if l.Lookup(op.addr, op.write) {
+			return "access hit"
+		}
+		v, d, ok := l.Fill(op.addr, op.write)
+		return fmt.Sprint("access fill ", v, d, ok)
+	}
+}
+
+func randomLevelOps(rng *rand.Rand, n, lines int) []levelOp {
+	ops := make([]levelOp, n)
+	for i := range ops {
+		k := rng.Intn(20)
+		kind := 3
+		switch {
+		case k < 3:
+			kind = 0
+		case k < 5:
+			kind = 1 // may duplicate a resident line; both levels must agree anyway
+		case k < 8:
+			kind = 2
+		}
+		ops[i] = levelOp{kind: kind, addr: mem.PhysAddr(rng.Intn(lines)) << mem.WordShift, write: rng.Intn(3) == 0}
+	}
+	return ops
+}
+
+// TestLevelMatchesStampOracle drives Level and the stamp-based oracle
+// with the same seeded Lookup/Fill/Invalidate streams, over every
+// associativity from direct-mapped to the 16-way limit and over
+// power-of-two and other set counts, and requires every return value and
+// the hit and miss counts to agree. It then checks that a Restore rewinds
+// Level exactly: a rerun from the snapshot repeats the first run.
+func TestLevelMatchesStampOracle(t *testing.T) {
+	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
+		for _, sets := range []int{1, 3, 4, 6, 16} {
+			cfg := Config{SizeBytes: sets * ways * mem.WordSize, Ways: ways}
+			t.Run(fmt.Sprintf("ways%d-sets%d", ways, sets), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(ways*100 + sets)))
+				// Three times the capacity: hits, conflict evictions and
+				// refills of invalidated ways all occur.
+				lines := 3 * sets * ways
+				got, want := NewLevel(cfg), newStampLevel(cfg)
+				for i, op := range randomLevelOps(rng, 20_000, lines) {
+					if g, w := levelStep(got, op), levelStep(want, op); g != w {
+						t.Fatalf("op %d %+v: Level %q, oracle %q", i, op, g, w)
+					}
+				}
+				if got.Hits() != want.hits || got.Misses() != want.misses {
+					t.Fatalf("hits/misses %d/%d, oracle %d/%d", got.Hits(), got.Misses(), want.hits, want.misses)
+				}
+
+				snap := got.Snapshot()
+				tail := randomLevelOps(rng, 5_000, lines)
+				first := make([]string, len(tail))
+				for i, op := range tail {
+					first[i] = levelStep(got, op)
+					if w := levelStep(want, op); first[i] != w {
+						t.Fatalf("tail op %d %+v: Level %q, oracle %q", i, op, first[i], w)
+					}
+				}
+				hits, misses := got.Hits(), got.Misses()
+				got.Restore(snap)
+				for i, op := range tail {
+					if g := levelStep(got, op); g != first[i] {
+						t.Fatalf("rerun op %d %+v: %q, first run %q", i, op, g, first[i])
+					}
+				}
+				if got.Hits() != hits || got.Misses() != misses {
+					t.Fatalf("rerun hits/misses %d/%d, first run %d/%d", got.Hits(), got.Misses(), hits, misses)
+				}
+			})
+		}
+	}
 }
 
 func TestHierarchyColdMissHitsMemory(t *testing.T) {

@@ -81,7 +81,7 @@ func (n *Node) FreeContig(head mem.PFN, count int) {
 // VPN (a multiple of 512 pages of fresh table space).
 func (s *System) AllocHuge(nHuge int, node NodeID) (VPN, error) {
 	nd := s.nodes[node]
-	first := s.pt.Extend(nHuge * mem.PagesPerHugePage)
+	first := s.extend(nHuge * mem.PagesPerHugePage)
 	for h := 0; h < nHuge; h++ {
 		headFrame, ok := nd.AllocContig(mem.PagesPerHugePage)
 		if !ok {

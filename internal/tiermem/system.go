@@ -149,7 +149,7 @@ func (s *System) Alloc(n int, node NodeID) (VPN, error) {
 	if nd.FreePages() < uint64(n) {
 		return 0, fmt.Errorf("%w: need %d pages on %v, have %d", ErrNoMemory, n, node, nd.FreePages())
 	}
-	first := s.pt.Extend(n)
+	first := s.extend(n)
 	for i := 0; i < n; i++ {
 		f, ok := nd.Alloc()
 		if !ok {
@@ -164,6 +164,16 @@ func (s *System) Alloc(n int, node NodeID) (VPN, error) {
 		}
 	}
 	return first, nil
+}
+
+// extend grows the page table by n entries, and every core's TLB index
+// with it, and returns the first new VPN.
+func (s *System) extend(n int) VPN {
+	first := s.pt.Extend(n)
+	for _, t := range s.tlbs {
+		t.reserve(s.pt.Len())
+	}
+	return first
 }
 
 // TranslateResult reports what one address translation cost.

@@ -2,6 +2,7 @@ package tiermem
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"m5/internal/mem"
@@ -455,6 +456,43 @@ func TestHotAccountingPathNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hot accounting path allocates %.1f allocs/op; want 0", allocs)
+	}
+}
+
+// TestTranslateZeroAllocs pins TranslateInto, the per-access
+// translation, to 0 allocs/op through TLB hits, misses with page walks,
+// clock evictions and context-switch flushes.
+func TestTranslateZeroAllocs(t *testing.T) {
+	const pages = 256
+	s := NewSystem(Config{DDRPages: 64, CXLPages: pages, Cores: 1, TLBEntries: 16})
+	base, err := s.Alloc(pages, NodeCXL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]VirtAddr, 4096)
+	for i := range addrs {
+		// 256 pages over 16 entries: mostly misses that evict, some hits.
+		addrs[i] = (base + VPN(rng.Intn(pages))).Addr() + VirtAddr(rng.Intn(mem.PageSize))
+	}
+	var res TranslateResult
+	i := 0
+	translate := func() {
+		s.TranslateInto(0, addrs[i%len(addrs)], i%4 == 0, &res)
+		if i%1000 == 999 {
+			s.TLB(0).Flush()
+		}
+		i++
+	}
+	for range addrs {
+		translate()
+	}
+	walks := s.Walks()
+	if allocs := testing.AllocsPerRun(10_000, translate); allocs != 0 {
+		t.Errorf("TranslateInto allocates %.1f allocs/op; want 0", allocs)
+	}
+	if s.Walks() == walks || s.TLB(0).Hits() == 0 {
+		t.Errorf("probe ran %d walks and %d hits; it must exercise both", s.Walks()-walks, s.TLB(0).Hits())
 	}
 }
 
