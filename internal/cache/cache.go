@@ -136,42 +136,43 @@ func (s *setState) touch(w int) {
 	s.order = o&^(below<<4|0xF) | (o&below)<<4 | uint64(w)
 }
 
-// Lookup probes the level without filling. It returns whether the line is
-// present; a hit makes the line most recently used and merges the dirty
-// bit.
+// probe returns the way of set that holds line, or -1, without touching
+// the set or the counters.
 //
 //m5:hotpath
-func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
-	line := lineAddr(a)
-	set := l.set(line)
-	s := &l.state[set]
+func (l *Level) probe(line uint64, set int) int {
+	valid := l.state[set].valid
 	base := set * l.ways
 	// One bounds check on the subslice, none in the probe loop.
 	tags := l.tags[base : base+l.ways]
 	for w := range tags {
-		if tags[w] == line && s.valid>>w&1 != 0 {
-			s.touch(w)
-			if write {
-				s.dirty |= 1 << w
-			}
-			l.hits++
-			return true
+		if tags[w] == line && valid>>w&1 != 0 {
+			return w
 		}
 	}
-	l.misses++
-	return false
+	return -1
 }
 
-// Fill inserts the line, evicting the LRU way if needed. It returns the
-// evicted line's first byte address and whether the victim was dirty;
-// ok=false when no valid line was evicted.
+// hit counts a hit on way w of set: the way becomes most recently used
+// and a write dirties it.
 //
 //m5:hotpath
-func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
-	line := lineAddr(a)
-	set := l.set(line)
+func (l *Level) hit(set, w int, write bool) {
 	s := &l.state[set]
-	var w int
+	s.touch(w)
+	if write {
+		s.dirty |= 1 << w
+	}
+	l.hits++
+}
+
+// fill puts line into set and returns the way it took: the lowest free
+// way, else the least recently used one, whose line it returns as victim
+// with evicted set. dirty reports whether the victim was modified.
+//
+//m5:hotpath
+func (l *Level) fill(line uint64, set int, write bool) (w int, victim uint64, evicted, dirty bool) {
+	s := &l.state[set]
 	if free := l.full &^ s.valid; free != 0 {
 		w = bits.TrailingZeros16(free)
 		s.valid |= 1 << w
@@ -181,34 +182,65 @@ func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok
 		// every other way down one.
 		w = int(s.order >> l.top & 0xF)
 		s.order = s.order<<4 | uint64(w)
-		victim = mem.PhysAddr(l.tags[set*l.ways+w] << mem.WordShift)
+		evicted = true
 		dirty = s.dirty>>w&1 != 0
-		ok = true
 	}
-	l.tags[set*l.ways+w] = line
+	i := set*l.ways + w
+	victim, l.tags[i] = l.tags[i], line
 	if write {
 		s.dirty |= 1 << w
 	} else {
 		s.dirty &^= 1 << w
 	}
-	return victim, dirty, ok
+	return w, victim, evicted, dirty
+}
+
+// drop invalidates way w of set and reports whether its line was dirty.
+// The way keeps its rank.
+//
+//m5:hotpath
+func (l *Level) drop(set, w int) (dirty bool) {
+	s := &l.state[set]
+	s.valid &^= 1 << w
+	return s.dirty>>w&1 != 0
+}
+
+// Lookup probes the level without filling. It returns whether the line is
+// present; a hit makes the line most recently used and merges the dirty
+// bit.
+//
+//m5:hotpath
+func (l *Level) Lookup(a mem.PhysAddr, write bool) bool {
+	line := lineAddr(a)
+	set := l.set(line)
+	if w := l.probe(line, set); w >= 0 {
+		l.hit(set, w, write)
+		return true
+	}
+	l.misses++
+	return false
+}
+
+// Fill inserts the line, evicting the LRU way if needed. It returns the
+// evicted line's first byte address and whether the victim was dirty;
+// ok=false when no valid line was evicted. It is for standalone levels:
+// a Hierarchy's directory would not see the change (see Hierarchy.L1).
+func (l *Level) Fill(a mem.PhysAddr, write bool) (victim mem.PhysAddr, dirty, ok bool) {
+	line := lineAddr(a)
+	_, v, ok, dirty := l.fill(line, l.set(line), write)
+	if !ok {
+		return 0, false, false
+	}
+	return mem.PhysAddr(v << mem.WordShift), dirty, true
 }
 
 // Invalidate removes the line if present, returning whether it was present
-// and dirty. Used to keep inner levels coherent with LLC evictions.
-//
-//m5:hotpath
+// and dirty. Like Fill, it is for standalone levels.
 func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 	line := lineAddr(a)
 	set := l.set(line)
-	s := &l.state[set]
-	base := set * l.ways
-	tags := l.tags[base : base+l.ways]
-	for w := range tags {
-		if tags[w] == line && s.valid>>w&1 != 0 {
-			s.valid &^= 1 << w
-			return true, s.dirty>>w&1 != 0
-		}
+	if w := l.probe(line, set); w >= 0 {
+		return true, l.drop(set, w)
 	}
 	return false, false
 }
@@ -325,11 +357,27 @@ func (c HierarchyConfig) withDefaults() HierarchyConfig {
 }
 
 // Hierarchy is the three-level inclusive cache model.
+//
+// Inclusion makes the LLC the hierarchy's directory: every L1 and L2
+// line is also in the LLC, because an LLC eviction back-invalidates
+// both inner levels. So each LLC slot records which L1 and L2 slot hold
+// its line, and each L1 and L2 slot records its line's LLC slot. An L1
+// miss is then one LLC probe, which also says whether the L2 holds the
+// line, and back-invalidation, dirty-victim writeback and the L2 or LLC
+// touch of an inner victim are slot operations rather than tag scans.
+// The directory is derived from the levels' tags and valid masks, but
+// snapshots carry it, so a fork copies it instead of re-deriving it.
 type Hierarchy struct {
 	l1, l2, llc *Level
-	accesses    uint64
-	dramReads   uint64
-	dramWrites  uint64
+	// dir has one entry per LLC slot (set*ways + way): the L1 and L2
+	// slots holding the same line, or -1.
+	dir []dirEntry
+	// up1 and up2 have one entry per L1 and L2 slot: the LLC slot of
+	// the line there. An entry counts only while its way is valid.
+	up1, up2   []int32
+	accesses   uint64
+	dramReads  uint64
+	dramWrites uint64
 	// wbScratch backs Result.Writeback so the per-access hot path
 	// performs zero heap allocations; each Access call invalidates the
 	// slice returned by the previous one.
@@ -345,6 +393,16 @@ type Hierarchy struct {
 	obsWritebacks *obs.Counter
 }
 
+// A slot code names one way of one level as set<<4 | way; levels have at
+// most 16 ways, so it decodes with a shift and a mask.
+//
+//m5:hotpath
+func slotCode(set, w int) int32 { return int32(set<<4 | w) }
+
+// dirEntry is the directory state of one LLC slot: the slot codes of the
+// L1 and L2 ways holding its line, or -1.
+type dirEntry struct{ l1, l2 int32 }
+
 // NewHierarchy builds the hierarchy, applying platform defaults for zero
 // fields.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
@@ -358,6 +416,12 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		}),
 		wbScratch: make([]mem.PhysAddr, 0, 4),
 	}
+	h.dir = make([]dirEntry, len(h.llc.tags))
+	for i := range h.dir {
+		h.dir[i] = dirEntry{l1: -1, l2: -1}
+	}
+	h.up1 = make([]int32, len(h.l1.tags))
+	h.up2 = make([]int32, len(h.l2.tags))
 	h.obsL1Hits = cfg.Metrics.Counter("l1_hits")
 	h.obsL2Hits = cfg.Metrics.Counter("l2_hits")
 	h.obsLLCHits = cfg.Metrics.Counter("llc_hits")
@@ -379,78 +443,144 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 //m5:hotpath
 func (h *Hierarchy) Access(a mem.PhysAddr, write bool) *Result {
 	h.accesses++
-	if h.l1.Lookup(a, write) {
-		h.obsL1Hits.Inc()
-		h.res = Result{Level: HitL1}
-		return &h.res
+	line := lineAddr(a)
+	// The L1 probe is Level.Lookup, written out.
+	l1 := h.l1
+	set := l1.set(line)
+	s := &l1.state[set]
+	base := set * l1.ways
+	tags := l1.tags[base : base+l1.ways]
+	for w := range tags {
+		if tags[w] == line && s.valid>>w&1 != 0 {
+			s.touch(w)
+			if write {
+				s.dirty |= 1 << w
+			}
+			l1.hits++
+			h.obsL1Hits.Inc()
+			h.res = Result{Level: HitL1}
+			return &h.res
+		}
 	}
-	if h.l2.Lookup(a, write) {
-		h.obsL2Hits.Inc()
-		h.fillL1(a, write)
-		h.res = Result{Level: HitL2}
-		return &h.res
-	}
-	if h.llc.Lookup(a, write) {
+	l1.misses++
+	return h.miss(line, write)
+}
+
+// miss serves an L1 miss. One LLC probe decides the rest: a line the LLC
+// lacks misses in L2 too, and the probed slot's directory entry says
+// whether L2 holds it.
+//
+//m5:hotpath
+func (h *Hierarchy) miss(line uint64, write bool) *Result {
+	llc := h.llc
+	set := llc.set(line)
+	w := llc.probe(line, set)
+	if w >= 0 {
+		slot, up := set*llc.ways+w, slotCode(set, w)
+		if c := h.dir[slot].l2; c >= 0 {
+			h.l2.hit(int(c>>4), int(c&0xF), write)
+			h.obsL2Hits.Inc()
+			h.fillL1(line, slot, up, write)
+			h.res = Result{Level: HitL2}
+			return &h.res
+		}
+		h.l2.misses++
+		llc.hit(set, w, write)
 		h.obsLLCHits.Inc()
-		wb := h.fillL2(a, write, h.wbScratch[:0])
-		h.fillL1(a, write)
-		h.wbScratch = wb[:0]
-		h.res = Result{Level: HitLLC, Writeback: wb}
+		h.fillL2(line, slot, up, write)
+		h.fillL1(line, slot, up, write)
+		h.res = Result{Level: HitLLC}
 		return &h.res
 	}
+	h.l2.misses++
+	llc.misses++
 	// LLC miss: read fill from DRAM (write-allocate), possible writeback.
 	h.dramReads++
 	h.obsDramReads.Inc()
 	wb := h.wbScratch[:0]
-	if victim, dirty, ok := h.llc.Fill(a, write); ok {
+	w, victim, evicted, dirty := llc.fill(line, set, write)
+	slot, up := set*llc.ways+w, slotCode(set, w)
+	d := &h.dir[slot]
+	if evicted {
 		// Inclusive hierarchy: back-invalidate inner levels.
-		_, d1 := h.l1.Invalidate(victim)
-		_, d2 := h.l2.Invalidate(victim)
-		if dirty || d1 || d2 {
+		if c := d.l1; c >= 0 && h.l1.drop(int(c>>4), int(c&0xF)) {
+			dirty = true
+		}
+		if c := d.l2; c >= 0 && h.l2.drop(int(c>>4), int(c&0xF)) {
+			dirty = true
+		}
+		if dirty {
 			h.dramWrites++
 			h.obsWritebacks.Inc()
-			wb = append(wb, victim)
+			wb = append(wb, mem.PhysAddr(victim<<mem.WordShift))
 		}
 	}
-	wb = h.fillL2(a, write, wb)
-	h.fillL1(a, write)
+	*d = dirEntry{l1: -1, l2: -1}
+	h.fillL2(line, slot, up, write)
+	h.fillL1(line, slot, up, write)
 	h.wbScratch = wb[:0]
 	h.res = Result{Level: HitMemory, Fill: true, Writeback: wb}
 	return &h.res
 }
 
-// fillL2 fills L2; a dirty victim is flushed to the LLC (not DRAM).
+// fillL2 fills L2 with the line the LLC holds at directory index slot,
+// whose slot code is up. A dirty victim is written back into its own LLC
+// slot, which inclusion guarantees still holds it.
 //
 //m5:hotpath
-func (h *Hierarchy) fillL2(a mem.PhysAddr, write bool, wb []mem.PhysAddr) []mem.PhysAddr {
-	if victim, dirty, ok := h.l2.Fill(a, write); ok && dirty {
-		// Victim writes back into the LLC if resident there; inclusive
-		// design means it is, so just mark it dirty via a write lookup.
-		if !h.llc.Lookup(victim, true) {
-			// Non-resident (edge case after back-invalidation): write
-			// straight to DRAM.
-			h.dramWrites++
-			h.obsWritebacks.Inc()
-			wb = append(wb, victim)
+func (h *Hierarchy) fillL2(line uint64, slot int, up int32, write bool) {
+	l2 := h.l2
+	set := l2.set(line)
+	w, _, evicted, dirty := l2.fill(line, set, write)
+	i := set*l2.ways + w
+	if evicted {
+		v := h.up2[i]
+		vs, vw := int(v>>4), int(v&0xF)
+		h.dir[vs*h.llc.ways+vw].l2 = -1
+		if dirty {
+			h.llc.hit(vs, vw, true)
 		}
 	}
-	return wb
+	h.up2[i] = up
+	h.dir[slot].l2 = slotCode(set, w)
 }
 
+// fillL1 fills L1 with the line the LLC holds at directory index slot,
+// whose slot code is up. A dirty victim is written back into L2 when L2
+// holds it, else into its LLC slot.
+//
 //m5:hotpath
-func (h *Hierarchy) fillL1(a mem.PhysAddr, write bool) {
-	if victim, dirty, ok := h.l1.Fill(a, write); ok && dirty {
-		if !h.l2.Lookup(victim, true) {
-			h.llc.Lookup(victim, true)
+func (h *Hierarchy) fillL1(line uint64, slot int, up int32, write bool) {
+	l1 := h.l1
+	set := l1.set(line)
+	w, _, evicted, dirty := l1.fill(line, set, write)
+	i := set*l1.ways + w
+	if evicted {
+		v := h.up1[i]
+		vs, vw := int(v>>4), int(v&0xF)
+		d := &h.dir[vs*h.llc.ways+vw]
+		d.l1 = -1
+		if dirty {
+			if c := d.l2; c >= 0 {
+				h.l2.hit(int(c>>4), int(c&0xF), true)
+			} else {
+				h.l2.misses++
+				h.llc.hit(vs, vw, true)
+			}
 		}
 	}
+	h.up1[i] = up
+	h.dir[slot].l1 = slotCode(set, w)
 }
 
-// Snapshot is a deep copy of the hierarchy's state, for forking warmed
-// simulator checkpoints. Observability counters are not part of the
-// snapshot (checkpoints are only taken from metrics-free runners).
+// Snapshot is a deep copy of the hierarchy's state, directory included,
+// for forking warmed simulator checkpoints. Observability counters are
+// not part of the snapshot (checkpoints are only taken from metrics-free
+// runners).
 type Snapshot struct {
 	l1, l2, llc LevelSnapshot
+	dir         []dirEntry
+	up1, up2    []int32
 	accesses    uint64
 	dramReads   uint64
 	dramWrites  uint64
@@ -462,6 +592,9 @@ func (h *Hierarchy) Snapshot() Snapshot {
 		l1:         h.l1.Snapshot(),
 		l2:         h.l2.Snapshot(),
 		llc:        h.llc.Snapshot(),
+		dir:        append([]dirEntry(nil), h.dir...),
+		up1:        append([]int32(nil), h.up1...),
+		up2:        append([]int32(nil), h.up2...),
 		accesses:   h.accesses,
 		dramReads:  h.dramReads,
 		dramWrites: h.dramWrites,
@@ -474,6 +607,9 @@ func (h *Hierarchy) Restore(s Snapshot) {
 	h.l1.Restore(s.l1)
 	h.l2.Restore(s.l2)
 	h.llc.Restore(s.llc)
+	copy(h.dir, s.dir)
+	copy(h.up1, s.up1)
+	copy(h.up2, s.up2)
 	h.accesses = s.accesses
 	h.dramReads = s.dramReads
 	h.dramWrites = s.dramWrites
@@ -497,11 +633,13 @@ func (h *Hierarchy) MPKI() float64 {
 	return float64(h.dramReads) / float64(h.accesses) * 1000 //m5:floatok report-side MPKI derivation from integer counters
 }
 
-// L1 returns the L1 level (for stats).
+// L1 returns the L1 level, a view for stats. Callers may Lookup through
+// it but must not Fill or Invalidate: the hierarchy's directory tracks
+// which lines each level holds, and only Access keeps it in step.
 func (h *Hierarchy) L1() *Level { return h.l1 }
 
-// L2 returns the L2 level (for stats).
+// L2 returns the L2 level, a view for stats under the same rule as L1.
 func (h *Hierarchy) L2() *Level { return h.l2 }
 
-// LLC returns the LLC level (for stats).
+// LLC returns the LLC level, a view for stats under the same rule as L1.
 func (h *Hierarchy) LLC() *Level { return h.llc }

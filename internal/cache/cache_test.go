@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -450,5 +451,249 @@ func TestInclusionInvariant(t *testing.T) {
 	}
 	if hitsL1 == 0 {
 		t.Skip("no L1-resident lines sampled")
+	}
+}
+
+// probeHierarchy is the tag-scanning hierarchy the LLC directory
+// replaced, kept as the oracle for Hierarchy: an L1 miss probes L2 and
+// then the LLC, an LLC eviction back-invalidates L1 and L2 by tag, and a
+// dirty inner victim is written back through tag lookups.
+type probeHierarchy struct {
+	l1, l2, llc                    *Level
+	accesses, dramReads, dramWrite uint64
+}
+
+func newProbeHierarchy(cfg HierarchyConfig) *probeHierarchy {
+	cfg = cfg.withDefaults()
+	return &probeHierarchy{
+		l1:  NewLevel(cfg.L1),
+		l2:  NewLevel(cfg.L2),
+		llc: NewLevel(Config{SizeBytes: cfg.LLCWayBytes * cfg.LLCWays, Ways: cfg.LLCWays}),
+	}
+}
+
+func (h *probeHierarchy) Access(a mem.PhysAddr, write bool) Result {
+	h.accesses++
+	if h.l1.Lookup(a, write) {
+		return Result{Level: HitL1}
+	}
+	if h.l2.Lookup(a, write) {
+		h.fillL1(a, write)
+		return Result{Level: HitL2}
+	}
+	if h.llc.Lookup(a, write) {
+		wb := h.fillL2(a, write, nil)
+		h.fillL1(a, write)
+		return Result{Level: HitLLC, Writeback: wb}
+	}
+	h.dramReads++
+	var wb []mem.PhysAddr
+	if victim, dirty, ok := h.llc.Fill(a, write); ok {
+		_, d1 := h.l1.Invalidate(victim)
+		_, d2 := h.l2.Invalidate(victim)
+		if dirty || d1 || d2 {
+			h.dramWrite++
+			wb = append(wb, victim)
+		}
+	}
+	wb = h.fillL2(a, write, wb)
+	h.fillL1(a, write)
+	return Result{Level: HitMemory, Fill: true, Writeback: wb}
+}
+
+func (h *probeHierarchy) fillL2(a mem.PhysAddr, write bool, wb []mem.PhysAddr) []mem.PhysAddr {
+	if victim, dirty, ok := h.l2.Fill(a, write); ok && dirty {
+		if !h.llc.Lookup(victim, true) {
+			h.dramWrite++
+			wb = append(wb, victim)
+		}
+	}
+	return wb
+}
+
+func (h *probeHierarchy) fillL1(a mem.PhysAddr, write bool) {
+	if victim, dirty, ok := h.l1.Fill(a, write); ok && dirty {
+		if !h.l2.Lookup(victim, true) {
+			h.llc.Lookup(victim, true)
+		}
+	}
+}
+
+// hierOp is one access of a seeded stream.
+type hierOp struct {
+	addr  mem.PhysAddr
+	write bool
+}
+
+// hierStream draws n accesses over span stream lines: uniform,
+// Zipf-skewed, or a sequential sweep with one access in eight to a random
+// line. Stream line x maps to cache line x%window + x/window*sets, so the
+// stream covers window of an LLC's sets and every line of it conflicts
+// in them. About one access in four writes, and addresses fall anywhere
+// in their line.
+func hierStream(kind string, rng *rand.Rand, n, span, window, sets int) []hierOp {
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(span-1))
+	ops := make([]hierOp, n)
+	for i := range ops {
+		var x int
+		switch kind {
+		case "uniform":
+			x = rng.Intn(span)
+		case "skewed":
+			x = int(zipf.Uint64())
+		default:
+			x = i % span
+			if rng.Intn(8) == 0 {
+				x = rng.Intn(span)
+			}
+		}
+		line := x%window + x/window*sets
+		ops[i] = hierOp{
+			addr:  mem.PhysAddr(line)<<mem.WordShift | mem.PhysAddr(rng.Intn(mem.WordSize)),
+			write: rng.Intn(4) == 0,
+		}
+	}
+	return ops
+}
+
+// renderResult renders everything a Result reports; the Writeback slice
+// is compared by contents, not by identity or capacity.
+func renderResult(r Result) string {
+	return fmt.Sprint(r.Level, r.Fill, r.Writeback)
+}
+
+// hierState is the hierarchy's counters and its three levels.
+type hierState struct {
+	accesses, reads, writes uint64
+	levels                  [3]*Level
+}
+
+func (h *Hierarchy) state() hierState {
+	return hierState{h.accesses, h.dramReads, h.dramWrites, [3]*Level{h.l1, h.l2, h.llc}}
+}
+
+func (h *probeHierarchy) state() hierState {
+	return hierState{h.accesses, h.dramReads, h.dramWrite, [3]*Level{h.l1, h.l2, h.llc}}
+}
+
+// diffState names the first difference between two hierarchy states: a
+// counter, a level's hit or miss count, or a level's tags or set state.
+func diffState(a, b hierState) string {
+	if a.accesses != b.accesses || a.reads != b.reads || a.writes != b.writes {
+		return fmt.Sprintf("accesses/DRAM reads/writes %d/%d/%d vs %d/%d/%d",
+			a.accesses, a.reads, a.writes, b.accesses, b.reads, b.writes)
+	}
+	for i := range a.levels {
+		x, y := a.levels[i], b.levels[i]
+		switch {
+		case x.hits != y.hits || x.misses != y.misses:
+			return fmt.Sprintf("level %d hits/misses %d/%d vs %d/%d", i+1, x.hits, x.misses, y.hits, y.misses)
+		case !slices.Equal(x.tags, y.tags):
+			return fmt.Sprintf("level %d tags differ", i+1)
+		case !slices.Equal(x.state, y.state):
+			return fmt.Sprintf("level %d set state differs", i+1)
+		}
+	}
+	return ""
+}
+
+// snapState deep-copies a state so a later run cannot change it.
+func snapState(s hierState) hierState {
+	for i, l := range s.levels {
+		c := *l
+		c.tags, c.state = slices.Clone(l.tags), slices.Clone(l.state)
+		s.levels[i] = &c
+	}
+	return s
+}
+
+// runBoth drives both hierarchies with ops and fails at the first Result
+// that differs; it returns the directory hierarchy's rendered Results.
+func runBoth(t *testing.T, got *Hierarchy, want *probeHierarchy, ops []hierOp) []string {
+	t.Helper()
+	out := make([]string, len(ops))
+	for i, op := range ops {
+		g, w := renderResult(*got.Access(op.addr, op.write)), renderResult(want.Access(op.addr, op.write))
+		if g != w {
+			t.Fatalf("access %d %+v: directory %s, probe oracle %s", i, op, g, w)
+		}
+		out[i] = g
+	}
+	if d := diffState(got.state(), want.state()); d != "" {
+		t.Fatalf("after %d accesses, directory vs probe oracle: %s", len(ops), d)
+	}
+	return out
+}
+
+// rerun replays ops on h and fails unless every Result matches first.
+func rerun(t *testing.T, what string, h *Hierarchy, ops []hierOp, first []string) {
+	t.Helper()
+	for i, op := range ops {
+		if g := renderResult(*h.Access(op.addr, op.write)); g != first[i] {
+			t.Fatalf("%s: access %d %+v: %s, first run %s", what, i, op, g, first[i])
+		}
+	}
+}
+
+// TestHierarchyMatchesProbeOracle drives the directory Hierarchy and the
+// tag-scanning oracle with the same seeded read/write streams over several
+// geometries, and requires every Result, the access and DRAM counters,
+// each level's hit and miss counts and each level's tags and recency state
+// to agree. It then checks that Restore rewinds the directory with the
+// levels: from one snapshot, a tail rerun on the same hierarchy and on a
+// fresh one both repeat the tail's first run, which the oracle checked.
+func TestHierarchyMatchesProbeOracle(t *testing.T) {
+	geoms := []struct {
+		name string
+		cfg  HierarchyConfig
+	}{
+		// The geometry every runner builds at tiny scale.
+		{"tiny-scaled", HierarchyConfig{
+			L1: Config{SizeBytes: 8 << 10, Ways: 2}, L2: Config{SizeBytes: 8 << 10, Ways: 4},
+			LLCWayBytes: 8 << 10, LLCWays: 8}},
+		{"platform-defaults", HierarchyConfig{}},
+		{"one-way", HierarchyConfig{
+			L1: Config{SizeBytes: 1 << 10, Ways: 1}, L2: Config{SizeBytes: 2 << 10, Ways: 1},
+			LLCWayBytes: 8 << 10, LLCWays: 1}},
+		// 3-, 5- and 7-set levels take the modulo set index.
+		{"non-pow2-sets", HierarchyConfig{
+			L1: Config{SizeBytes: 3 * 2 * 64, Ways: 2}, L2: Config{SizeBytes: 5 * 3 * 64, Ways: 3},
+			LLCWayBytes: 7 * 64, LLCWays: 6}},
+		{"llc-16-way", HierarchyConfig{
+			L1: Config{SizeBytes: 1 << 10, Ways: 4}, L2: Config{SizeBytes: 4 << 10, Ways: 8},
+			LLCWayBytes: 2 << 10, LLCWays: 16}},
+	}
+	for gi, g := range geoms {
+		llc := NewHierarchy(g.cfg).llc
+		// The streams cover at most 512 LLC sets, with four times the
+		// lines those sets hold, so every level evicts within 40k
+		// accesses even at the platform's 65536-set LLC.
+		window := min(llc.sets, 512)
+		span := 4 * window * llc.ways
+		n := max(40_000, 2*span)
+		for si, kind := range []string{"uniform", "skewed", "streaming"} {
+			t.Run(g.name+"/"+kind, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(gi*10 + si + 1)))
+				got, want := NewHierarchy(g.cfg), newProbeHierarchy(g.cfg)
+				runBoth(t, got, want, hierStream(kind, rng, n, span, window, llc.sets))
+
+				snap := got.Snapshot()
+				tail := hierStream(kind, rng, n/4, span, window, llc.sets)
+				first := runBoth(t, got, want, tail)
+				end := snapState(got.state())
+
+				got.Restore(snap)
+				rerun(t, "restored into the same hierarchy", got, tail, first)
+				if d := diffState(got.state(), end); d != "" {
+					t.Fatalf("same-hierarchy rerun ends in a different state: %s", d)
+				}
+				fresh := NewHierarchy(g.cfg)
+				fresh.Restore(snap)
+				rerun(t, "restored into a fresh hierarchy", fresh, tail, first)
+				if d := diffState(fresh.state(), end); d != "" {
+					t.Fatalf("fresh-hierarchy rerun ends in a different state: %s", d)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -308,10 +309,47 @@ func paramsView(p experiments.Params) paramsView_ {
 // query-wide Params patch, and an optional grid of per-cell patches
 // (empty grid = one cell). DeadlineMS bounds the whole query.
 type SweepRequest struct {
-	Harness    string        `json:"harness"`
-	Params     *ParamsPatch  `json:"params,omitempty"`
-	Grid       []ParamsPatch `json:"grid,omitempty"`
-	DeadlineMS int           `json:"deadline_ms,omitempty"`
+	Harness    string       `json:"harness"`
+	Params     *ParamsPatch `json:"params,omitempty"`
+	Grid       Grid         `json:"grid,omitempty"`
+	DeadlineMS int          `json:"deadline_ms,omitempty"`
+}
+
+// maxGridCells caps a sweep's grid. The 1 MiB body cap alone would admit
+// about 350k empty cells ("{}," each), which cost hundreds of MiB to
+// decode and resolve before any cell could be rejected.
+const maxGridCells = 1024
+
+// Grid is a sweep's list of per-cell patches. It decodes one cell at a
+// time and fails as soon as the list passes maxGridCells, so an
+// oversized grid is rejected before it is built.
+type Grid []ParamsPatch
+
+// UnmarshalJSON decodes a JSON array of patches, failing past
+// maxGridCells; null leaves the grid unchanged.
+func (g *Grid) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil {
+		return err
+	} else if tok != json.Delim('[') {
+		return fmt.Errorf("grid must be an array")
+	}
+	var cells Grid
+	for dec.More() {
+		if len(cells) == maxGridCells {
+			return fmt.Errorf("grid has more than %d cells", maxGridCells)
+		}
+		var p ParamsPatch
+		if err := dec.Decode(&p); err != nil {
+			return fmt.Errorf("grid cell %d: %w", len(cells), err)
+		}
+		cells = append(cells, p)
+	}
+	*g = cells
+	return nil
 }
 
 // sweepEvent is one NDJSON line of a /sweep response.

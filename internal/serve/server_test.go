@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +302,58 @@ func TestSweepBadRequests(t *testing.T) {
 			}
 			if !strings.Contains(e["error"], tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", e["error"], tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSweepGridCap sends the largest grid the 1 MiB body cap admits,
+// empty cells with a bad last one, and requires a 400 naming the cell cap
+// while decoding: under 16 MiB allocated, where building and resolving
+// that grid took hundreds of MiB.
+func TestSweepGridCap(t *testing.T) {
+	srv := NewServer(Config{Defaults: serveDefaults()})
+	var b strings.Builder
+	b.WriteString(`{"harness":"fig9","grid":[`)
+	last := `{"scale":"galactic"}]}`
+	for b.Len()+3+len(last) <= 1<<20 {
+		b.WriteString("{},")
+	}
+	b.WriteString(last)
+	body := b.String()
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		want       string
+	}{
+		{"oversized", body, http.StatusBadRequest, fmt.Sprintf("more than %d cells", maxGridCells)},
+		// A grid of exactly the cap decodes and fails only on its bad
+		// last cell, by index.
+		{"at-cap", `{"harness":"fig9","grid":[` + strings.Repeat("{},", maxGridCells-1) + last,
+			http.StatusBadRequest, fmt.Sprintf("cell %d: workload: unknown scale", maxGridCells-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			srv.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d", rec.Code, tc.status)
+			}
+			var e map[string]string
+			if err := json.NewDecoder(rec.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(e["error"], tc.want) {
+				t.Fatalf("error %q does not mention %q", e["error"], tc.want)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d-byte body: %.1f MiB allocated", len(tc.body), float64(alloc)/(1<<20))
+			if alloc >= 16<<20 {
+				t.Fatalf("rejecting the request allocated %.1f MiB, want under 16", float64(alloc)/(1<<20))
 			}
 		})
 	}

@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Reservoir is a fixed-memory percentile estimator: Vitter's Algorithm R
 // over a bounded sample. Long simulations record millions of per-operation
-// latencies; the reservoir keeps percentile queries O(k log k) and memory
-// O(k) while remaining an unbiased sample of the stream.
+// latencies; the reservoir keeps percentile queries O(k) and memory O(k)
+// while remaining an unbiased sample of the stream.
 type Reservoir struct {
 	capacity int
 	seed     int64
@@ -16,7 +13,6 @@ type Reservoir struct {
 	seen     uint64
 	src      *countedSource
 	rng      *rand.Rand
-	sorted   bool
 }
 
 // countedSource wraps the standard PRNG source and counts draws, so the
@@ -63,19 +59,17 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 // RNG position, so a restored reservoir continues the identical sequence
 // of replacement decisions.
 type ReservoirSnapshot struct {
-	xs     []float64
-	seen   uint64
-	draws  uint64
-	sorted bool
+	xs    []float64
+	seen  uint64
+	draws uint64
 }
 
 // Snapshot captures the reservoir state.
 func (r *Reservoir) Snapshot() ReservoirSnapshot {
 	return ReservoirSnapshot{
-		xs:     append([]float64(nil), r.xs...),
-		seen:   r.seen,
-		draws:  r.src.draws,
-		sorted: r.sorted,
+		xs:    append([]float64(nil), r.xs...),
+		seen:  r.seen,
+		draws: r.src.draws,
 	}
 }
 
@@ -85,7 +79,6 @@ func (r *Reservoir) Snapshot() ReservoirSnapshot {
 func (r *Reservoir) Restore(s ReservoirSnapshot) {
 	r.xs = append(r.xs[:0], s.xs...)
 	r.seen = s.seen
-	r.sorted = s.sorted
 	r.src.src = rand.NewSource(r.seed).(rand.Source64)
 	r.src.draws = 0
 	for r.src.draws < s.draws {
@@ -101,12 +94,10 @@ func (r *Reservoir) Add(x float64) {
 	r.seen++
 	if len(r.xs) < r.capacity {
 		r.xs = append(r.xs, x)
-		r.sorted = false
 		return
 	}
 	if j := r.rng.Uint64() % r.seen; j < uint64(r.capacity) {
 		r.xs[j] = x
-		r.sorted = false
 	}
 }
 
@@ -117,34 +108,76 @@ func (r *Reservoir) Seen() uint64 { return r.seen }
 func (r *Reservoir) Len() int { return len(r.xs) }
 
 // Percentile returns the p-th percentile of the retained sample
-// (nearest-rank), or 0 when empty.
+// (nearest-rank), or 0 when empty. It selects the rank in O(n) rather
+// than sorting, and leaves the retained sample reordered. Which slot an
+// Add past capacity replaces depends on that order, so a query between
+// Adds changes which observations stay; the engine queries only at the
+// end of a span and resets the reservoir at the start of the next, so
+// the order never reaches an output.
 func (r *Reservoir) Percentile(p float64) float64 {
-	if len(r.xs) == 0 {
+	n := len(r.xs)
+	if n == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Float64s(r.xs)
-		r.sorted = true
-	}
+	rank := n
 	if p <= 0 {
-		return r.xs[0]
-	}
-	if p >= 100 {
-		return r.xs[len(r.xs)-1]
-	}
-	rank := int(float64(len(r.xs))*p/100 + 0.9999)
-	if rank < 1 {
 		rank = 1
+	} else if p < 100 {
+		rank = min(max(int(float64(n)*p/100+0.9999), 1), n)
 	}
-	if rank > len(r.xs) {
-		rank = len(r.xs)
+	return selectRank(r.xs, rank-1)
+}
+
+// selectRank reorders xs so that xs[k] holds the value sorting would put
+// there, and returns it. It is quickselect with Hoare's partition, which
+// splits runs of equal values (latencies repeat often) evenly instead of
+// degrading on them. The pivot is the median of three elements at
+// positions drawn from a fixed-seed LCG: deterministic, yet no ordered
+// input (ascending, organ-pipe, sawtooth) lines up with it to force the
+// quadratic case.
+func selectRank(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	var lcg uint64
+	pick := func() float64 {
+		lcg = lcg*6364136223846793005 + 1442695040888963407
+		return xs[lo+int((lcg>>33)%uint64(hi-lo+1))]
 	}
-	return r.xs[rank-1]
+	for lo < hi {
+		a, b, c := pick(), pick(), pick()
+		if a > b {
+			a, b = b, a
+		}
+		pivot := min(b, max(a, c))
+		// Afterwards xs[lo:j+1] <= pivot <= xs[i:hi+1], and anything
+		// between the two equals the pivot.
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // Reset clears the reservoir for a new measurement span.
 func (r *Reservoir) Reset() {
 	r.xs = r.xs[:0]
 	r.seen = 0
-	r.sorted = false
 }

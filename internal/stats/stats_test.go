@@ -328,3 +328,107 @@ func TestReservoirDefaultCapacity(t *testing.T) {
 		t.Error("default capacity")
 	}
 }
+
+// nearestRank is the sort-based nearest-rank percentile Reservoir used to
+// compute: sort a copy, then index rank ceil(n*p/100), clamped to [1, n].
+func nearestRank(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	rank := min(max(int(float64(len(s))*p/100+0.9999), 1), len(s))
+	return s[rank-1]
+}
+
+// TestReservoirPercentileMatchesSort checks the selection-based
+// Percentile against sorting, on samples with many ties, with distinct
+// values, on ordered inputs that defeat a median-of-three pivot, and at
+// n = 1, for the percentiles the engine and the tests ask for.
+func TestReservoirPercentileMatchesSort(t *testing.T) {
+	ps := []float64{0, 0.1, 50, 99, 99.9, 100}
+	rng := rand.New(rand.NewSource(11))
+	organPipe := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(min(i, n-1-i))
+		}
+		return xs
+	}
+	ascending := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+		return xs
+	}
+	cases := map[string][]float64{
+		"n=1":         {42},
+		"all-equal":   {3, 3, 3, 3, 3, 3, 3},
+		"organ-pipe":  organPipe(4096),
+		"ascending":   ascending(1000),
+		"two-values":  nil,
+		"many-ties":   nil,
+		"distinct":    nil,
+		"small-ties":  nil,
+		"capacity-32": nil,
+	}
+	for i := 0; i < 5000; i++ {
+		cases["two-values"] = append(cases["two-values"], float64(rng.Intn(2)))
+		cases["many-ties"] = append(cases["many-ties"], float64(rng.Intn(40)*10))
+		cases["distinct"] = append(cases["distinct"], rng.NormFloat64())
+	}
+	for i := 0; i < 9; i++ {
+		cases["small-ties"] = append(cases["small-ties"], float64(rng.Intn(3)))
+	}
+	for i := 0; i < 1<<15; i++ {
+		cases["capacity-32"] = append(cases["capacity-32"], float64(100+rng.Intn(900)))
+	}
+	for name, xs := range cases {
+		for _, p := range ps {
+			r := NewReservoir(len(xs), 1)
+			for _, x := range xs {
+				r.Add(x)
+			}
+			if got, want := r.Percentile(p), nearestRank(xs, p); got != want {
+				t.Errorf("%s: Percentile(%v) = %v, sort gives %v", name, p, got, want)
+			}
+		}
+		// The engine asks for p50 then p99 on the same sample, so the
+		// second query runs on the order the first one left.
+		r := NewReservoir(len(xs), 1)
+		for _, x := range xs {
+			r.Add(x)
+		}
+		for _, p := range ps {
+			if got, want := r.Percentile(p), nearestRank(xs, p); got != want {
+				t.Errorf("%s, queried in turn: Percentile(%v) = %v, sort gives %v", name, p, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkReservoirPercentile times what the engine asks at each span's
+// end: p50 then p99 of a full 32768-sample reservoir of repeating
+// latencies, refilled in arrival order before every query pair.
+func BenchmarkReservoirPercentile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1<<15)
+	for i := range xs {
+		xs[i] = float64(60 + rng.Intn(400))
+	}
+	r := NewReservoir(len(xs), 1)
+	for _, x := range xs {
+		r.Add(x)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(r.xs, xs)
+		benchSink = r.Percentile(50) + r.Percentile(99)
+	}
+}
+
+var benchSink float64
