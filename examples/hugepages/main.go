@@ -52,11 +52,7 @@ func normPerf(bench string, huge bool) float64 {
 		}
 		defer r.Close()
 		if withM5 {
-			mc := m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}
-			if huge {
-				mc.HugeDenseMin = 2
-			}
-			r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, mc))
+			r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
 		}
 		// Warm to steady state, then measure.
 		prev := r.Sys.Promotions()

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	m5mgr "m5/internal/m5"
-	"m5/internal/sim"
-	"m5/internal/trace"
 	"m5/internal/tracker"
 )
 
@@ -32,48 +28,28 @@ func AblationFscale(p Params, exponents []float64) ([]FscaleRow, error) {
 	if len(exponents) == 0 {
 		exponents = []float64{1, 3, 4, 5, 6}
 	}
-	// Phase 1: the no-migration baseline per benchmark; phase 2: the
-	// (benchmark, exponent) sweep cells, normalized against phase 1.
-	nones, err := mapCells(p, len(p.Benchmarks), func(i int) (sim.Result, error) {
-		none, err := fig9Run(p, p.Benchmarks[i], Fig9None)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("fscale %s/none: %w", p.Benchmarks[i], err)
-		}
-		return none, nil
-	})
+	// Cells per benchmark: the no-migration baseline, then M5(HPT) at
+	// each exponent.
+	variants := []Cell{{}}
+	for _, n := range exponents {
+		variants = append(variants, Cell{Arm: "m5-hpt", Elector: m5mgr.ElectorConfig{N: n}})
+	}
+	results, err := runEach(p, "fscale", benchGrid(p.Benchmarks, variants...), p.runCell)
 	if err != nil {
 		return nil, err
 	}
-	return mapCells(p, len(p.Benchmarks)*len(exponents), func(i int) (FscaleRow, error) {
-		bench := p.Benchmarks[i/len(exponents)]
-		n := exponents[i%len(exponents)]
-		wl, err := p.newGenerator(bench)
-		if err != nil {
-			return FscaleRow{}, err
+	rows := make([]FscaleRow, 0, len(p.Benchmarks)*len(exponents))
+	for i, bench := range p.Benchmarks {
+		none := results[i*len(variants)]
+		for j, n := range exponents {
+			rows = append(rows, FscaleRow{
+				Benchmark: bench,
+				N:         n,
+				NormPerf:  normalizedPerf(bench, none, results[i*len(variants)+1+j]),
+			})
 		}
-		cfg := sim.Config{
-			Workload: wl,
-			HPT:      &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64},
-		}
-		p.applySpeed(&cfg)
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			wl.Close()
-			return FscaleRow{}, err
-		}
-		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{
-			Mode:    m5mgr.HPTOnly,
-			Elector: m5mgr.ElectorConfig{N: n},
-		}))
-		warmToSteadyState(r, p.Warmup)
-		res := r.Run(p.Accesses)
-		r.Close()
-		return FscaleRow{
-			Benchmark: bench,
-			N:         n,
-			NormPerf:  normalizedPerf(bench, nones[i/len(exponents)], res),
-		}, nil
-	})
+	}
+	return rows, nil
 }
 
 // ConservativeUpdateRow compares plain and conservative-update CM-Sketch
@@ -95,8 +71,8 @@ func AblationConservativeUpdate(p Params, entries []int) ([]ConservativeUpdateRo
 	if len(entries) == 0 {
 		entries = []int{512, 2048, 32768}
 	}
-	traces, err := mapCells(p, len(p.Benchmarks), func(i int) ([]trace.Access, error) {
-		return CollectCXLTrace(p, p.Benchmarks[i])
+	traces, err := mapCells(p, len(p.Benchmarks), func(i int) (WeightedTrace, error) {
+		return CollectWeightedCXLTrace(p, p.Benchmarks[i])
 	})
 	if err != nil {
 		return nil, err
@@ -104,13 +80,13 @@ func AblationConservativeUpdate(p Params, entries []int) ([]ConservativeUpdateRo
 	return mapCells(p, len(p.Benchmarks)*len(entries), func(i int) (ConservativeUpdateRow, error) {
 		bench := p.Benchmarks[i/len(entries)]
 		n := entries[i%len(entries)]
-		accs := traces[i/len(entries)]
-		plain := ScoreTrackerOnTrace(
+		wt := traces[i/len(entries)]
+		plain := ScoreTrackerOnWeightedTrace(
 			tracker.New(tracker.Config{Algorithm: tracker.CMSketch, Entries: n, K: 5}),
-			accs, EpochByTime(1_000_000))
-		cons := ScoreTrackerOnTrace(
+			wt, EpochByTime(1_000_000))
+		cons := ScoreTrackerOnWeightedTrace(
 			tracker.New(tracker.Config{Algorithm: tracker.ConservativeCMSketch, Entries: n, K: 5}),
-			accs, EpochByTime(1_000_000))
+			wt, EpochByTime(1_000_000))
 		return ConservativeUpdateRow{
 			Benchmark: bench, Entries: n, Plain: plain, Conserved: cons,
 		}, nil
@@ -135,16 +111,16 @@ func AblationDecay(p Params) ([]DecayRow, error) {
 	}
 	return mapCells(p, len(p.Benchmarks), func(i int) (DecayRow, error) {
 		bench := p.Benchmarks[i]
-		accs, err := CollectCXLTrace(p, bench)
+		wt, err := CollectWeightedCXLTrace(p, bench)
 		if err != nil {
 			return DecayRow{}, err
 		}
-		reset := ScoreTrackerOnTrace(
+		reset := ScoreTrackerOnWeightedTrace(
 			tracker.New(tracker.Config{Algorithm: tracker.CMSketch, Entries: 2048, K: 5}),
-			accs, EpochByTime(1_000_000))
-		decay := ScoreTrackerOnTrace(
+			wt, EpochByTime(1_000_000))
+		decay := ScoreTrackerOnWeightedTrace(
 			tracker.New(tracker.Config{Algorithm: tracker.CMSketch, Entries: 2048, K: 5, DecayOnQuery: true}),
-			accs, EpochByTime(1_000_000))
+			wt, EpochByTime(1_000_000))
 		return DecayRow{Benchmark: bench, Reset: reset, Decay: decay}, nil
 	})
 }
@@ -167,8 +143,8 @@ func AblationQueryInterval(p Params, periodsNs []uint64) ([]QueryIntervalRow, er
 	if len(periodsNs) == 0 {
 		periodsNs = []uint64{100_000, 1_000_000, 10_000_000}
 	}
-	traces, err := mapCells(p, len(p.Benchmarks), func(i int) ([]trace.Access, error) {
-		return CollectCXLTrace(p, p.Benchmarks[i])
+	traces, err := mapCells(p, len(p.Benchmarks), func(i int) (WeightedTrace, error) {
+		return CollectWeightedCXLTrace(p, p.Benchmarks[i])
 	})
 	if err != nil {
 		return nil, err
@@ -176,7 +152,7 @@ func AblationQueryInterval(p Params, periodsNs []uint64) ([]QueryIntervalRow, er
 	return mapCells(p, len(p.Benchmarks)*len(periodsNs), func(i int) (QueryIntervalRow, error) {
 		bench := p.Benchmarks[i/len(periodsNs)]
 		period := periodsNs[i%len(periodsNs)]
-		acc := ScoreTrackerOnTrace(
+		acc := ScoreTrackerOnWeightedTrace(
 			tracker.New(tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 5}),
 			traces[i/len(periodsNs)], EpochByTime(period))
 		return QueryIntervalRow{Benchmark: bench, PeriodNs: period, Accuracy: acc}, nil

@@ -50,14 +50,13 @@ func TestSec42ForkMatchesScratch(t *testing.T) {
 		t.Skip("runs the sec42 cells twice")
 	}
 	p := tinyParams("roms").withDefaults()
-	solutions := []string{"", "anb", "damon", "m5"}
 
-	forked, err := sec42Bench(p, "roms", solutions)
+	forked, err := sec42Bench(p, "roms")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for si, solution := range solutions {
+	for si, c := range sec42Arms {
 		wl, err := workload.New("roms", p.Scale, p.Seed)
 		if err != nil {
 			t.Fatal(err)
@@ -68,22 +67,14 @@ func TestSec42ForkMatchesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Run(p.Warmup)
-		if solution != "" {
-			name := solution
-			if name == "m5" {
-				name = "m5-hpt"
-			}
-			daemon, err := newProfilingBaseline(r, name, wl.Footprint())
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.SetDaemon(daemon)
+		if _, err := c.install(r, nil, wl.Footprint()); err != nil {
+			t.Fatal(err)
 		}
 		scratch := r.Run(p.Accesses)
 		r.Close()
 		a, b := fmt.Sprintf("%#v", forked[si]), fmt.Sprintf("%#v", scratch)
 		if a != b {
-			t.Errorf("solution %q: forked cell differs from from-scratch:\nforked:  %s\nscratch: %s", solution, a, b)
+			t.Errorf("solution %s: forked cell differs from from-scratch:\nforked:  %s\nscratch: %s", c, a, b)
 		}
 	}
 }

@@ -41,9 +41,9 @@ type Params struct {
 	// in submission order.
 	Parallel int
 	// CollectObs attaches a private observability registry to each
-	// experiment cell that supports it (currently the Figure 9 and
-	// policy-zoo harnesses); the per-layer snapshot rides back on
-	// sim.Result.Obs. Each cell owns its registry, so collection stays
+	// experiment cell measured through runCell; the per-layer snapshot
+	// rides back on sim.Result.Obs, and Figure 9 merges its cells' into
+	// Result.Obs. Each cell owns its registry, so collection stays
 	// bit-identical at any Parallel setting.
 	CollectObs bool
 	// Tapes, when set, serves every cell's access stream from a shared
@@ -88,8 +88,8 @@ func (p Params) newGenerator(bench string) (workload.Generator, error) {
 }
 
 // applySpeed copies the sampling tier into one cell's simulator config.
-// Every harness routes its sim.Config through this so -sample reaches
-// every cell. The tier is statistical (see Params.Sample), and it models
+// newCellRunner routes every cell's sim.Config through this so -sample
+// reaches every cell. The tier is statistical (see Params.Sample), and it models
 // neither co-running cores nor bandwidth queues, so such machines stay
 // exact.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,10 +288,11 @@ func TestFig11GracefulDegradation(t *testing.T) {
 }
 
 func TestInterleaveProcesses(t *testing.T) {
-	accs, err := CollectCXLTrace(tinyParams("mcf"), "mcf")
+	wt, err := CollectWeightedCXLTrace(tinyParams("mcf"), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
+	accs := wt.Accs
 	out := InterleaveProcesses(accs[:10], 4)
 	if len(out) != 40 {
 		t.Fatalf("len = %d", len(out))
@@ -557,7 +559,8 @@ func TestExtHuge(t *testing.T) {
 // ones move, so back-to-back runs of one cell must return one Result.
 func TestHugeRunRepeatable(t *testing.T) {
 	p := Params{Scale: workload.ScaleTiny, Warmup: 100_000, Accesses: 500_000, Seed: 1}
-	first, err := hugeRun(p, "redis", true, true)
+	huge := Cell{Bench: "redis", Arm: "m5-hpt", Huge: true}
+	first, err := p.runCell(huge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +568,7 @@ func TestHugeRunRepeatable(t *testing.T) {
 		t.Fatal("no promotions: the cell exercises nothing")
 	}
 	for i := 1; i < 4; i++ {
-		res, err := hugeRun(p, "redis", true, true)
+		res, err := p.runCell(huge)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,27 +612,40 @@ func TestExtPhaseChange(t *testing.T) {
 	}
 }
 
+// TestHarnessDeterminism applies the repository's determinism guarantee
+// to the whole registry: every harness runs three times on one benchmark
+// of its default subset with CollectObs on — Parallel 1, Parallel 1
+// again, then Parallel 2 — and all three Results (tables, metrics, notes
+// and obs) must marshal to the same bytes.
 func TestHarnessDeterminism(t *testing.T) {
-	// Two invocations with identical Params must produce byte-identical
-	// results — the repository's determinism guarantee applied to a full
-	// harness (workload synthesis, simulation, daemon scheduling, ratio
-	// sampling).
-	p := tinyParams("roms")
-	a, err := Fig3(p)
-	if err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("runs every harness three times")
 	}
-	b, err := Fig3(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatal("row counts differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
-		}
+	for _, h := range Harnesses() {
+		t.Run(h.Name, func(t *testing.T) {
+			// roms where the subset has it (skewed, cheap at tiny
+			// scale), else the subset's first.
+			bench := "roms"
+			if d := h.DefaultBenchmarks; len(d) > 0 && !slices.Contains(d, bench) {
+				bench = d[0]
+			}
+			p := tinyParams(bench)
+			p.CollectObs = true
+			var first string
+			for i, parallel := range []int{1, 1, 2} {
+				p.Parallel = parallel
+				res, err := RunHarness(h.Name, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := renderRows(t, res)
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("run %d (Parallel %d) differs from the first:\n got %s\nwant %s", i+1, parallel, got, first)
+				}
+			}
+		})
 	}
 }
 

@@ -1,13 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
-	"m5/internal/ifmm"
-	m5mgr "m5/internal/m5"
 	"m5/internal/sim"
-	"m5/internal/tiermem"
-	"m5/internal/tracker"
 )
 
 // ExtIFMMRow is one cell of the §9 synergy study: performance of word-swap
@@ -42,23 +36,8 @@ func ExtIFMM(p Params) ([]ExtIFMMRow, error) {
 		return nil, err
 	}
 	// Four cells per benchmark: (IFMM?, M5?) in truth-table order.
-	variants := []struct {
-		name         string
-		ifmmOn, m5On bool
-	}{
-		{"none", false, false},
-		{"ifmm", true, false},
-		{"m5", false, true},
-		{"both", true, true},
-	}
-	results, err := mapCells(p, len(p.Benchmarks)*len(variants), func(i int) (sim.Result, error) {
-		bench, v := p.Benchmarks[i/len(variants)], variants[i%len(variants)]
-		res, err := extRun(p, bench, v.ifmmOn, v.m5On)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("ext-ifmm %s/%s: %w", bench, v.name, err)
-		}
-		return res, nil
-	})
+	variants := []Cell{{}, {IFMM: true}, {Arm: "m5-hpt"}, {IFMM: true, Arm: "m5-hpt"}}
+	results, err := runEach(p, "ext-ifmm", benchGrid(p.Benchmarks, variants...), p.runCell)
 	if err != nil {
 		return nil, err
 	}
@@ -73,34 +52,4 @@ func ExtIFMM(p Params) ([]ExtIFMMRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func extRun(p Params, bench string, withIFMM, withM5 bool) (sim.Result, error) {
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg := sim.Config{Workload: wl}
-	p.applySpeed(&cfg)
-	if withM5 {
-		cfg.HPT = &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64}
-	}
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return sim.Result{}, err
-	}
-	defer r.Close()
-	if withIFMM {
-		slots := r.Sys.Node(tiermem.NodeDDR).Limit() * 64 // pages -> words
-		if slots == 0 {
-			slots = 1
-		}
-		r.SetWordRemap(ifmm.New(r.Sys.CXLSpan(), slots, 0))
-	}
-	if withM5 {
-		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}))
-	}
-	warmToSteadyState(r, p.Warmup)
-	return r.Run(p.Accesses), nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"m5/internal/sim"
 	"m5/internal/stats"
 )
 
@@ -31,15 +30,8 @@ func Fig10(p Params) ([]Fig10Row, error) {
 	}
 	return mapCells(p, len(p.Benchmarks), func(i int) (Fig10Row, error) {
 		bench := p.Benchmarks[i]
-		wl, err := p.newGenerator(bench)
+		r, _, err := p.newCellRunner(Cell{Bench: bench, PAC: true}, nil)
 		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s: %w", bench, err)
-		}
-		cfg := sim.Config{Workload: wl, EnablePAC: true}
-		p.applySpeed(&cfg)
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			wl.Close()
 			return Fig10Row{}, fmt.Errorf("fig10 %s: %w", bench, err)
 		}
 		r.Run(p.Warmup + p.Accesses)

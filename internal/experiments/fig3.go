@@ -1,35 +1,11 @@
 package experiments
 
-import (
-	"fmt"
-
-	"m5/internal/mem"
-	"m5/internal/policy"
-	"m5/internal/sim"
-)
-
 // Fig3Row is one bar group of Figure 3: the average access-count ratio of
 // hot pages identified by ANB and DAMON, scored against PAC's exact top-K.
 type Fig3Row struct {
 	Benchmark string
 	ANB       Ratio
 	DAMON     Ratio
-}
-
-// profiler is the profiling-mode surface shared by the CPU-driven
-// solutions and the M5 manager: a schedulable daemon that records the
-// PFNs it identified as hot (the registry's policy.Profiler).
-type profiler = policy.Profiler
-
-// pacRatio scores a hot-page list against PAC: the summed exact counts of
-// the identified pages over the summed counts of the exact same-size
-// top-K (§4.1 steps S4-S5).
-func pacRatio(r *sim.Runner, pfns []mem.PFN) float64 {
-	keys := make([]uint64, len(pfns))
-	for i, p := range pfns {
-		keys[i] = uint64(p)
-	}
-	return r.Ctrl.PAC.AccessCountRatio(keys)
 }
 
 // Fig3 reproduces Figure 3 (§4.1): run each benchmark with a CPU-driven
@@ -42,15 +18,8 @@ func Fig3(p Params) ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	solutions := []string{"anb", "damon"}
-	ratios, err := mapCells(p, len(p.Benchmarks)*len(solutions), func(i int) (Ratio, error) {
-		bench, solution := p.Benchmarks[i/len(solutions)], solutions[i%len(solutions)]
-		r, err := fig3Run(p, bench, solution)
-		if err != nil {
-			return Ratio{}, fmt.Errorf("fig3 %s/%s: %w", bench, solution, err)
-		}
-		return r, nil
-	})
+	solutions := []Cell{{Arm: "anb"}, {Arm: "damon"}}
+	ratios, err := runEach(p, "fig3", benchGrid(p.Benchmarks, solutions...), p.profileCell)
 	if err != nil {
 		return nil, err
 	}
@@ -59,74 +28,4 @@ func Fig3(p Params) ([]Fig3Row, error) {
 		rows[i] = Fig3Row{Benchmark: bench, ANB: ratios[2*i], DAMON: ratios[2*i+1]}
 	}
 	return rows, nil
-}
-
-// fig3Run measures one (benchmark, solution) cell.
-func fig3Run(p Params, bench, solution string) (Ratio, error) {
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return Ratio{}, err
-	}
-	cfg := sim.Config{Workload: wl, EnablePAC: true}
-	p.applySpeed(&cfg)
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return Ratio{}, err
-	}
-	defer r.Close()
-
-	daemon, err := newProfilingBaseline(r, solution, wl.Footprint())
-	if err != nil {
-		return Ratio{}, err
-	}
-	r.SetDaemon(daemon)
-	r.Run(p.Warmup)
-
-	samples := make([]float64, 0, p.Points)
-	per := p.Accesses / p.Points
-	for i := 0; i < p.Points; i++ {
-		r.Run(per)
-		if ratio := pacRatio(r, daemon.HotPFNs()); ratio > 0 {
-			samples = append(samples, ratio)
-		}
-	}
-	return NewRatio(samples), nil
-}
-
-// newProfilingBaseline builds a registry policy in §4.1 profiling mode
-// (identify, don't migrate) with a hot-list cap of ~1/16 of the footprint,
-// like the paper's 128K pages over a ~2M-page footprint. Sampling rates
-// scale with the footprint (via Env.FootPages) so overheads stay in the
-// regime the paper measures rather than saturating the core on reduced
-// instances.
-func newProfilingBaseline(r *sim.Runner, name string, footprint uint64) (profiler, error) {
-	footPages := int(footprint / 4096)
-	cap := footPages / 16
-	if cap < 8 {
-		cap = 8
-	}
-	d, err := policy.New(name, policy.Env{
-		Sys:            r.Sys,
-		Ctrl:           r.Ctrl,
-		FootPages:      footPages,
-		Migrate:        false,
-		HotListCap:     cap,
-		AttachMissSink: r.AttachMissSink,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p, ok := d.(profiler)
-	if !ok {
-		return nil, fmt.Errorf("policy %q records no hot-page list", name)
-	}
-	return p, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

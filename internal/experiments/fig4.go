@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"m5/internal/sim"
 	"m5/internal/workload"
 )
 
@@ -34,15 +33,8 @@ func Fig4(p Params) ([]Fig4Row, error) {
 	}
 	return mapCells(p, len(p.Benchmarks), func(i int) (Fig4Row, error) {
 		bench := p.Benchmarks[i]
-		wl, err := p.newGenerator(bench)
+		r, _, err := p.newCellRunner(Cell{Bench: bench, WAC: true}, nil)
 		if err != nil {
-			return Fig4Row{}, fmt.Errorf("fig4 %s: %w", bench, err)
-		}
-		cfg := sim.Config{Workload: wl, EnableWAC: true}
-		p.applySpeed(&cfg)
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			wl.Close()
 			return Fig4Row{}, fmt.Errorf("fig4 %s: %w", bench, err)
 		}
 		defer r.Close()

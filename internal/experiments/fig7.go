@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"m5/internal/hwcost"
-	"m5/internal/sim"
 	"m5/internal/trace"
 	"m5/internal/tracker"
 )
@@ -106,30 +105,6 @@ func designOf(alg tracker.Algorithm) hwcost.Design {
 	return hwcost.CMSketchSRAM
 }
 
-// CollectCXLTrace runs a benchmark through the full machine with no
-// migration and records the cache-filtered access stream the CXL device
-// serves (what the AFU snoop path sees).
-func CollectCXLTrace(p Params, bench string) ([]trace.Access, error) {
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{Workload: wl}
-	p.applySpeed(&cfg)
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return nil, err
-	}
-	defer r.Close()
-	var accs []trace.Access
-	r.Ctrl.Device.Attach(trace.SinkFunc(func(a trace.Access) {
-		accs = append(accs, a)
-	}))
-	r.Run(p.Warmup + p.Accesses)
-	return accs, nil
-}
-
 // WeightedTrace is a cache-filtered device trace with per-entry
 // Horvitz-Thompson weights. Exact runs produce weight-1 entries (the plain
 // trace, byte for byte); sampled runs produce one entry per *simulated*
@@ -152,19 +127,13 @@ func (r weightedRecorder) ObserveN(a trace.Access, n uint64) {
 	r.wt.Weights = append(r.wt.Weights, n)
 }
 
-// CollectWeightedCXLTrace is CollectCXLTrace with per-entry weights: under
-// the exact engine the weights are all 1 and the access entries are
-// byte-identical to CollectCXLTrace's.
+// CollectWeightedCXLTrace runs a benchmark through the full machine with
+// no migration and records the cache-filtered access stream the CXL
+// device serves (what the AFU snoop path sees), with per-entry weights:
+// all 1 under the exact engine.
 func CollectWeightedCXLTrace(p Params, bench string) (WeightedTrace, error) {
-	wl, err := p.newGenerator(bench)
+	r, _, err := p.newCellRunner(Cell{Bench: bench}, nil)
 	if err != nil {
-		return WeightedTrace{}, err
-	}
-	cfg := sim.Config{Workload: wl}
-	p.applySpeed(&cfg)
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
 		return WeightedTrace{}, err
 	}
 	defer r.Close()

@@ -146,10 +146,11 @@ func TestFig7MatchesStreamingScorer(t *testing.T) {
 func TestScoreTrackerUnitWeightsMatchTrace(t *testing.T) {
 	p := tinyParams("mcf")
 	p.Warmup, p.Accesses = 20_000, 80_000
-	accs, err := CollectCXLTrace(p.withDefaults(), "mcf")
+	collected, err := CollectWeightedCXLTrace(p.withDefaults(), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
+	accs := collected.Accs
 	ones := make([]uint64, len(accs))
 	for i := range ones {
 		ones[i] = 1

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	m5mgr "m5/internal/m5"
-	"m5/internal/sim"
 	"m5/internal/tracker"
 )
 
@@ -30,35 +26,12 @@ func Fig8(p Params) ([]Fig8Row, error) {
 	}
 	// Four independent cells per benchmark: anb, damon, ss50, cm32k.
 	const perBench = 4
-	ratios, err := mapCells(p, len(p.Benchmarks)*perBench, func(i int) (Ratio, error) {
-		bench := p.Benchmarks[i/perBench]
-		switch i % perBench {
-		case 0:
-			r, err := fig3Run(p, bench, "anb")
-			if err != nil {
-				return Ratio{}, fmt.Errorf("fig8 %s/anb: %w", bench, err)
-			}
-			return r, nil
-		case 1:
-			r, err := fig3Run(p, bench, "damon")
-			if err != nil {
-				return Ratio{}, fmt.Errorf("fig8 %s/damon: %w", bench, err)
-			}
-			return r, nil
-		case 2:
-			r, err := fig8M5Run(p, bench, tracker.SpaceSaving, 50)
-			if err != nil {
-				return Ratio{}, fmt.Errorf("fig8 %s/ss50: %w", bench, err)
-			}
-			return r, nil
-		default:
-			r, err := fig8M5Run(p, bench, tracker.CMSketch, 32*1024)
-			if err != nil {
-				return Ratio{}, fmt.Errorf("fig8 %s/cm32k: %w", bench, err)
-			}
-			return r, nil
-		}
-	})
+	ratios, err := runEach(p, "fig8", benchGrid(p.Benchmarks,
+		Cell{Arm: "anb"},
+		Cell{Arm: "damon"},
+		Cell{Arm: "m5-hpt", HPT: &tracker.Config{Algorithm: tracker.SpaceSaving, Entries: 50, K: 128}},
+		Cell{Arm: "m5-hpt", HPT: &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 128}},
+	), p.profileCell)
 	if err != nil {
 		return nil, err
 	}
@@ -78,45 +51,4 @@ func Fig8(p Params) ([]Fig8Row, error) {
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-// fig8M5Run measures M5's profile-mode access-count ratio with the given
-// HPT configuration.
-func fig8M5Run(p Params, bench string, alg tracker.Algorithm, entries int) (Ratio, error) {
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return Ratio{}, err
-	}
-	cfg := sim.Config{
-		Workload:  wl,
-		EnablePAC: true,
-		HPT:       &tracker.Config{Algorithm: alg, Entries: entries, K: 128},
-	}
-	p.applySpeed(&cfg)
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return Ratio{}, err
-	}
-	defer r.Close()
-
-	footPages := int(wl.Footprint() / 4096)
-	cap := maxInt(footPages/16, 8)
-	mgr := m5mgr.NewManager(r.Sys, r.Ctrl, m5mgr.ManagerConfig{
-		Mode:       m5mgr.HPTOnly,
-		Profile:    true,
-		HotListCap: cap,
-	})
-	r.SetDaemon(mgr)
-	r.Run(p.Warmup)
-
-	samples := make([]float64, 0, p.Points)
-	per := p.Accesses / p.Points
-	for i := 0; i < p.Points; i++ {
-		r.Run(per)
-		if ratio := pacRatio(r, mgr.HotPFNs()); ratio > 0 {
-			samples = append(samples, ratio)
-		}
-	}
-	return NewRatio(samples), nil
 }

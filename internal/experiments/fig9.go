@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
-	"m5/internal/policy"
 	"m5/internal/sim"
-	"m5/internal/tiermem"
 )
 
 // Fig9Config names the migration configurations of Figure 9.
@@ -46,14 +42,11 @@ func Fig9(p Params) ([]Fig9Row, error) {
 		return nil, err
 	}
 	cfgs := append([]Fig9Config{Fig9None}, Fig9Configs()...)
-	results, err := mapCells(p, len(p.Benchmarks)*len(cfgs), func(i int) (sim.Result, error) {
-		bench, cfg := p.Benchmarks[i/len(cfgs)], cfgs[i%len(cfgs)]
-		res, err := fig9Run(p, bench, cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("fig9 %s/%s: %w", bench, cfg, err)
-		}
-		return res, nil
-	})
+	arms := make([]Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		arms[i] = Cell{Arm: string(cfg)}
+	}
+	results, err := runEach(p, "fig9", benchGrid(p.Benchmarks, arms...), p.runCell)
 	if err != nil {
 		return nil, err
 	}
@@ -87,54 +80,4 @@ func normalizedPerf(bench string, none, res sim.Result) float64 {
 		return 0
 	}
 	return float64(none.ElapsedNs) / float64(res.ElapsedNs)
-}
-
-func fig9Run(p Params, bench string, cfg Fig9Config) (sim.Result, error) {
-	name := string(cfg)
-	if _, ok := policy.Lookup(name); !ok && name != "none" {
-		return sim.Result{}, fmt.Errorf("unknown config %q", cfg)
-	}
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	simCfg := sim.Config{Workload: wl, Metrics: cellRegistry(p)}
-	p.applySpeed(&simCfg)
-	if policy.NeedsHPT(name) {
-		simCfg.HPT = policy.DefaultHPT()
-	}
-	if policy.NeedsHWT(name) {
-		simCfg.HWT = policy.DefaultHWT()
-	}
-	r, err := sim.NewRunner(simCfg)
-	if err != nil {
-		wl.Close()
-		return sim.Result{}, err
-	}
-	defer r.Close()
-	if err := installArm(r, name, simCfg.Metrics, wl.Footprint()); err != nil {
-		return sim.Result{}, err
-	}
-	warmToSteadyState(r, p.Warmup)
-	return r.Run(p.Accesses), nil
-}
-
-// warmToSteadyState warms a runner until migration reaches equilibrium:
-// the paper's runs are long enough that the one-time DDR fill amortizes;
-// scaled runs warm up in chunks until DDR stops changing (or a bounded
-// number of chunks), so the measured span reflects equilibrium behaviour
-// for every policy.
-func warmToSteadyState(r *sim.Runner, chunk int) {
-	r.Run(chunk)
-	prevPromos := r.Sys.Promotions()
-	for i := 0; i < 20; i++ {
-		if r.Sys.Node(tiermem.NodeDDR).FreePages() == 0 {
-			break
-		}
-		r.Run(chunk)
-		if r.Sys.Promotions() == prevPromos {
-			break // the policy has stopped filling; measure as-is
-		}
-		prevPromos = r.Sys.Promotions()
-	}
 }

@@ -1,13 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	m5mgr "m5/internal/m5"
-	"m5/internal/sim"
-	"m5/internal/tracker"
-)
-
 // ExtHugeRow compares 4KB-granularity M5 migration against 2MB
 // huge-granularity migration on a huge-mapped arena (§8 extension). The
 // trade-off under study: a 2MB unit migrates for far less than 512
@@ -30,23 +22,8 @@ func ExtHuge(p Params) ([]ExtHugeRow, error) {
 		return nil, err
 	}
 	// Four cells per benchmark: (huge?, M5?) in truth-table order.
-	variants := []struct {
-		name         string
-		huge, withM5 bool
-	}{
-		{"none-4k", false, false},
-		{"m5-4k", false, true},
-		{"none-2m", true, false},
-		{"m5-2m", true, true},
-	}
-	results, err := mapCells(p, len(p.Benchmarks)*len(variants), func(i int) (sim.Result, error) {
-		bench, v := p.Benchmarks[i/len(variants)], variants[i%len(variants)]
-		res, err := hugeRun(p, bench, v.huge, v.withM5)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("ext-huge %s/%s: %w", bench, v.name, err)
-		}
-		return res, nil
-	})
+	variants := []Cell{{}, {Arm: "m5-hpt"}, {Huge: true}, {Huge: true, Arm: "m5-hpt"}}
+	results, err := runEach(p, "ext-huge", benchGrid(p.Benchmarks, variants...), p.runCell)
 	if err != nil {
 		return nil, err
 	}
@@ -59,31 +36,4 @@ func ExtHuge(p Params) ([]ExtHugeRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func hugeRun(p Params, bench string, huge, withM5 bool) (sim.Result, error) {
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg := sim.Config{Workload: wl, HugePages: huge}
-	p.applySpeed(&cfg)
-	if withM5 {
-		cfg.HPT = &tracker.Config{Algorithm: tracker.CMSketch, Entries: 32 * 1024, K: 64}
-	}
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return sim.Result{}, err
-	}
-	defer r.Close()
-	if withM5 {
-		mc := m5mgr.ManagerConfig{Mode: m5mgr.HPTOnly}
-		if huge {
-			mc.HugeDenseMin = 2 // promote units with >=2 hot frames
-		}
-		r.SetDaemon(m5mgr.NewManager(r.Sys, r.Ctrl, mc))
-	}
-	warmToSteadyState(r, p.Warmup)
-	return r.Run(p.Accesses), nil
 }

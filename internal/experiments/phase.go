@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	m5mgr "m5/internal/m5"
-	"m5/internal/policy"
-	"m5/internal/sim"
 	"m5/internal/workload"
 )
 
@@ -41,47 +39,22 @@ func ExtPhaseChange(p Params, windows int) ([]PhasePoint, error) {
 		// Size the key population to the access budget so the insertion
 		// front keeps moving through the measured windows instead of
 		// hitting the population cap early.
-		keys := uint64(p.Accesses / 40)
-		if keys < 4096 {
-			keys = 4096
-		}
-		if keys > 1<<19 {
-			keys = 1 << 19
-		}
 		wl := workload.NewYCSB(workload.YCSBConfig{
 			Kind: workload.YCSBD,
-			Keys: keys,
+			Keys: min(max(uint64(p.Accesses/40), 4096), 1<<19),
 			Seed: p.Seed,
 		})
-		cfg := sim.Config{Workload: wl}
-		p.applySpeed(&cfg)
-		if policy.NeedsHPT(name) {
-			cfg.HPT = policy.DefaultHPT()
-		}
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			wl.Close()
-			return nil, fmt.Errorf("phase %s: %w", name, err)
-		}
-		d, err := policy.New(name, policy.Env{
-			Sys:            r.Sys,
-			Ctrl:           r.Ctrl,
-			FootPages:      r.Sys.PageTable().Len(),
-			Migrate:        true,
-			AttachMissSink: r.AttachMissSink,
-			// Drift tuning for the M5 arm: scaled epochs see
-			// proportionally fewer accesses per page, so the equilibrium
-			// break-even filter is lowered to amortize over several
-			// epochs — the kind of policy tuning §7.2 says Elector users
-			// must do.
+		// Drift tuning for the M5 arm: scaled epochs see proportionally
+		// fewer accesses per page, so the equilibrium break-even filter is
+		// lowered to amortize over several epochs — the kind of policy
+		// tuning §7.2 says Elector users must do.
+		r, _, err := p.newCellRunner(Cell{
+			Gen:     wl,
+			Arm:     name,
 			Elector: m5mgr.ElectorConfig{MinNominationCount: 64},
-		})
+		}, nil)
 		if err != nil {
-			r.Close()
 			return nil, fmt.Errorf("phase %s: %w", name, err)
-		}
-		if d != nil {
-			r.SetDaemon(d)
 		}
 		warmToSteadyState(r, p.Warmup)
 		per := p.Accesses / windows

@@ -1,13 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	"m5/internal/obs"
-	"m5/internal/policy"
-	"m5/internal/sim"
-)
-
 // PolicyRow compares the M5 policy zoo on one benchmark: the stock Elector
 // (Algorithm 1), the static fixed-period policy, the bandwidth-threshold
 // policy, and the density-filtering policy (Guideline 3), all normalized
@@ -30,111 +22,19 @@ func ExtPolicies(p Params) ([]PolicyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Cells per benchmark: the no-migration baseline then each policy.
-	arms := append([]string{"none"}, PolicyNames()...)
-	results, err := mapCells(p, len(p.Benchmarks)*len(arms), func(i int) (sim.Result, error) {
-		bench, arm := p.Benchmarks[i/len(arms)], arms[i%len(arms)]
-		var (
-			res sim.Result
-			err error
-		)
-		if arm == "none" {
-			res, err = fig9Run(p, bench, Fig9None)
-		} else {
-			res, err = policyRun(p, bench, arm)
-		}
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("policies %s/%s: %w", bench, arm, err)
-		}
-		return res, nil
-	})
+	// Cells per benchmark: the no-migration baseline, then PolicyNames'
+	// registry arms in row order.
+	arms := []Cell{{}, {Arm: "m5-hpt"}, {Arm: "m5-static"}, {Arm: "m5-threshold"}, {Arm: "m5-density"}}
+	results, err := runEach(p, "policies", benchGrid(p.Benchmarks, arms...), p.runCell)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]PolicyRow, len(p.Benchmarks))
 	for i, bench := range p.Benchmarks {
-		none := results[i*len(arms)]
-		row := PolicyRow{Benchmark: bench}
-		for j, policy := range PolicyNames() {
-			norm := normalizedPerf(bench, none, results[i*len(arms)+1+j])
-			switch policy {
-			case "elector":
-				row.Elector = norm
-			case "static":
-				row.Static = norm
-			case "threshold":
-				row.Threshold = norm
-			case "density":
-				row.Density = norm
-			}
+		norm := func(j int) float64 {
+			return normalizedPerf(bench, results[i*len(arms)], results[i*len(arms)+j])
 		}
-		rows[i] = row
+		rows[i] = PolicyRow{Benchmark: bench, Elector: norm(1), Static: norm(2), Threshold: norm(3), Density: norm(4)}
 	}
 	return rows, nil
-}
-
-// policyArms maps the figure's row vocabulary onto registry names.
-var policyArms = map[string]string{
-	"elector":   "m5-hpt",
-	"static":    "m5-static",
-	"threshold": "m5-threshold",
-	"density":   "m5-density",
-}
-
-func policyRun(p Params, bench, arm string) (sim.Result, error) {
-	name, ok := policyArms[arm]
-	if !ok {
-		return sim.Result{}, fmt.Errorf("unknown policy %q", arm)
-	}
-	wl, err := p.newGenerator(bench)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg := sim.Config{Workload: wl, Metrics: cellRegistry(p)}
-	p.applySpeed(&cfg)
-	if policy.NeedsHPT(name) {
-		cfg.HPT = policy.DefaultHPT()
-	}
-	if policy.NeedsHWT(name) {
-		cfg.HWT = policy.DefaultHWT()
-	}
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		wl.Close()
-		return sim.Result{}, err
-	}
-	defer r.Close()
-	if err := installArm(r, name, cfg.Metrics, wl.Footprint()); err != nil {
-		return sim.Result{}, err
-	}
-	warmToSteadyState(r, p.Warmup)
-	return r.Run(p.Accesses), nil
-}
-
-// cellRegistry returns a fresh per-cell registry under CollectObs, else
-// nil (zero-overhead instrumentation).
-func cellRegistry(p Params) *obs.Registry {
-	if p.CollectObs {
-		return obs.New()
-	}
-	return nil
-}
-
-// installArm builds a registry policy over a runner in migration mode.
-func installArm(r *sim.Runner, name string, reg *obs.Registry, footprint uint64) error {
-	d, err := policy.New(name, policy.Env{
-		Sys:            r.Sys,
-		Ctrl:           r.Ctrl,
-		FootPages:      int(footprint / 4096),
-		Migrate:        true,
-		AttachMissSink: r.AttachMissSink,
-		Metrics:        reg.Scope("policy"),
-	})
-	if err != nil {
-		return err
-	}
-	if d != nil {
-		r.SetDaemon(d)
-	}
-	return nil
 }

@@ -69,12 +69,13 @@ func SampleCoverage(p Params) (*SampleCoverageReport, error) {
 		bench := p.Benchmarks[(i%perSeed)/len(cfgs)]
 		cfg := cfgs[i%len(cfgs)]
 		pc.Sample = false
-		exact, err := fig9Run(pc, bench, cfg)
+		machine := Cell{Bench: bench, Arm: string(cfg)}
+		exact, err := pc.runCell(machine)
 		if err != nil {
 			return SampleCell{}, fmt.Errorf("sample-coverage exact %s/%s seed %d: %w", bench, cfg, pc.Seed, err)
 		}
 		pc.Sample = true
-		sampled, err := fig9Run(pc, bench, cfg)
+		sampled, err := pc.runCell(machine)
 		if err != nil {
 			return SampleCell{}, fmt.Errorf("sample-coverage sampled %s/%s seed %d: %w", bench, cfg, pc.Seed, err)
 		}

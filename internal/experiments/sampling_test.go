@@ -84,14 +84,15 @@ func TestSamplingFieldsInertWithoutSample(t *testing.T) {
 	}
 	p := tinyParams("pr")
 	p.Accesses = 120_000
-	base, err := fig9Run(p, "pr", Fig9M5HPT)
+	cell := Cell{Bench: "pr", Arm: string(Fig9M5HPT)}
+	base, err := p.runCell(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.SampleWindow = 4096
 	p.SampleStride = 12288
 	p.TargetCI = 0.05
-	got, err := fig9Run(p, "pr", Fig9M5HPT)
+	got, err := p.runCell(cell)
 	if err != nil {
 		t.Fatal(err)
 	}

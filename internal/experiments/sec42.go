@@ -51,9 +51,8 @@ func Sec42(p Params) ([]Sec42Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	solutions := []string{"", "anb", "damon", "m5"}
 	results, err := mapCells(p, len(p.Benchmarks), func(i int) ([]sim.Result, error) {
-		return sec42Bench(p, p.Benchmarks[i], solutions)
+		return sec42Bench(p, p.Benchmarks[i])
 	})
 	if err != nil {
 		return nil, err
@@ -79,73 +78,46 @@ func Sec42(p Params) ([]Sec42Row, error) {
 	return rows, nil
 }
 
-// sec42Bench warms one machine for a benchmark and measures every solution
-// from a fork of its checkpoint. The warm runner carries the HPT even
-// though only the "m5" fork queries it: an attached-but-unqueried tracker
-// snoops the same accesses without adding simulated time or touching any
-// Result field, so the superset config keeps all four forks byte-identical
-// up to the daemon each installs.
+// sec42Arms are the solutions Sec42 measures per benchmark, each in
+// profiling mode: no daemon, ANB, DAMON, and M5's manager, which queries
+// the HPT over MMIO but never migrates — identification cost alone.
+var sec42Arms = []Cell{{Profile: true}, {Arm: "anb", Profile: true}, {Arm: "damon", Profile: true}, {Arm: "m5-hpt", Profile: true}}
+
+// sec42Bench warms one machine for a benchmark and measures every
+// sec42Arms solution from a fork of its checkpoint. The warm machine is
+// daemon-free and registry-free, as sim.Checkpoint requires, and carries
+// the HPT even though only the M5 fork queries it: an
+// attached-but-unqueried tracker snoops the same accesses without adding
+// simulated time or touching any Result field, so the superset machine
+// keeps all four forks byte-identical up to the daemon each installs.
 //
 // The warmup routes through Params.warmCheckpoint: with no WarmSource the
-// machine is warmed locally exactly as before; under the serve frontend
-// the checkpoint comes from the shared copy-on-write tree, where repeated
-// queries reuse (or prefix-extend) earlier warmups. Both paths hand back
-// bit-identical machine state.
-func sec42Bench(p Params, bench string, solutions []string) ([]sim.Result, error) {
+// machine is warmed locally; under the serve frontend the checkpoint
+// comes from the shared copy-on-write tree, where repeated queries reuse
+// (or prefix-extend) earlier warmups. Both paths hand back bit-identical
+// machine state.
+func sec42Bench(p Params, bench string) ([]sim.Result, error) {
 	cp, err := p.warmCheckpoint(WarmKey{Bench: bench, Kind: "sec42-hpt"}, func() (*sim.Runner, error) {
-		wl, err := p.newGenerator(bench)
-		if err != nil {
-			return nil, err
-		}
-		warmCfg := sim.Config{Workload: wl, HPT: policy.DefaultHPT()}
-		p.applySpeed(&warmCfg)
-		r, err := sim.NewRunner(warmCfg)
-		if err != nil {
-			wl.Close()
-			return nil, err
-		}
-		return r, nil
+		r, _, err := p.newCellRunner(Cell{Bench: bench, HPT: policy.DefaultHPT()}, nil)
+		return r, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sec42 %s: %w", bench, err)
 	}
-	footprint := cp.Footprint()
-	out := make([]sim.Result, len(solutions))
-	for si, solution := range solutions {
-		res, err := sec42Fork(p, cp, solution, footprint)
+	out := make([]sim.Result, len(sec42Arms))
+	for i, c := range sec42Arms {
+		r, err := cp.Fork()
 		if err != nil {
-			name := solution
-			if name == "" {
-				name = "none"
-			}
-			return nil, fmt.Errorf("sec42 %s/%s: %w", bench, name, err)
+			return nil, fmt.Errorf("sec42 %s: %w", bench, err)
 		}
-		out[si] = res
+		if _, err := c.install(r, nil, cp.Footprint()); err != nil {
+			r.Close()
+			return nil, fmt.Errorf("sec42 %s/%s: %w", bench, c.arm(), err)
+		}
+		out[i] = r.Run(p.Accesses)
+		r.Close()
 	}
 	return out, nil
-}
-
-func sec42Fork(p Params, cp *sim.Checkpoint, solution string, footprint uint64) (sim.Result, error) {
-	r, err := cp.Fork()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	defer r.Close()
-	if solution != "" {
-		// "m5" measures the manager in profile mode: it queries the HPT
-		// over MMIO but never migrates — identification cost alone, like
-		// the baselines' profiling mode.
-		name := solution
-		if name == "m5" {
-			name = "m5-hpt"
-		}
-		daemon, err := newProfilingBaseline(r, name, footprint)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		r.SetDaemon(daemon)
-	}
-	return r.Run(p.Accesses), nil
 }
 
 // pctIncrease returns (after-before)/before in percent; 0 when before is

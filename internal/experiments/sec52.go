@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"m5/internal/sim"
 	"m5/internal/tiermem"
 )
 
@@ -35,15 +34,9 @@ func Sec52(p Params) ([]Sec52Row, error) {
 		if err != nil {
 			return Sec52Row{}, err
 		}
-		cfg := sim.Config{
-			Workload: wl,
-			// DDR must hold up to 2/3 of the pages for ratio 2.
-			DDRFraction: 0.75,
-		}
-		p.applySpeed(&cfg)
-		r, err := sim.NewRunner(cfg)
+		// DDR must hold up to 2/3 of the pages for ratio 2.
+		r, _, err := p.newCellRunner(Cell{Gen: wl, DDRFraction: 0.75}, nil)
 		if err != nil {
-			wl.Close()
 			return Sec52Row{}, err
 		}
 		// Spread a fraction ratio/(1+ratio) of pages onto DDR with a

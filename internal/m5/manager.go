@@ -13,10 +13,6 @@ type ManagerConfig struct {
 	Mode NominatorMode
 	// Elector holds Algorithm 1's tunables.
 	Elector ElectorConfig
-	// HugeDenseMin, when positive, promotes 2MB huge units once at least
-	// this many of their 4KB frames are nominated hot (§8 extension; the
-	// workload arena must be huge-mapped).
-	HugeDenseMin int
 	// Profile disables migration (Figure 8's access-count-ratio mode):
 	// nominations are recorded but not promoted.
 	Profile bool
@@ -65,7 +61,6 @@ func NewManager(sys *tiermem.System, ctrl *cxl.Controller, cfg ManagerConfig) *M
 		hotSeen: make(map[mem.PFN]bool),
 	}
 	m.promoter = NewPromoter(sys)
-	m.promoter.HugeDenseMin = cfg.HugeDenseMin
 	m.elector = NewElector(m.monitor, m.nom, m.promoter, cfg.Elector)
 	if cfg.Profile {
 		// Profile mode queries at the default frequency (there is no

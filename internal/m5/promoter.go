@@ -15,15 +15,15 @@ import (
 type Promoter struct {
 	sys *tiermem.System
 
-	// HugeDenseMin, when positive, enables huge-page promotion (§8):
-	// nominated 4KB frames inside 2MB mappings are folded into their
-	// huge units, and a unit is promoted as a whole once at least
-	// HugeDenseMin of its frames are nominated hot.
-	HugeDenseMin int
-
 	promoted uint64
 	refused  uint64
 }
+
+// hugeDenseMin is how many nominated frames promote a 2MB unit (§8): a
+// nominated 4KB frame inside a huge mapping is folded into its unit, and
+// the unit moves as a whole once at least this many of its frames are
+// nominated hot. A 4KB arena has no huge mappings, so nothing folds.
+const hugeDenseMin = 2
 
 // NewPromoter wraps a system.
 func NewPromoter(sys *tiermem.System) *Promoter {
@@ -71,11 +71,9 @@ func (p *Promoter) Promote(pages []HotPage) int {
 			p.refused++
 			continue
 		}
-		if p.HugeDenseMin > 0 {
-			if head, ok := p.sys.HugeHeadOf(batch[i]); ok {
-				hugeHits[head]++
-				continue
-			}
+		if head, ok := p.sys.HugeHeadOf(batch[i]); ok {
+			hugeHits[head]++
+			continue
 		}
 		ordered = append(ordered, batch[i])
 	}
@@ -84,7 +82,7 @@ func (p *Promoter) Promote(pages []HotPage) int {
 	// dense units go in head order, never map order.
 	heads := make([]tiermem.VPN, 0, len(hugeHits))
 	for head, hits := range hugeHits {
-		if hits >= p.HugeDenseMin {
+		if hits >= hugeDenseMin {
 			heads = append(heads, head)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,11 +22,12 @@ import (
 
 // The block harness parks until released, so admission-control tests can
 // hold a query in flight deterministically. It lives only in this test
-// binary's registry.
+// binary's registry. Each test run parks on its own release channel
+// (holdBlockQueries), so one run's release cannot leave a later run's
+// query unparked under -count.
 var (
 	blockStarted = make(chan struct{}, 16)
-	blockRelease = make(chan struct{})
-	releaseOnce  sync.Once
+	blockRelease atomic.Pointer[chan struct{}]
 )
 
 func init() {
@@ -33,11 +35,21 @@ func init() {
 		Name:  "test-block",
 		Title: "test: park until released",
 		Run: func(experiments.Params) (*experiments.Result, error) {
+			release := *blockRelease.Load()
 			blockStarted <- struct{}{}
-			<-blockRelease
+			<-release
 			return &experiments.Result{Notes: []string{"released"}}, nil
 		},
 	})
+}
+
+// holdBlockQueries parks later test-block queries on a fresh channel and
+// returns its release, which is idempotent.
+func holdBlockQueries() (release func()) {
+	ch := make(chan struct{})
+	blockRelease.Store(&ch)
+	var once sync.Once
+	return func() { once.Do(func() { close(ch) }) }
 }
 
 func serveDefaults() experiments.Params {
@@ -399,9 +411,11 @@ func TestHarnessesEndpoint(t *testing.T) {
 // capacity, 503 while draining, and Drain() completing only after the
 // in-flight query finishes.
 func TestCapacityAndDrain(t *testing.T) {
+	release := holdBlockQueries()
 	srv := NewServer(Config{Defaults: serveDefaults(), MaxConcurrent: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer release() // ts.Close waits for the parked query
 
 	// Park one query in flight.
 	type sweepDone struct {
@@ -465,7 +479,7 @@ func TestCapacityAndDrain(t *testing.T) {
 	}
 
 	// ...and complete once it is released, with the query's stream whole.
-	releaseOnce.Do(func() { close(blockRelease) })
+	release()
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {

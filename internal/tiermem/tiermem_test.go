@@ -462,13 +462,22 @@ func TestHotAccountingPathNoAllocs(t *testing.T) {
 // TestTranslateZeroAllocs pins TranslateInto, the per-access
 // translation, to 0 allocs/op through TLB hits, misses with page walks,
 // clock evictions and context-switch flushes.
-func TestTranslateZeroAllocs(t *testing.T) {
-	const pages = 256
-	s := NewSystem(Config{DDRPages: 64, CXLPages: pages, Cores: 1, TLBEntries: 16})
-	base, err := s.Alloc(pages, NodeCXL)
+// translateFixture is a one-core machine whose 16-entry TLB covers a
+// sixteenth of its 256-page CXL arena; it returns the arena's base.
+func translateFixture(tb testing.TB) (*System, VPN) {
+	s := NewSystem(Config{DDRPages: 64, CXLPages: translatePages, Cores: 1, TLBEntries: 16})
+	base, err := s.Alloc(translatePages, NodeCXL)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s, base
+}
+
+const translatePages = 256
+
+func TestTranslateZeroAllocs(t *testing.T) {
+	const pages = translatePages
+	s, base := translateFixture(t)
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]VirtAddr, 4096)
 	for i := range addrs {
@@ -493,6 +502,37 @@ func TestTranslateZeroAllocs(t *testing.T) {
 	}
 	if s.Walks() == walks || s.TLB(0).Hits() == 0 {
 		t.Errorf("probe ran %d walks and %d hits; it must exercise both", s.Walks()-walks, s.TLB(0).Hits())
+	}
+}
+
+// BenchmarkTranslate reports ns per TranslateInto and the TLB hit ratio
+// on translateFixture's machine for two address pools: "tlb-hit" touches
+// 8 pages, which the TLB holds after the first pass, and "page-walk"
+// strides over all 256 pages, so every translation misses and walks the
+// page table.
+func BenchmarkTranslate(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		pages int
+	}{{"tlb-hit", 8}, {"page-walk", translatePages}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, base := translateFixture(b)
+			rng := rand.New(rand.NewSource(1))
+			addrs := make([]VirtAddr, 4096)
+			for i := range addrs {
+				addrs[i] = (base + VPN(i%bc.pages)).Addr() + VirtAddr(rng.Intn(mem.PageSize))
+			}
+			tlb := s.TLB(0)
+			hits, misses := tlb.Hits(), tlb.Misses()
+			var res TranslateResult
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.TranslateInto(0, addrs[i%len(addrs)], i%4 == 0, &res)
+			}
+			hits, misses = tlb.Hits()-hits, tlb.Misses()-misses
+			b.ReportMetric(float64(hits)/float64(hits+misses), "tlb-hit-ratio")
+		})
 	}
 }
 
