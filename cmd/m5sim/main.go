@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"m5/internal/cliutil"
 	"m5/internal/obs"
 	"m5/internal/parallel"
 	"m5/internal/policy"
@@ -62,7 +61,7 @@ func main() {
 	}
 	flag.Parse()
 
-	sc, err := cliutil.ParseScale(*scale)
+	sc, err := workload.ParseScale(*scale)
 	if err != nil {
 		fail(err)
 	}
@@ -86,11 +85,11 @@ func main() {
 	}
 	wl := streams[0]
 	cfg := sim.Config{Workload: wl, CoRunning: streams[1:], Bandwidth: n > 1, DDRFraction: *ddr, Metrics: reg}
-	if cliutil.NeedsHPT(*policyFl) {
-		cfg.HPT = cliutil.DefaultHPT()
+	if policy.NeedsHPT(*policyFl) {
+		cfg.HPT = policy.DefaultHPT()
 	}
-	if cliutil.NeedsHWT(*policyFl) {
-		cfg.HWT = cliutil.DefaultHWT()
+	if policy.NeedsHWT(*policyFl) {
+		cfg.HWT = policy.DefaultHWT()
 	}
 	r, err := sim.NewRunner(cfg)
 	if err != nil {
@@ -98,8 +97,19 @@ func main() {
 	}
 	defer r.Close()
 
-	if err := cliutil.InstallPolicy(r, *policyFl, r.Sys.PageTable().Len(), reg.Scope("policy")); err != nil {
+	d, err := policy.New(*policyFl, policy.Env{
+		Sys:            r.Sys,
+		Ctrl:           r.Ctrl,
+		FootPages:      r.Sys.PageTable().Len(),
+		Migrate:        true,
+		AttachMissSink: r.AttachMissSink,
+		Metrics:        reg.Scope("policy"),
+	})
+	if err != nil {
 		fail(err)
+	}
+	if d != nil {
+		r.SetDaemon(d)
 	}
 
 	name := wl.Name()

@@ -21,18 +21,25 @@
 //
 //	m5trace export -workload roms -scale small -accesses 2000000 -o roms.m5tape
 //	m5trace import -i roms.m5tape [-verify N]
+//
+// Profile a workload offline with PAC and WAC (§3) attached: the hottest
+// pages, the per-page access-count distribution (Figure 10's input) and
+// the access-sparsity histogram (Figure 4's input):
+//
+//	m5trace profile -workload redis [-scale small] [-accesses N] [-top 20] [-seed N]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"m5/internal/cliutil"
 	"m5/internal/experiments"
 	"m5/internal/mem"
 	"m5/internal/sim"
+	"m5/internal/stats"
 	"m5/internal/trace"
 	"m5/internal/tracker"
 	"m5/internal/workload"
@@ -41,7 +48,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		fail(fmt.Errorf("usage: m5trace record|info|replay|export|import [flags]"))
+		fail(fmt.Errorf("usage: m5trace record|info|replay|export|import|profile [flags]"))
 	}
 	var err error
 	switch os.Args[1] {
@@ -55,6 +62,8 @@ func main() {
 		err = exportTape(os.Args[2:])
 	case "import":
 		err = importTape(os.Args[2:])
+	case "profile":
+		err = profile(os.Stdout, os.Args[2:])
 	default:
 		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
 	}
@@ -72,7 +81,7 @@ func record(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	fs.Parse(args)
 
-	sc, err := cliutil.ParseScale(*scale)
+	sc, err := workload.ParseScale(*scale)
 	if err != nil {
 		return err
 	}
@@ -232,7 +241,7 @@ func exportTape(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	fs.Parse(args)
 
-	sc, err := cliutil.ParseScale(*scale)
+	sc, err := workload.ParseScale(*scale)
 	if err != nil {
 		return err
 	}
@@ -315,6 +324,81 @@ func importTape(args []string) error {
 		checked += uint64(nw)
 	}
 	fmt.Printf("verified       %d accesses byte-identical to live generation\n", checked)
+	return nil
+}
+
+// profile runs a workload with PAC and WAC attached and reports its
+// hottest pages, its per-page access-count percentiles and its word
+// sparsity.
+func profile(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("profile", flag.ExitOnError)
+	wlName := fs.String("workload", "redis", "benchmark name (see Table 3)")
+	scale := fs.String("scale", "small", "workload scale (tiny, small, medium, large)")
+	acc := fs.Int("accesses", 3_000_000, "profiled accesses")
+	top := fs.Int("top", 20, "hot pages to list")
+	seed := fs.Int64("seed", 1, "deterministic seed")
+	fs.Parse(args)
+
+	sc, err := workload.ParseScale(*scale)
+	if err != nil {
+		return err
+	}
+	wl, err := workload.New(*wlName, sc, *seed)
+	if err != nil {
+		return err
+	}
+	r, err := sim.NewRunner(sim.Config{Workload: wl, EnablePAC: true, EnableWAC: true})
+	if err != nil {
+		wl.Close()
+		return err
+	}
+	defer r.Close()
+	r.Run(*acc)
+
+	pac, wac := r.Ctrl.PAC, r.Ctrl.WAC
+	fmt.Fprintf(w, "workload %s (%s): %d CXL DRAM accesses over %d touched pages\n\n",
+		wl.Name(), sc, pac.Total(), pac.NonZero())
+
+	// Top-K hot pages.
+	hot := experiments.Table{
+		Title:  fmt.Sprintf("PAC: top-%d hot pages", *top),
+		Header: []string{"rank", "pfn", "accesses", "hot words"},
+	}
+	perPage := wac.WordsAccessedPerPage()
+	for i, kc := range pac.TopK(*top) {
+		hot.Add(i+1, mem.PFN(kc.Key).String(), kc.Count, perPage[mem.PFN(kc.Key)])
+	}
+	hot.Render(w)
+	fmt.Fprintln(w)
+
+	// Access-count distribution.
+	counts := pac.Counts()
+	vals := make([]uint64, 0, len(counts))
+	for _, c := range counts {
+		vals = append(vals, c)
+	}
+	cdf := stats.NewCDF(vals)
+	dist := experiments.Table{
+		Title:  "PAC: per-page access-count percentiles",
+		Header: []string{"p50", "p90", "p95", "p99", "p99/p50"},
+	}
+	p50 := cdf.Quantile(0.5)
+	ratio := 0.0
+	if p50 > 0 {
+		ratio = float64(cdf.Quantile(0.99)) / float64(p50)
+	}
+	dist.Add(p50, cdf.Quantile(0.9), cdf.Quantile(0.95), cdf.Quantile(0.99), ratio)
+	dist.Render(w)
+	fmt.Fprintln(w)
+
+	// Sparsity (Figure 4 thresholds).
+	sp := wac.SparsityCDF(experiments.Fig4Thresholds)
+	spt := experiments.Table{
+		Title:  "WAC: P(page has at most N unique words accessed)",
+		Header: []string{"<=4", "<=8", "<=16", "<=32", "<=48"},
+	}
+	spt.Add(sp[0], sp[1], sp[2], sp[3], sp[4])
+	spt.Render(w)
 	return nil
 }
 

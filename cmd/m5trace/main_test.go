@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,5 +65,28 @@ func TestReplayScoresValidFlags(t *testing.T) {
 		if err := replay([]string{"-i", path, "-algorithm", alg, "-entries", "16", "-k", "3"}); err != nil {
 			t.Errorf("replay -algorithm %s: %v", alg, err)
 		}
+	}
+}
+
+// TestProfileReportsPACAndWAC runs the offline PAC/WAC profiler at tiny
+// scale: all three tables render, the hot-page table lists -top pages,
+// and a bad scale is an error.
+func TestProfileReportsPACAndWAC(t *testing.T) {
+	var out bytes.Buffer
+	if err := profile(&out, []string{"-workload", "redis", "-scale", "tiny", "-accesses", "200000", "-top", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"workload redis (tiny)",
+		"PAC: top-5 hot pages",
+		"PAC: per-page access-count percentiles",
+		"WAC: P(page has at most N unique words accessed)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("profile output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if err := profile(&out, []string{"-scale", "giant"}); err == nil {
+		t.Error("unknown scale should error")
 	}
 }

@@ -193,8 +193,9 @@ var sortFuncs = map[string]bool{
 // Appends to variables declared outside the loop are allowed only when
 // the variable is sorted after the loop in the same function. Anything
 // else that lets the iteration order escape — returns, sends, calls
-// that see the loop variables, writes of loop-derived values to outer
-// variables — is reported.
+// that see the loop variables (as statements, on an assignment's right
+// side, or in an if/switch condition), writes of loop-derived values to
+// outer variables — is reported.
 func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Object, token.Pos) bool) {
 	loopObjs := map[types.Object]bool{}
 	for _, e := range []ast.Expr{rng.Key, rng.Value} {
@@ -225,16 +226,36 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		return found
 	}
 
-	checkCall := func(s ast.Stmt, call *ast.CallExpr) {
+	checkCall := func(s ast.Stmt, call *ast.CallExpr) bool {
 		for _, a := range call.Args {
 			if usesLoopVar(a) {
 				pass.Reportf(s.Pos(), "map iteration order escapes through call arguments; sort the keys first or annotate //m5:orderinvariant")
-				return
+				return true
 			}
 		}
 		if fun, ok := call.Fun.(*ast.SelectorExpr); ok && usesLoopVar(fun.X) {
 			pass.Reportf(s.Pos(), "map iteration order escapes through a method call on the iterated value; sort the keys first or annotate //m5:orderinvariant")
+			return true
 		}
+		return false
+	}
+	// checkCallsIn vets every call an expression makes when evaluated —
+	// `x := f(k)` and `if f(k)` run f in map order just as a bare `f(k)`
+	// statement does — reporting s at most once. Builtins and type
+	// conversions are not calls here, and function literals do not run.
+	checkCallsIn := func(s ast.Stmt, e ast.Expr) {
+		reported := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				if !reported && !isBuiltinOrConversion(pass, n) {
+					reported = checkCall(s, n)
+				}
+			}
+			return !reported
+		})
 	}
 
 	var visit func(ast.Stmt)
@@ -243,25 +264,15 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 			visit(s)
 		}
 	}
-	// visitInit also vets the calls of an if/switch init assignment:
-	// `if err := f(k); err == nil` runs f in map order just as a bare
-	// `f(k)` statement does.
-	visitInit := func(s ast.Stmt) {
-		if as, ok := s.(*ast.AssignStmt); ok {
-			for _, rhs := range as.Rhs {
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					checkCall(as, call)
-				}
-			}
-		}
-		visit(s)
-	}
 	visit = func(s ast.Stmt) {
 		switch s := s.(type) {
 		case nil:
 		case *ast.AssignStmt:
 			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
 				return // compound assignment: commutative fold
+			}
+			for _, rhs := range s.Rhs {
+				checkCallsIn(s, rhs)
 			}
 			for i, lhs := range s.Lhs {
 				var rhs ast.Expr
@@ -289,7 +300,8 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		case *ast.BlockStmt:
 			visitAll(s.List)
 		case *ast.IfStmt:
-			visitInit(s.Init)
+			visit(s.Init)
+			checkCallsIn(s, s.Cond)
 			visit(s.Body)
 			visit(s.Else)
 		case *ast.ForStmt:
@@ -299,14 +311,20 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		case *ast.RangeStmt:
 			visit(s.Body)
 		case *ast.SwitchStmt:
-			visitInit(s.Init)
+			visit(s.Init)
+			if s.Tag != nil {
+				checkCallsIn(s, s.Tag)
+			}
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						checkCallsIn(s, e)
+					}
 					visitAll(cc.Body)
 				}
 			}
 		case *ast.TypeSwitchStmt:
-			visitInit(s.Init)
+			visit(s.Init)
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					visitAll(cc.Body)
@@ -405,6 +423,13 @@ func fileImports(pass *Pass, pos token.Pos, path string) bool {
 		}
 	}
 	return false
+}
+
+// isBuiltinOrConversion reports whether the call invokes a builtin or
+// converts a value to a type.
+func isBuiltinOrConversion(pass *Pass, call *ast.CallExpr) bool {
+	tv, ok := pass.TypesInfo.Types[call.Fun]
+	return ok && (tv.IsType() || tv.IsBuiltin())
 }
 
 // isBuiltinCall reports whether the call invokes the named builtin.

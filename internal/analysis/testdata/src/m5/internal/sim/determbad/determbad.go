@@ -85,3 +85,38 @@ func PromoteDense(hits map[uint64]int, dense int, promote func(uint64) error) in
 	}
 	return n
 }
+
+// Score assigns each key's score in visit order: score may count calls
+// or read state an earlier call changed.
+func Score(m map[string]int, score func(string) int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k := range m {
+		v := score(k) // want "map iteration order escapes through call arguments"
+		out[k] = v
+	}
+	return out
+}
+
+// Admit asks an admission predicate in visit order; a stateful predicate
+// admits a different set on each run.
+func Admit(m map[string]int, admit func(string) bool) int {
+	n := 0
+	for k := range m {
+		if admit(k) { // want "map iteration order escapes through call arguments"
+			n++
+		}
+	}
+	return n
+}
+
+// Classify dispatches on a method of each visited value.
+func Classify(m map[string]interface{ Kind() int }) int {
+	hot := 0
+	for _, v := range m {
+		switch v.Kind() { // want "map iteration order escapes through a method call on the iterated value"
+		case 1:
+			hot++
+		}
+	}
+	return hot
+}

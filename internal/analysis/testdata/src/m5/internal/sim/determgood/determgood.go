@@ -94,3 +94,29 @@ func PromoteDense(hits map[uint64]int, dense int, promote func(uint64) error) in
 	}
 	return n
 }
+
+// Widths sizes each entry with builtins and conversions, which run no
+// caller code.
+func Widths(m map[string][]int) map[string]uint64 {
+	out := make(map[string]uint64, len(m))
+	for k, v := range m {
+		n := uint64(len(v))
+		if max(len(v), 1) > 8 {
+			n = 8
+		}
+		out[k] = n
+	}
+	return out
+}
+
+// Totals calls out only with values the loop does not produce.
+func Totals(m map[string]int, scale func() int) int {
+	total := 0
+	for _, v := range m {
+		f := scale()
+		if f > 0 {
+			total += v * f
+		}
+	}
+	return total
+}

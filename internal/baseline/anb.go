@@ -6,16 +6,19 @@ import (
 	"m5/internal/tiermem"
 )
 
+const (
+	// anbPeriodNs is the base sampling period (numa_balancing scan period
+	// minimum): 1ms of simulated time per scan slice. Like the kernel's
+	// adaptive scan period, it doubles while sampling is unproductive —
+	// §7.2 observes that ANB "rarely unmaps pages" once migration reaches
+	// equilibrium — and resets when fast memory has headroom again.
+	anbPeriodNs = 1_000_000
+	// anbMaxPeriodNs caps the backoff at 64x the base period.
+	anbMaxPeriodNs = 64 * anbPeriodNs
+)
+
 // ANBConfig parameterizes Automatic NUMA Balancing.
 type ANBConfig struct {
-	// PeriodNs is the base sampling period (numa_balancing scan period
-	// minimum). Like the kernel's adaptive scan period, it doubles while
-	// sampling is unproductive — §7.2 observes that ANB "rarely unmaps
-	// pages" once migration reaches equilibrium — and resets when fast
-	// memory has headroom again.
-	PeriodNs uint64
-	// MaxPeriodNs caps the backoff (default 64x the base period).
-	MaxPeriodNs uint64
 	// SamplePages is how many slow-tier pages are unmapped per period
 	// (the kernel samples e.g. 64K pages; scaled instances sample fewer).
 	SamplePages int
@@ -31,14 +34,8 @@ type ANBConfig struct {
 }
 
 func (c ANBConfig) withDefaults() ANBConfig {
-	if c.PeriodNs == 0 {
-		c.PeriodNs = 1_000_000 // 1ms of simulated time per scan slice
-	}
 	if c.SamplePages == 0 {
 		c.SamplePages = 256
-	}
-	if c.MaxPeriodNs == 0 {
-		c.MaxPeriodNs = 64 * c.PeriodNs
 	}
 	return c
 }
@@ -73,7 +70,7 @@ func NewANB(sys *tiermem.System, cfg ANBConfig) *ANB {
 		hot:   newHotSet(cfg.HotListCap),
 		armed: make(map[tiermem.VPN]bool),
 	}
-	a.period = a.cfg.PeriodNs
+	a.period = anbPeriodNs
 	a.metrics = cfg.Metrics
 	a.obsTicks = cfg.Metrics.Counter("ticks")
 	a.obsSampled = cfg.Metrics.Counter("sampled")
@@ -86,7 +83,7 @@ func NewANB(sys *tiermem.System, cfg ANBConfig) *ANB {
 func (a *ANB) Name() string { return "anb" }
 
 // PeriodNs implements the migration-daemon contract; the period adapts
-// between the base and MaxPeriodNs.
+// between anbPeriodNs and anbMaxPeriodNs.
 func (a *ANB) PeriodNs() uint64 { return a.period }
 
 // Tick runs one sampling period: walk forward from the scan cursor and
@@ -109,11 +106,11 @@ func (a *ANB) Tick(nowNs uint64) {
 		old := a.period
 		if a.sys.Node(tiermem.NodeDDR).FreePages() == 0 {
 			a.period *= 2
-			if a.period > a.cfg.MaxPeriodNs {
-				a.period = a.cfg.MaxPeriodNs
+			if a.period > anbMaxPeriodNs {
+				a.period = anbMaxPeriodNs
 			}
 		} else {
-			a.period = a.cfg.PeriodNs
+			a.period = anbPeriodNs
 		}
 		if a.period != old {
 			a.metrics.Emit(nowNs, "period_change", 0, a.period)

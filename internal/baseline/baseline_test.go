@@ -96,10 +96,7 @@ func TestANBConsumesKernelTime(t *testing.T) {
 
 func TestDAMONElectsHotRegions(t *testing.T) {
 	sys, base := newSys(t, 128)
-	d := NewDAMON(sys, DAMONConfig{
-		PeriodNs: 1_000_000, AggregationTicks: 4, HotThreshold: 2,
-		MinRegions: 16, MaxRegions: 64,
-	})
+	d := NewDAMON(sys, DAMONConfig{})
 	// Pages 0..7 hammered every epoch; the rest untouched. The hot pages'
 	// regions should be elected; since regions are coarse, region-mates
 	// ride along — DAMON's warm-as-hot behaviour (§4.1).
@@ -134,14 +131,18 @@ func TestDAMONElectsHotRegions(t *testing.T) {
 }
 
 func TestDAMONRegionInvariants(t *testing.T) {
-	sys, base := newSys(t, 256)
-	d := NewDAMON(sys, DAMONConfig{
-		AggregationTicks: 2, MinRegions: 8, MaxRegions: 32,
-	})
-	rng := rand.New(rand.NewSource(3))
-	for tick := 0; tick < 40; tick++ {
-		for i := 0; i < 64; i++ {
-			sys.Translate(0, (base + tiermem.VPN(rng.Intn(256))).Addr(), false)
+	// More pages than damonMaxRegions, and every page of every other
+	// region touched each tick: adjacent regions never look alike, so no
+	// merge undoes a split and the count doubles each window until the
+	// split cutoff stops it.
+	sys, base := newSys(t, 4*damonMaxRegions)
+	d := NewDAMON(sys, DAMONConfig{})
+	peak := 0
+	for tick := 0; tick < 10*damonAggregationTicks; tick++ {
+		for i, r := range d.regions {
+			for v := r.start; i%2 == 0 && v < r.end; v++ {
+				sys.Translate(0, (base + v).Addr(), false)
+			}
 		}
 		sys.TLB(0).Flush()
 		d.Tick(0)
@@ -159,30 +160,31 @@ func TestDAMONRegionInvariants(t *testing.T) {
 		if int(prev) != sys.PageTable().Len() {
 			t.Fatalf("regions cover %d pages, want %d", prev, sys.PageTable().Len())
 		}
-		if len(d.regions) > 32 {
+		if len(d.regions) > damonMaxRegions {
 			t.Fatalf("region count %d exceeds max", len(d.regions))
 		}
+		peak = max(peak, d.Regions())
 	}
-	if d.Regions() == 0 {
-		t.Error("regions should exist")
+	if peak <= damonMaxRegions/2 {
+		t.Errorf("peak region count %d never reached the split cutoff %d", peak, damonMaxRegions/2)
 	}
 }
 
 func TestDAMONRegionGranularityConfusesWarmWithHot(t *testing.T) {
 	// Observation 1 mechanism: a warm page sharing a region with a hot
-	// page inherits the region's nr_accesses and is recorded as hot.
-	sys, base := newSys(t, 64)
-	d := NewDAMON(sys, DAMONConfig{
-		AggregationTicks: 4, HotThreshold: 1, MinRegions: 2, MaxRegions: 2,
-	})
-	for tick := 0; tick < 64; tick++ {
+	// page inherits the region's nr_accesses and is recorded as hot. With
+	// more pages than damonMaxRegions, regions stay many pages wide, so
+	// the one-page-per-region sampler needs many windows to hit page 0.
+	sys, base := newSys(t, 2*damonMaxRegions)
+	d := NewDAMON(sys, DAMONConfig{})
+	for tick := 0; tick < 500*damonAggregationTicks; tick++ {
 		sys.Translate(0, base.Addr(), false) // only page 0 is ever touched
 		sys.TLB(0).Flush()
 		d.Tick(0)
 	}
 	hot := d.HotPFNs()
 	if len(hot) == 0 {
-		t.Skip("sampling never hit the hot page with this seed")
+		t.Fatal("sampling never hit the hot page")
 	}
 	// Any recorded page other than the single truly hot one is a warm
 	// region-mate — the imprecision under study.
@@ -200,11 +202,9 @@ func TestDAMONRegionGranularityConfusesWarmWithHot(t *testing.T) {
 
 func TestDAMONMigrateQuota(t *testing.T) {
 	sys, base := newSys(t, 64)
-	d := NewDAMON(sys, DAMONConfig{
-		AggregationTicks: 2, HotThreshold: 1, Migrate: true, MigrateBatch: 3,
-		MinRegions: 4, MaxRegions: 8,
-	})
-	for tick := 0; tick < 8; tick++ {
+	d := NewDAMON(sys, DAMONConfig{Migrate: true, MigrateBatch: 3})
+	const aggregations = 4
+	for tick := 0; tick < aggregations*damonAggregationTicks; tick++ {
 		for i := 0; i < 32; i++ {
 			sys.Translate(0, (base + tiermem.VPN(i)).Addr(), false)
 		}
@@ -214,19 +214,16 @@ func TestDAMONMigrateQuota(t *testing.T) {
 	if d.Promoted() == 0 {
 		t.Fatal("DAMON should promote")
 	}
-	// 4 aggregations x quota 3 bounds promotions.
-	if d.Promoted() > 12 {
+	// Aggregations x quota 3 bounds promotions.
+	if d.Promoted() > aggregations*3 {
 		t.Errorf("Promoted = %d exceeds the DAMOS quota", d.Promoted())
 	}
 }
 
 func TestDAMONHotListCap(t *testing.T) {
 	sys, base := newSys(t, 64)
-	d := NewDAMON(sys, DAMONConfig{
-		AggregationTicks: 1, HotThreshold: 1, HotListCap: 2,
-		MinRegions: 4, MaxRegions: 8,
-	})
-	for tick := 0; tick < 4; tick++ {
+	d := NewDAMON(sys, DAMONConfig{HotListCap: 2})
+	for tick := 0; tick < 4*damonAggregationTicks; tick++ {
 		for i := 0; i < 32; i++ {
 			sys.Translate(0, (base + tiermem.VPN(i)).Addr(), false)
 		}
@@ -240,9 +237,10 @@ func TestDAMONHotListCap(t *testing.T) {
 
 func TestPEBSSamplesAndElects(t *testing.T) {
 	sys, base := newSys(t, 64)
-	p := NewPEBS(sys, PEBSConfig{SampleRate: 10, HotK: 2, BufferEntries: 4})
+	p := NewPEBS(sys, PEBSConfig{SampleRate: 10, HotK: 2})
 	hotPhys := sys.Translate(0, base.Addr(), false).Phys
 	coldPhys := sys.Translate(0, (base + 20).Addr(), false).Phys
+	// 10,100 misses at 1/10 fill the pebsBufferEntries buffer once.
 	for i := 0; i < 10000; i++ {
 		p.Observe(trace.Access{Addr: hotPhys})
 		if i%100 == 0 {
@@ -316,7 +314,7 @@ func TestANBBeatsDAMONAtPrecisionOnSkewedStream(t *testing.T) {
 		touch(sysA, baseA, 256, 2000, int64(round))
 	}
 	sysD, baseD := newSys(t, 256)
-	dam := NewDAMON(sysD, DAMONConfig{AggregationTicks: 4, HotThreshold: 2})
+	dam := NewDAMON(sysD, DAMONConfig{})
 	for round := 0; round < 8; round++ {
 		touch(sysD, baseD, 256, 2000, int64(round))
 		dam.Tick(0)

@@ -9,68 +9,51 @@ import (
 	"m5/internal/tiermem"
 )
 
+const (
+	// damonPeriodNs is the sampling interval (stock DAMON: 5ms).
+	damonPeriodNs = 1_000_000
+	// damonAggregationTicks is how many sampling intervals form one
+	// aggregation window (stock DAMON: 20, i.e. 100ms).
+	damonAggregationTicks = 4
+	// damonHotThreshold is the minimum nr_accesses (sampled-accessed
+	// epochs in the window) for a region to be deemed hot (recorded in
+	// the hot list).
+	damonHotThreshold = 1
+	// damonMigrateThreshold is the minimum nr_accesses for a region's
+	// pages to be *promoted*: half the window, rounded up. The DAMOS
+	// promote schemes gate on consistently hot regions, not merely warm
+	// ones, or migration churn erases the gains.
+	damonMigrateThreshold = (damonAggregationTicks + 1) / 2
+	// damonMinRegions / damonMaxRegions bound the adaptive region count
+	// (stock DAMON: 10 / 1000).
+	damonMinRegions = 10
+	damonMaxRegions = 1000
+	// damonSampleOverheadNs is the kernel cost per region sample beyond
+	// the PTE read itself: the four-level table walk and rmap lookup
+	// needed to reach the sampled PTE. This is what makes DAMON's
+	// monitoring more expensive than ANB's despite touching fewer PTEs
+	// (§4.2).
+	damonSampleOverheadNs = 150
+	// damonSeed seeds the sampling-offset generator.
+	damonSeed = 1
+)
+
 // DAMONConfig parameterizes the region-based access monitor.
 type DAMONConfig struct {
-	// PeriodNs is the sampling interval (stock DAMON: 5ms).
-	PeriodNs uint64
-	// AggregationTicks is how many sampling intervals form one
-	// aggregation window (stock DAMON: 20, i.e. 100ms).
-	AggregationTicks int
-	// HotThreshold is the minimum nr_accesses (sampled-accessed epochs in
-	// the window) for a region to be deemed hot (recorded in the hot
-	// list).
-	HotThreshold int
-	// MigrateThreshold is the minimum nr_accesses for a region's pages to
-	// be *promoted* — the DAMOS promote schemes gate on consistently hot
-	// regions, not merely warm ones, or migration churn erases the gains.
-	// Defaults to AggregationTicks (accessed in every sampling epoch).
-	MigrateThreshold int
-	// MinRegions / MaxRegions bound the adaptive region count (stock
-	// DAMON: 10 / 1000).
-	MinRegions int
-	MaxRegions int
 	// MigrateBatch bounds pages promoted per aggregation (DAMOS quota).
 	MigrateBatch int
 	// Migrate enables promotion; false is profiling mode.
 	Migrate bool
 	// HotListCap bounds the recorded hot-page list; 0 = unbounded.
 	HotListCap int
-	// SampleOverheadNs is the kernel cost per region sample beyond the
-	// PTE read itself: the four-level table walk and rmap lookup needed
-	// to reach the sampled PTE. This is what makes DAMON's monitoring
-	// more expensive than ANB's despite touching fewer PTEs (§4.2).
-	SampleOverheadNs uint64
-	// Seed drives sampling-offset randomness.
-	Seed int64
 	// Metrics, when non-nil, receives DAMON's decision counters (ticks,
 	// scans, promoted) and aggregation events.
 	Metrics *obs.Registry
 }
 
 func (c DAMONConfig) withDefaults() DAMONConfig {
-	if c.PeriodNs == 0 {
-		c.PeriodNs = 1_000_000
-	}
-	if c.AggregationTicks == 0 {
-		c.AggregationTicks = 4
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = 1
-	}
-	if c.MinRegions == 0 {
-		c.MinRegions = 10
-	}
-	if c.MaxRegions == 0 {
-		c.MaxRegions = 1000
-	}
 	if c.MigrateBatch == 0 {
 		c.MigrateBatch = 256
-	}
-	if c.MigrateThreshold == 0 {
-		c.MigrateThreshold = (c.AggregationTicks + 1) / 2
-	}
-	if c.SampleOverheadNs == 0 {
-		c.SampleOverheadNs = 150
 	}
 	return c
 }
@@ -123,7 +106,7 @@ func NewDAMON(sys *tiermem.System, cfg DAMONConfig) *DAMON {
 		cfg: cfg.withDefaults(),
 		sys: sys,
 		hot: newHotSet(cfg.HotListCap),
-		rng: rand.New(rand.NewSource(cfg.Seed + 1)),
+		rng: rand.New(rand.NewSource(damonSeed)),
 	}
 	d.metrics = cfg.Metrics
 	d.obsTicks = cfg.Metrics.Counter("ticks")
@@ -133,13 +116,14 @@ func NewDAMON(sys *tiermem.System, cfg DAMONConfig) *DAMON {
 	return d
 }
 
-// initRegions splits the mapped space into MinRegions equal regions.
+// initRegions splits the mapped space into damonMinRegions equal
+// regions.
 func (d *DAMON) initRegions() {
 	n := tiermem.VPN(d.sys.PageTable().Len())
 	if n == 0 {
 		return
 	}
-	k := tiermem.VPN(d.cfg.MinRegions)
+	k := tiermem.VPN(damonMinRegions)
 	if k > n {
 		k = n
 	}
@@ -158,7 +142,7 @@ func (d *DAMON) initRegions() {
 func (d *DAMON) Name() string { return "damon" }
 
 // PeriodNs implements the migration-daemon contract.
-func (d *DAMON) PeriodNs() uint64 { return d.cfg.PeriodNs }
+func (d *DAMON) PeriodNs() uint64 { return damonPeriodNs }
 
 // Tick runs one sampling interval per region using DAMON's prepare/check
 // protocol: the page armed last interval (accessed bit cleared then) is
@@ -189,10 +173,10 @@ func (d *DAMON) Tick(nowNs uint64) {
 		d.sys.ScanPTE(r.sample)
 		d.scans++
 		d.obsScans.Inc()
-		d.sys.AddKernelNs(d.cfg.SampleOverheadNs)
+		d.sys.AddKernelNs(damonSampleOverheadNs)
 	}
 	d.tick++
-	if d.tick%d.cfg.AggregationTicks == 0 {
+	if d.tick%damonAggregationTicks == 0 {
 		d.aggregate()
 	}
 }
@@ -205,7 +189,7 @@ func (d *DAMON) aggregate() {
 	// DAMOS "young and small first" prioritization approximated) first.
 	order := make([]int, 0, len(d.regions))
 	for i, r := range d.regions {
-		if r.nrAccesses >= d.cfg.HotThreshold {
+		if r.nrAccesses >= damonHotThreshold {
 			order = append(order, i)
 		}
 	}
@@ -220,7 +204,7 @@ func (d *DAMON) aggregate() {
 	pt := d.sys.PageTable()
 	for _, i := range order {
 		r := d.regions[i]
-		migratable := r.nrAccesses >= d.cfg.MigrateThreshold
+		migratable := r.nrAccesses >= damonMigrateThreshold
 		for v := r.start; v < r.end; v++ {
 			recordHot(d.sys, d.hot, v)
 			if d.cfg.Migrate && migratable && len(batch) < d.cfg.MigrateBatch {
@@ -241,8 +225,8 @@ func (d *DAMON) aggregate() {
 
 // mergeAndSplit is DAMON's adaptive-region step, following the kernel's
 // balance: adjacent regions with similar access counts merge (never below
-// MinRegions), and regions split in two at a random point only while the
-// count is at most half of MaxRegions — so the population oscillates in
+// damonMinRegions), and regions split in two at a random point only while
+// the count is at most half of damonMaxRegions — so the population oscillates in
 // the upper half of its budget and intra-region differences keep
 // surfacing. Counters reset for the new window; adaptation disarms the
 // prepare/check samples.
@@ -251,7 +235,7 @@ func (d *DAMON) mergeAndSplit() {
 	merged := make([]region, 0, len(d.regions))
 	count := len(d.regions)
 	for _, r := range d.regions {
-		if n := len(merged); n > 0 && count > d.cfg.MinRegions {
+		if n := len(merged); n > 0 && count > damonMinRegions {
 			last := &merged[n-1]
 			if last.end == r.start && absInt(last.nrAccesses-r.nrAccesses) <= 1 {
 				last.end = r.end
@@ -262,7 +246,7 @@ func (d *DAMON) mergeAndSplit() {
 		merged = append(merged, r)
 	}
 	// Split pass (kernel: split only while nr_regions <= max/2).
-	if len(merged) <= d.cfg.MaxRegions/2 {
+	if len(merged) <= damonMaxRegions/2 {
 		next := make([]region, 0, len(merged)*2)
 		for _, r := range merged {
 			if r.pages() >= 2 {
@@ -311,6 +295,6 @@ func (d *DAMON) Stats() tiermem.PolicyStats {
 		Ticks:      uint64(d.tick),
 		Identified: uint64(d.hot.size()),
 		Promoted:   d.promoted,
-		PeriodNs:   d.cfg.PeriodNs,
+		PeriodNs:   damonPeriodNs,
 	}
 }

@@ -9,20 +9,24 @@ import (
 	"m5/internal/trace"
 )
 
+const (
+	// pebsBufferEntries is the PEBS buffer size; when full, an interrupt
+	// fires and the CPU processes the batch.
+	pebsBufferEntries = 512
+	// pebsDrainCostNs is the interrupt + processing cost per buffer drain.
+	pebsDrainCostNs = 20_000
+	// pebsPeriodNs is the promotion-decision interval.
+	pebsPeriodNs = 1_000_000
+)
+
 // PEBSConfig parameterizes the sampling-based solution.
 type PEBSConfig struct {
 	// SampleRate takes one of every SampleRate LLC-miss addresses
 	// (§2.1: e.g. once every 1,000 misses; high precision needs high
-	// rates, which interrupt the CPU more).
+	// rates, which interrupt the CPU more). Zero selects 100.
 	SampleRate uint64
-	// BufferEntries is the PEBS buffer size; when full, an interrupt fires
-	// and the CPU processes the batch.
-	BufferEntries int
-	// DrainCostNs is the interrupt + processing cost per buffer drain.
-	DrainCostNs uint64
-	// PeriodNs is the promotion-decision interval.
-	PeriodNs uint64
-	// HotK bounds pages elected per period.
+	// HotK bounds pages elected per period. policy.NewPEBS sizes it from
+	// the footprint; zero elects nothing.
 	HotK int
 	// Migrate enables promotion; false is profiling mode.
 	Migrate bool
@@ -37,18 +41,6 @@ type PEBSConfig struct {
 func (c PEBSConfig) withDefaults() PEBSConfig {
 	if c.SampleRate == 0 {
 		c.SampleRate = 100
-	}
-	if c.BufferEntries == 0 {
-		c.BufferEntries = 512
-	}
-	if c.DrainCostNs == 0 {
-		c.DrainCostNs = 20_000
-	}
-	if c.PeriodNs == 0 {
-		c.PeriodNs = 1_000_000
-	}
-	if c.HotK == 0 {
-		c.HotK = 256
 	}
 	return c
 }
@@ -96,11 +88,14 @@ func NewPEBS(sys *tiermem.System, cfg PEBSConfig) *PEBS {
 	return p
 }
 
+// Config returns the (defaulted) configuration.
+func (p *PEBS) Config() PEBSConfig { return p.cfg }
+
 // Name implements the migration-daemon contract.
 func (p *PEBS) Name() string { return "pebs" }
 
 // PeriodNs implements the migration-daemon contract.
-func (p *PEBS) PeriodNs() uint64 { return p.cfg.PeriodNs }
+func (p *PEBS) PeriodNs() uint64 { return pebsPeriodNs }
 
 // Observe implements trace.Sink over the LLC-miss address stream.
 func (p *PEBS) Observe(a trace.Access) {
@@ -116,11 +111,11 @@ func (p *PEBS) Observe(a trace.Access) {
 	p.obsSamples.Inc()
 	p.counts[a.Addr.Page()]++
 	p.buffer++
-	if p.buffer >= p.cfg.BufferEntries {
+	if p.buffer >= pebsBufferEntries {
 		p.buffer = 0
 		p.drains++
 		p.obsDrains.Inc()
-		p.sys.AddKernelNs(p.cfg.DrainCostNs)
+		p.sys.AddKernelNs(pebsDrainCostNs)
 	}
 }
 
@@ -204,6 +199,6 @@ func (p *PEBS) Stats() tiermem.PolicyStats {
 		Ticks:      p.ticks,
 		Identified: uint64(p.hot.size()),
 		Promoted:   p.promoted,
-		PeriodNs:   p.cfg.PeriodNs,
+		PeriodNs:   pebsPeriodNs,
 	}
 }

@@ -113,11 +113,8 @@ type ControllerConfig struct {
 	// Span is the device memory range.
 	Span mem.Range
 	// EnablePAC / EnableWAC instantiate the exact profilers over Span.
-	// WAC honours WACRegion when set (the §3 scalability mode monitors a
-	// 128MB window at a time); otherwise it covers Span.
 	EnablePAC bool
 	EnableWAC bool
-	WACRegion mem.Range
 	// HPT / HWT tracker configurations; nil disables.
 	HPT *tracker.Config
 	HWT *tracker.Config
@@ -137,11 +134,7 @@ func NewController(cfg ControllerConfig) *Controller {
 		c.Device.Attach(c.PAC)
 	}
 	if cfg.EnableWAC {
-		region := cfg.WACRegion
-		if region.Size() == 0 {
-			region = cfg.Span
-		}
-		c.WAC = pac.NewWAC(region)
+		c.WAC = pac.NewWAC(cfg.Span)
 		c.Device.Attach(c.WAC)
 	}
 	if cfg.HPT != nil {

@@ -94,22 +94,6 @@ func TestControllerDisabledFunctions(t *testing.T) {
 	}
 }
 
-func TestControllerWACWindow(t *testing.T) {
-	windowed := mem.NewRange(span().Start, 4*mem.PageSize)
-	c := NewController(ControllerConfig{
-		Span:      span(),
-		EnableWAC: true,
-		WACRegion: windowed,
-	})
-	inside := span().Start
-	outside := span().Start + 10*mem.PageSize
-	c.Device.Access(trace.Access{Addr: inside})
-	c.Device.Access(trace.Access{Addr: outside})
-	if c.WAC.Total() != 1 || c.WAC.Dropped() != 1 {
-		t.Errorf("WAC window: total=%d dropped=%d", c.WAC.Total(), c.WAC.Dropped())
-	}
-}
-
 func TestControllerGranularityOverride(t *testing.T) {
 	// Even if the caller passes the wrong granularity, the controller
 	// wires HPT to pages and HWT to words.

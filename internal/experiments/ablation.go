@@ -45,7 +45,7 @@ func AblationFscale(p Params, exponents []float64) ([]FscaleRow, error) {
 			rows = append(rows, FscaleRow{
 				Benchmark: bench,
 				N:         n,
-				NormPerf:  normalizedPerf(bench, none, results[i*len(variants)+1+j]),
+				NormPerf:  normalizedPerf(none, results[i*len(variants)+1+j]),
 			})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"m5/internal/baseline"
 	"m5/internal/ifmm"
 	m5mgr "m5/internal/m5"
 	"m5/internal/mem"
@@ -44,9 +43,9 @@ type Cell struct {
 	// Elector tunes the M5 arms' Algorithm 1 (the fscale ablation,
 	// ext-phase).
 	Elector m5mgr.ElectorConfig
-	// PEBSRate, when positive, makes the arm ext-pebs's LLC-miss sampler:
-	// one sample per PEBSRate misses, electing max(footPages/64, 16)
-	// pages per period where the registry's "pebs" elects 256.
+	// PEBSRate, when positive, makes the arm the PEBS sampler at one
+	// sample per PEBSRate LLC misses in place of the registry's 1/100
+	// (ext-pebs's coarse arm).
 	PEBSRate uint64
 	// IFMM installs word-swap flat memory mode with a slot budget of the
 	// DDR cgroup limit in words (ext-ifmm).
@@ -188,22 +187,17 @@ func (c Cell) install(r *sim.Runner, reg *obs.Registry, footprint uint64) (tierm
 	if c.Profile {
 		env.HotListCap = max(footPages/16, 8)
 	}
-	var d tiermem.Policy
+	var (
+		d   tiermem.Policy
+		err error
+	)
 	if c.PEBSRate > 0 {
-		pebs := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{
-			SampleRate: c.PEBSRate,
-			HotK:       max(footPages/64, 16),
-			Migrate:    env.Migrate,
-			HotListCap: env.HotListCap,
-			Metrics:    env.Metrics,
-		})
-		r.AttachMissSink(pebs)
-		d = pebs
+		d, err = policy.NewPEBS(env, c.PEBSRate)
 	} else {
-		var err error
-		if d, err = policy.New(c.arm(), env); err != nil {
-			return nil, err
-		}
+		d, err = policy.New(c.arm(), env)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if d != nil {
 		r.SetDaemon(d)

@@ -92,7 +92,7 @@ func ExtPEBS(p Params) ([]ExtPEBSRow, error) {
 		return nil, err
 	}
 	// Four cells per benchmark: none, pebs-coarse, pebs-fine, m5-hpt.
-	variants := []Cell{{}, {Arm: "pebs", PEBSRate: 1000}, {Arm: "pebs", PEBSRate: 100}, {Arm: "m5-hpt"}}
+	variants := []Cell{{}, {Arm: "pebs", PEBSRate: 1000}, {Arm: "pebs"}, {Arm: "m5-hpt"}}
 	results, err := runEach(p, "ext-pebs", benchGrid(p.Benchmarks, variants...), p.runCell)
 	if err != nil {
 		return nil, err
@@ -102,9 +102,9 @@ func ExtPEBS(p Params) ([]ExtPEBSRow, error) {
 		none := results[i*len(variants)]
 		rows[i] = ExtPEBSRow{
 			Benchmark:  bench,
-			PEBSCoarse: normalizedPerf(bench, none, results[i*len(variants)+1]),
-			PEBSFine:   normalizedPerf(bench, none, results[i*len(variants)+2]),
-			M5HPT:      normalizedPerf(bench, none, results[i*len(variants)+3]),
+			PEBSCoarse: normalizedPerf(none, results[i*len(variants)+1]),
+			PEBSFine:   normalizedPerf(none, results[i*len(variants)+2]),
+			M5HPT:      normalizedPerf(none, results[i*len(variants)+3]),
 		}
 	}
 	return rows, nil

@@ -159,7 +159,7 @@ func TestScoreTrackerUnitWeightsMatchTrace(t *testing.T) {
 	for _, alg := range []tracker.Algorithm{tracker.CMSketch, tracker.SpaceSaving, tracker.StickySampling, tracker.ConservativeCMSketch} {
 		for _, decay := range []bool{false, true} {
 			for _, gran := range []tracker.Granularity{tracker.PageGranularity, tracker.WordGranularity} {
-				cfg := tracker.Config{Granularity: gran, Algorithm: alg, Entries: 512, K: 5, Seed: 7, DecayOnQuery: decay}
+				cfg := tracker.Config{Granularity: gran, Algorithm: alg, Entries: 512, K: 5, DecayOnQuery: decay}
 				epoch := func() EpochPolicy { return EpochByTime(200_000) }
 				plain := ScoreTrackerOnTrace(tracker.New(cfg), accs, epoch())
 				weighted := ScoreTrackerOnWeightedTrace(tracker.New(cfg), wt, epoch())

@@ -63,7 +63,7 @@ func Fig9(p Params) ([]Fig9Row, error) {
 		for j, cfg := range Fig9Configs() {
 			res := results[i*len(cfgs)+1+j]
 			row.Raw[cfg] = res
-			row.Norm[cfg] = normalizedPerf(bench, none, res)
+			row.Norm[cfg] = normalizedPerf(none, res)
 		}
 		rows[i] = row
 	}
@@ -72,7 +72,7 @@ func Fig9(p Params) ([]Fig9Row, error) {
 
 // normalizedPerf computes the figure's y-axis: inverse normalized p99 for
 // the latency-sensitive KVS, inverse normalized execution time otherwise.
-func normalizedPerf(bench string, none, res sim.Result) float64 {
+func normalizedPerf(none, res sim.Result) float64 {
 	if res.OpCount > 0 && none.OpCount > 0 && none.P99OpNs > 0 && res.P99OpNs > 0 {
 		return none.P99OpNs / res.P99OpNs
 	}

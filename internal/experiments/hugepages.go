@@ -31,8 +31,8 @@ func ExtHuge(p Params) ([]ExtHugeRow, error) {
 	for i, bench := range p.Benchmarks {
 		rows[i] = ExtHugeRow{
 			Benchmark: bench,
-			Base4K:    normalizedPerf(bench, results[i*4], results[i*4+1]),
-			Huge2M:    normalizedPerf(bench, results[i*4+2], results[i*4+3]),
+			Base4K:    normalizedPerf(results[i*4], results[i*4+1]),
+			Huge2M:    normalizedPerf(results[i*4+2], results[i*4+3]),
 		}
 	}
 	return rows, nil

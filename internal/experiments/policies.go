@@ -13,17 +13,14 @@ type PolicyRow struct {
 	Density   float64
 }
 
-// PolicyNames lists the compared policies in row order.
-func PolicyNames() []string { return []string{"elector", "static", "threshold", "density"} }
-
 // ExtPolicies runs the comparison.
 func ExtPolicies(p Params) ([]PolicyRow, error) {
 	p, err := p.prepare()
 	if err != nil {
 		return nil, err
 	}
-	// Cells per benchmark: the no-migration baseline, then PolicyNames'
-	// registry arms in row order.
+	// Cells per benchmark: the no-migration baseline, then the registry
+	// arms in row order.
 	arms := []Cell{{}, {Arm: "m5-hpt"}, {Arm: "m5-static"}, {Arm: "m5-threshold"}, {Arm: "m5-density"}}
 	results, err := runEach(p, "policies", benchGrid(p.Benchmarks, arms...), p.runCell)
 	if err != nil {
@@ -32,7 +29,7 @@ func ExtPolicies(p Params) ([]PolicyRow, error) {
 	rows := make([]PolicyRow, len(p.Benchmarks))
 	for i, bench := range p.Benchmarks {
 		norm := func(j int) float64 {
-			return normalizedPerf(bench, results[i*len(arms)], results[i*len(arms)+j])
+			return normalizedPerf(results[i*len(arms)], results[i*len(arms)+j])
 		}
 		rows[i] = PolicyRow{Benchmark: bench, Elector: norm(1), Static: norm(2), Threshold: norm(3), Density: norm(4)}
 	}

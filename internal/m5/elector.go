@@ -6,23 +6,31 @@ import (
 	"m5/internal/tiermem"
 )
 
+const (
+	// fDefault is the default migration frequency f_default in Hz of
+	// simulated time: 1kHz, a 1ms default period (the paper simply tries
+	// ~1 and scales it).
+	fDefault = 1000
+	// minPeriodNs / maxPeriodNs clamp the adaptive period so a runaway
+	// density ratio cannot spin or stall the manager. The 10ms cap is
+	// cheap: a query costs a handful of MMIO reads (~microseconds), so
+	// waking at 100Hz is effectively free and keeps the manager
+	// responsive to phase changes — the §7.2 observation that hot sets
+	// drift between intervals.
+	minPeriodNs = 100_000
+	maxPeriodNs = 10_000_000
+	// improvementEps is the minimum relative rel_bw_den(DDR) improvement
+	// that counts as "increasing" for the Guideline 2 gate (1%). Without
+	// it, measurement noise at equilibrium opens the gate and the
+	// resulting promote/demote churn costs more than it returns.
+	improvementEps = 0.01
+)
+
 // ElectorConfig holds Algorithm 1's tunables.
 type ElectorConfig struct {
-	// FDefault is the default migration frequency f_default in Hz of
-	// simulated time (the paper simply tries ~1 and scales it).
-	FDefault float64
 	// N is the fscale exponent: fscale(x) = x^N, the paper's y = x^n with
 	// n in 3..6 (§7.2 tries 3 to 6 and picks the best).
 	N float64
-	// MinPeriodNs / MaxPeriodNs clamp the adaptive period so a runaway
-	// density ratio cannot spin or stall the manager.
-	MinPeriodNs uint64
-	MaxPeriodNs uint64
-	// ImprovementEps is the minimum relative rel_bw_den(DDR) improvement
-	// that counts as "increasing" for the Guideline 2 gate (default 1%).
-	// Without it, measurement noise at equilibrium opens the gate and the
-	// resulting promote/demote churn costs more than it returns.
-	ImprovementEps float64
 	// MinNominationCount applies the paper's §7.2 break-even arithmetic
 	// at equilibrium: once DDR is full, a nomination is only worth a
 	// promote+demote pair if its epoch access count suggests it will
@@ -33,24 +41,8 @@ type ElectorConfig struct {
 }
 
 func (c ElectorConfig) withDefaults() ElectorConfig {
-	if c.FDefault == 0 {
-		c.FDefault = 1000 // 1kHz of simulated time ≈ 1ms default period
-	}
 	if c.N == 0 {
 		c.N = 4
-	}
-	if c.MinPeriodNs == 0 {
-		c.MinPeriodNs = 100_000 // 100µs
-	}
-	if c.MaxPeriodNs == 0 {
-		// Cap the backoff at 10ms: a query costs a handful of MMIO reads
-		// (~microseconds), so waking at 100Hz is effectively free and
-		// keeps the manager responsive to phase changes — the §7.2
-		// observation that hot sets drift between intervals.
-		c.MaxPeriodNs = 10_000_000
-	}
-	if c.ImprovementEps == 0 {
-		c.ImprovementEps = 0.01
 	}
 	if c.MinNominationCount == 0 {
 		c.MinNominationCount = tiermem.DefaultCosts().MigrationBreakEvenAccesses()
@@ -100,24 +92,24 @@ func (e *Elector) Step(nowNs uint64) uint64 {
 	if d := stats.BWDen(tiermem.NodeDDR); d > 0 {
 		ratio = stats.BWDen(tiermem.NodeCXL) / d
 	}
-	freq := e.fscale(ratio) * e.cfg.FDefault
+	freq := e.fscale(ratio) * fDefault
 	var period uint64
 	if freq <= 0 {
-		period = e.cfg.MaxPeriodNs
+		period = maxPeriodNs
 	} else {
 		period = uint64(1e9 / freq)
 	}
-	if period < e.cfg.MinPeriodNs {
-		period = e.cfg.MinPeriodNs
+	if period < minPeriodNs {
+		period = minPeriodNs
 	}
-	if period > e.cfg.MaxPeriodNs {
-		period = e.cfg.MaxPeriodNs
+	if period > maxPeriodNs {
+		period = maxPeriodNs
 	}
 	// Fill phase: while DDR has cgroup headroom, never slow below the
 	// default frequency. Early promotions of the very hottest pages make
 	// bw_den(DDR) >> bw_den(CXL), which would otherwise back the manager
 	// off to the maximum period with fast memory mostly unused.
-	if deflt := uint64(1e9 / e.cfg.FDefault); stats.DDRFreePages > 0 && period > deflt {
+	if deflt := uint64(1e9 / fDefault); stats.DDRFreePages > 0 && period > deflt {
 		period = deflt
 	}
 
@@ -127,7 +119,7 @@ func (e *Elector) Step(nowNs uint64) uint64 {
 	// cannot hurt, and the paper's runs fill DDR before the equilibrium
 	// demote-one-promote-one regime begins (§7.2).
 	rel := stats.RelBWDen(tiermem.NodeDDR)
-	if stats.DDRFreePages > 0 || rel > e.prevRelBWDen*(1+e.cfg.ImprovementEps) || e.steps == 1 {
+	if stats.DDRFreePages > 0 || rel > e.prevRelBWDen*(1+improvementEps) || e.steps == 1 {
 		noms := e.nom.Nominate()
 		if stats.DDRFreePages == 0 {
 			// Equilibrium: each promotion displaces a DDR page, so apply

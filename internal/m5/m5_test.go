@@ -208,7 +208,7 @@ func TestElectorAdaptsPeriod(t *testing.T) {
 	}
 	mon := NewMonitor(sys)
 	nom := NewNominator(ctrl, HPTOnly)
-	el := NewElector(mon, nom, NewPromoter(sys), ElectorConfig{FDefault: 1000, N: 3})
+	el := NewElector(mon, nom, NewPromoter(sys), ElectorConfig{N: 3})
 
 	// Window 1: heavy CXL traffic -> bw_den(CXL) >> bw_den(DDR) -> short
 	// period (aggressive migration per Guideline 1). The step promotes

@@ -65,9 +65,9 @@ func NewManager(sys *tiermem.System, ctrl *cxl.Controller, cfg ManagerConfig) *M
 	if cfg.Profile {
 		// Profile mode queries at the default frequency (there is no
 		// Elector step to adapt the period).
-		m.period = uint64(1e9 / cfg.Elector.withDefaults().FDefault)
+		m.period = 1e9 / fDefault
 	} else {
-		m.period = cfg.Elector.withDefaults().MinPeriodNs
+		m.period = minPeriodNs
 	}
 	m.metrics = cfg.Metrics
 	m.obsTicks = cfg.Metrics.Counter("ticks")

@@ -10,30 +10,41 @@ import (
 // Elector. Each satisfies the simulator's daemon contract (Name /
 // PeriodNs / Tick).
 
+const (
+	// zooPeriodNs is the static and density-filter policies' fixed period
+	// and the threshold policy's engaged period.
+	zooPeriodNs = 1_000_000
+	// thresholdMaxPeriodNs caps the threshold policy's disengaged
+	// backoff.
+	thresholdMaxPeriodNs = 64 * zooPeriodNs
+	// thresholdRatio is the density ratio bw_den(CXL)/bw_den(DDR) at or
+	// above which the threshold policy migrates: 1.0, migrate whenever
+	// CXL is at least as dense as DDR.
+	thresholdRatio = 1.0
+	// minDenseWords is the density filter's mask-popcount admission bar.
+	minDenseWords = 2
+)
+
 // StaticPolicy migrates every nomination at a fixed period — the simplest
 // possible consumer of HPT/HWT, useful as a control when studying what the
 // adaptive Elector adds.
 type StaticPolicy struct {
 	nom      *Nominator
 	promoter *Promoter
-	period   uint64
 	migrated uint64
 	ticks    uint64
 }
 
-// NewStaticPolicy builds the policy; periodNs must be positive.
-func NewStaticPolicy(sys *tiermem.System, nom *Nominator, periodNs uint64) *StaticPolicy {
-	if periodNs == 0 {
-		periodNs = 1_000_000
-	}
-	return &StaticPolicy{nom: nom, promoter: NewPromoter(sys), period: periodNs}
+// NewStaticPolicy builds the policy.
+func NewStaticPolicy(sys *tiermem.System, nom *Nominator) *StaticPolicy {
+	return &StaticPolicy{nom: nom, promoter: NewPromoter(sys)}
 }
 
 // Name implements the daemon contract.
 func (p *StaticPolicy) Name() string { return "m5-static-" + p.nom.Mode().String() }
 
 // PeriodNs implements the daemon contract.
-func (p *StaticPolicy) PeriodNs() uint64 { return p.period }
+func (p *StaticPolicy) PeriodNs() uint64 { return zooPeriodNs }
 
 // Tick implements the daemon contract.
 func (p *StaticPolicy) Tick(nowNs uint64) {
@@ -50,25 +61,19 @@ func (p *StaticPolicy) Stats() tiermem.PolicyStats {
 		Ticks:      p.ticks,
 		Identified: p.nom.Nominated(),
 		Promoted:   p.migrated,
-		PeriodNs:   p.period,
+		PeriodNs:   zooPeriodNs,
 	}
 }
 
-// ThresholdPolicy migrates only while bw_den(CXL)/bw_den(DDR) exceeds a
-// threshold, with hysteresis on the period: engaged at the base period,
-// backed off multiplicatively when disengaged. It is the Guideline 1
-// signal used directly, without Algorithm 1's frequency scaling.
+// ThresholdPolicy migrates only while bw_den(CXL)/bw_den(DDR) reaches
+// thresholdRatio, with hysteresis on the period: engaged at zooPeriodNs,
+// backed off multiplicatively up to thresholdMaxPeriodNs when disengaged.
+// It is the Guideline 1 signal used directly, without Algorithm 1's
+// frequency scaling.
 type ThresholdPolicy struct {
 	mon      *Monitor
 	nom      *Nominator
 	promoter *Promoter
-
-	// Threshold is the density ratio above which migration engages.
-	Threshold float64
-	// BasePeriodNs is the engaged period; disengaged ticks double the
-	// period up to MaxPeriodNs.
-	BasePeriodNs uint64
-	MaxPeriodNs  uint64
 
 	period   uint64
 	migrated uint64
@@ -76,17 +81,13 @@ type ThresholdPolicy struct {
 	skipped  uint64
 }
 
-// NewThresholdPolicy builds the policy with sensible defaults
-// (threshold 1.0: migrate whenever CXL is denser than DDR).
+// NewThresholdPolicy builds the policy.
 func NewThresholdPolicy(sys *tiermem.System, nom *Nominator) *ThresholdPolicy {
 	return &ThresholdPolicy{
-		mon:          NewMonitor(sys),
-		nom:          nom,
-		promoter:     NewPromoter(sys),
-		Threshold:    1.0,
-		BasePeriodNs: 1_000_000,
-		MaxPeriodNs:  64_000_000,
-		period:       1_000_000,
+		mon:      NewMonitor(sys),
+		nom:      nom,
+		promoter: NewPromoter(sys),
+		period:   zooPeriodNs,
 	}
 }
 
@@ -101,20 +102,20 @@ func (p *ThresholdPolicy) Tick(nowNs uint64) {
 	stats := p.mon.Sample(nowNs)
 	ddr := stats.BWDen(tiermem.NodeDDR)
 	cxl := stats.BWDen(tiermem.NodeCXL)
-	// Engage while filling, and whenever CXL is at least Threshold times
-	// as dense as DDR (an idle DDR counts as infinitely less dense).
+	// Engage while filling, and whenever CXL is at least thresholdRatio
+	// times as dense as DDR (an idle DDR counts as infinitely less dense).
 	engage := stats.DDRFreePages > 0 ||
-		(cxl > 0 && (ddr == 0 || cxl/ddr >= p.Threshold))
+		(cxl > 0 && (ddr == 0 || cxl/ddr >= thresholdRatio))
 	if !engage {
 		p.skipped++
 		p.period *= 2
-		if p.period > p.MaxPeriodNs {
-			p.period = p.MaxPeriodNs
+		if p.period > thresholdMaxPeriodNs {
+			p.period = thresholdMaxPeriodNs
 		}
 		return
 	}
 	p.engaged++
-	p.period = p.BasePeriodNs
+	p.period = zooPeriodNs
 	p.migrated += uint64(p.promoter.Promote(p.nom.Nominate()))
 }
 
@@ -139,18 +140,13 @@ func (p *ThresholdPolicy) Stats() tiermem.PolicyStats {
 }
 
 // DensityFilterPolicy consumes the HPT-driven Nominator's hot-word masks
-// and migrates only pages with at least MinDenseWords known-hot words —
+// and migrates only pages with at least minDenseWords known-hot words —
 // Guideline 3 as a standalone policy: prefer dense hot pages, skip sparse
 // ones whose migration would pollute the cache hierarchy for little gain.
 type DensityFilterPolicy struct {
 	mon      *Monitor
 	nom      *Nominator
 	promoter *Promoter
-
-	// MinDenseWords is the mask-popcount admission bar.
-	MinDenseWords int
-	// PeriodNsV is the fixed tick period.
-	PeriodNsV uint64
 
 	migrated uint64
 	filtered uint64
@@ -159,16 +155,11 @@ type DensityFilterPolicy struct {
 
 // NewDensityFilterPolicy builds the policy; the nominator must be
 // HPT-driven (it needs masks).
-func NewDensityFilterPolicy(sys *tiermem.System, nom *Nominator, minWords int) *DensityFilterPolicy {
-	if minWords <= 0 {
-		minWords = 4
-	}
+func NewDensityFilterPolicy(sys *tiermem.System, nom *Nominator) *DensityFilterPolicy {
 	return &DensityFilterPolicy{
-		mon:           NewMonitor(sys),
-		nom:           nom,
-		promoter:      NewPromoter(sys),
-		MinDenseWords: minWords,
-		PeriodNsV:     1_000_000,
+		mon:      NewMonitor(sys),
+		nom:      nom,
+		promoter: NewPromoter(sys),
 	}
 }
 
@@ -176,7 +167,7 @@ func NewDensityFilterPolicy(sys *tiermem.System, nom *Nominator, minWords int) *
 func (p *DensityFilterPolicy) Name() string { return "m5-density" }
 
 // PeriodNs implements the daemon contract.
-func (p *DensityFilterPolicy) PeriodNs() uint64 { return p.PeriodNsV }
+func (p *DensityFilterPolicy) PeriodNs() uint64 { return zooPeriodNs }
 
 // Tick implements the daemon contract.
 func (p *DensityFilterPolicy) Tick(nowNs uint64) {
@@ -186,7 +177,7 @@ func (p *DensityFilterPolicy) Tick(nowNs uint64) {
 	for _, h := range p.nom.Nominate() {
 		// Pages nominated by HPT alone (no mask data) pass through: the
 		// filter only rejects pages *known* to be sparse.
-		if h.Mask != 0 && h.DenseWords() < p.MinDenseWords {
+		if h.Mask != 0 && h.DenseWords() < minDenseWords {
 			p.filtered++
 			continue
 		}
@@ -209,6 +200,6 @@ func (p *DensityFilterPolicy) Stats() tiermem.PolicyStats {
 		Identified: p.nom.Nominated(),
 		Promoted:   p.migrated,
 		Skipped:    p.filtered,
-		PeriodNs:   p.PeriodNsV,
+		PeriodNs:   zooPeriodNs,
 	}
 }

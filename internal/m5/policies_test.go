@@ -10,9 +10,9 @@ import (
 
 func TestStaticPolicyMigratesEveryTick(t *testing.T) {
 	sys, ctrl, v := rig(t, 32, 128)
-	p := NewStaticPolicy(sys, NewNominator(ctrl, HPTOnly), 0)
-	if p.PeriodNs() == 0 {
-		t.Error("default period should be set")
+	p := NewStaticPolicy(sys, NewNominator(ctrl, HPTOnly))
+	if p.PeriodNs() != zooPeriodNs {
+		t.Errorf("period = %d, want %d", p.PeriodNs(), zooPeriodNs)
 	}
 	hammer(sys, ctrl, v, 1, 200)
 	p.Tick(1_000_000)
@@ -68,14 +68,14 @@ func TestThresholdPolicyEngagesAndBacksOff(t *testing.T) {
 		sys.CountDRAMAccess(res.Phys, false)
 	}
 	p.Tick(3_000_000)
-	if p.Engaged() != 2 || p.PeriodNs() != p.BasePeriodNs {
+	if p.Engaged() != 2 || p.PeriodNs() != zooPeriodNs {
 		t.Errorf("CXL-dense window should re-engage: %+v period=%d", p, p.PeriodNs())
 	}
 }
 
 func TestDensityFilterPolicy(t *testing.T) {
 	sys, ctrl, v := rig(t, 32, 128)
-	p := NewDensityFilterPolicy(sys, NewNominator(ctrl, HPTDriven), 3)
+	p := NewDensityFilterPolicy(sys, NewNominator(ctrl, HPTDriven))
 	// Dense page: 8 hot words; sparse page: 1 very hot word.
 	hammer(sys, ctrl, v, 8, 100)
 	hammer(sys, ctrl, v+1, 1, 900)

@@ -70,6 +70,8 @@ func (s *Snapshot) Merge(other *Snapshot) {
 			s.Gauges[name] = v
 		}
 	}
+	//m5:orderinvariant each histogram merges into its own name's entry,
+	// and boundsEqual is a pure comparison.
 	for name, hs := range other.Histograms {
 		cur, ok := s.Histograms[name]
 		if !ok {

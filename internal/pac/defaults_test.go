@@ -8,7 +8,7 @@ import (
 )
 
 // TestZeroConfigDefaults pins the defaults a zero-value Config resolves
-// to: a DefaultWACRegionBytes window from physical address 0 and the §3
+// to, a DefaultWACRegionBytes window from physical address 0, and the §3
 // counter widths. Every constructor in this repo must accept its config's
 // zero value.
 func TestZeroConfigDefaults(t *testing.T) {
@@ -20,12 +20,12 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if cfg.Region.Start != 0 {
 		t.Errorf("default region start = %v, want 0", cfg.Region.Start)
 	}
-	if cfg.CounterBits != DefaultPACBits {
-		t.Errorf("default PAC counter bits = %d, want %d", cfg.CounterBits, DefaultPACBits)
+	if want := uint64(1)<<DefaultPACBits - 1; pc.max != want {
+		t.Errorf("PAC saturates at %d, want %d", pc.max, want)
 	}
 	wc := New(Config{Granularity: WordCounter})
-	if got := wc.Config().CounterBits; got != DefaultWACBits {
-		t.Errorf("default WAC counter bits = %d, want %d", got, DefaultWACBits)
+	if want := uint64(1)<<DefaultWACBits - 1; wc.max != want {
+		t.Errorf("WAC saturates at %d, want %d", wc.max, want)
 	}
 }
 

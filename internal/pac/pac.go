@@ -63,26 +63,24 @@ type Config struct {
 	// Region is the physical address range monitored. Accesses outside
 	// the region are ignored (§3 "Scalability", second approach).
 	Region mem.Range
-	// CounterBits is L, the SRAM counter width. Defaults: 16 (PAC), 4 (WAC).
-	CounterBits uint
 }
 
 // withDefaults fills zero fields so that, like the rest of the config
 // structs in this repo, the zero value is a valid configuration: a
-// DefaultWACRegionBytes window starting at physical address 0 and the §3
-// counter width for the granularity.
+// DefaultWACRegionBytes window starting at physical address 0.
 func (c Config) withDefaults() Config {
 	if c.Region.Size() == 0 {
 		c.Region = mem.NewRange(0, DefaultWACRegionBytes)
 	}
-	if c.CounterBits == 0 {
-		if c.Granularity == WordCounter {
-			c.CounterBits = DefaultWACBits
-		} else {
-			c.CounterBits = DefaultPACBits
-		}
-	}
 	return c
+}
+
+// counterBits is L, the §3 SRAM counter width for the granularity.
+func (g Granularity) counterBits() uint {
+	if g == WordCounter {
+		return DefaultWACBits
+	}
+	return DefaultPACBits
 }
 
 // Counter is an exact access counter: PAC or WAC. It implements trace.Sink.
@@ -97,16 +95,13 @@ type Counter struct {
 	spills   uint64 // saturation spill events
 }
 
-// New builds a counter from the config, applying defaults (a 128MB region
-// from address 0, L=16 for PAC / L=4 for WAC) for zero fields; an
-// explicitly set region must be page-aligned.
+// New builds a counter from the config, with L=16 for PAC / L=4 for WAC
+// and a 128MB region from address 0 when none is set; an explicitly set
+// region must be page-aligned.
 func New(cfg Config) *Counter {
 	cfg = cfg.withDefaults()
 	if cfg.Region.Start.PageOffset() != 0 {
 		panic("pac: region must be page-aligned")
-	}
-	if cfg.CounterBits > 63 {
-		panic("pac: counter width must be at most 63 bits")
 	}
 	var entries, first uint64
 	if cfg.Granularity == WordCounter {
@@ -118,7 +113,7 @@ func New(cfg Config) *Counter {
 	}
 	return &Counter{
 		cfg:      cfg,
-		max:      (uint64(1) << cfg.CounterBits) - 1,
+		max:      (uint64(1) << cfg.Granularity.counterBits()) - 1,
 		sram:     make([]uint64, entries),
 		spill:    make(map[uint64]uint64),
 		firstKey: first,
@@ -415,11 +410,7 @@ type MMIO struct {
 // entryBytes is the width of one SRAM counter as seen through MMIO. The
 // hardware packs L-bit counters; the MMIO view rounds up to bytes.
 func (m *MMIO) entryBytes() uint64 {
-	b := (uint64(m.c.cfg.CounterBits) + 7) / 8
-	if b == 0 {
-		b = 1
-	}
-	return b
+	return (uint64(m.c.cfg.Granularity.counterBits()) + 7) / 8
 }
 
 // SRAMImageBytes returns the size of the full SRAM image in bytes.

@@ -50,33 +50,50 @@ func TestOutOfRegionDropped(t *testing.T) {
 	}
 }
 
+// TestWACWindow pins the §3 scalability mode: a WAC over a window of the
+// device counts inside it and drops the rest.
+func TestWACWindow(t *testing.T) {
+	window := testRegion(4)
+	w := NewWAC(window)
+	w.Observe(trace.Access{Addr: window.Start})
+	w.Observe(trace.Access{Addr: window.Start + 10*mem.PageSize})
+	if w.Total() != 1 || w.Dropped() != 1 {
+		t.Errorf("WAC window: total=%d dropped=%d", w.Total(), w.Dropped())
+	}
+}
+
 func TestSaturationSpill(t *testing.T) {
 	r := testRegion(2)
-	// Tiny 2-bit counters: saturate at 3.
-	c := New(Config{Granularity: PageCounter, Region: r, CounterBits: 2})
-	for i := 0; i < 10; i++ {
-		c.Observe(trace.Access{Addr: r.Start})
-	}
-	if got := c.CountPage(r.Start.Page()); got != 10 {
-		t.Errorf("count with spills = %d, want 10", got)
-	}
-	if c.Spills() == 0 {
-		t.Error("expected at least one spill event")
+	// WAC's 4-bit counters saturate at 15; PAC's 16-bit ones at 65,535.
+	for _, tc := range []struct {
+		c *Counter
+		n uint64
+	}{{NewWAC(r), 40}, {NewPAC(r), 1<<DefaultPACBits + 9}} {
+		for i := uint64(0); i < tc.n; i++ {
+			tc.c.Observe(trace.Access{Addr: r.Start})
+		}
+		key, _ := tc.c.key(r.Start)
+		if got := tc.c.Count(key); got != tc.n {
+			t.Errorf("%v count with spills = %d, want %d", tc.c.Config().Granularity, got, tc.n)
+		}
+		if tc.c.Spills() == 0 {
+			t.Errorf("%v: expected at least one spill event", tc.c.Config().Granularity)
+		}
 	}
 }
 
 func TestSpillExactnessProperty(t *testing.T) {
-	// Precise counts must be exact regardless of counter width.
-	f := func(seed int64, bits uint8) bool {
-		b := uint(bits%6) + 1 // 1..6 bit counters
+	// Precise counts must be exact however often the narrow WAC counters
+	// saturate: 2000 accesses over 8 words spill each many times.
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := testRegion(8)
-		c := New(Config{Granularity: PageCounter, Region: r, CounterBits: b})
+		r := testRegion(1)
+		c := NewWAC(r)
 		truth := map[uint64]uint64{}
 		for i := 0; i < 2000; i++ {
-			pg := mem.PFN(uint64(r.Start.Page()) + uint64(rng.Intn(8)))
-			c.Observe(trace.Access{Addr: pg.Addr()})
-			truth[uint64(pg)]++
+			a := r.Start + mem.PhysAddr(64*rng.Intn(8))
+			c.Observe(trace.Access{Addr: a})
+			truth[uint64(a.Word())]++
 		}
 		for k, v := range truth {
 			if c.Count(k) != v {
@@ -93,9 +110,6 @@ func TestSpillExactnessProperty(t *testing.T) {
 func TestWACWordGranularity(t *testing.T) {
 	r := testRegion(2)
 	w := NewWAC(r)
-	if w.Config().CounterBits != DefaultWACBits {
-		t.Errorf("WAC default bits = %d", w.Config().CounterBits)
-	}
 	p0 := r.Start.Page()
 	w.Observe(trace.Access{Addr: p0.Word(0).Addr()})
 	w.Observe(trace.Access{Addr: p0.Word(0).Addr()})
@@ -215,9 +229,6 @@ func TestConstructorValidation(t *testing.T) {
 	// defaults to a 128MB window from 0 (see defaults_test.go).
 	mustPanic("unaligned region", func() {
 		New(Config{Region: mem.NewRange(64, mem.PageSize)})
-	})
-	mustPanic("wide counter", func() {
-		New(Config{Region: testRegion(1), CounterBits: 64})
 	})
 }
 

@@ -168,7 +168,7 @@ func requireMigrate(name string, make func(Env) (tiermem.Policy, error)) func(En
 func init() {
 	Register(Spec{Name: "anb", Make: func(env Env) (tiermem.Policy, error) {
 		return baseline.NewANB(env.Sys, baseline.ANBConfig{
-			SamplePages: maxInt(env.FootPages/128, 8),
+			SamplePages: max(env.FootPages/128, 8),
 			Migrate:     env.Migrate,
 			HotListCap:  env.HotListCap,
 			Metrics:     env.Metrics,
@@ -176,22 +176,17 @@ func init() {
 	}})
 	Register(Spec{Name: "damon", Make: func(env Env) (tiermem.Policy, error) {
 		return baseline.NewDAMON(env.Sys, baseline.DAMONConfig{
-			MigrateBatch: maxInt(env.FootPages/64, 16),
+			MigrateBatch: migrateQuota(env.FootPages),
 			Migrate:      env.Migrate,
 			HotListCap:   env.HotListCap,
 			Metrics:      env.Metrics,
 		}), nil
 	}})
 	Register(Spec{Name: "pebs", Make: func(env Env) (tiermem.Policy, error) {
-		if env.AttachMissSink == nil {
-			return nil, fmt.Errorf("policy \"pebs\" needs an LLC-miss stream (Env.AttachMissSink)")
+		p, err := NewPEBS(env, pebsRate)
+		if err != nil {
+			return nil, err
 		}
-		p := baseline.NewPEBS(env.Sys, baseline.PEBSConfig{
-			Migrate:    env.Migrate,
-			HotListCap: env.HotListCap,
-			Metrics:    env.Metrics,
-		})
-		env.AttachMissSink(p)
 		return p, nil
 	}})
 	Register(Spec{Name: "m5-hpt", NeedsHPT: true, Make: makeManager("m5-hpt")})
@@ -199,7 +194,7 @@ func init() {
 	Register(Spec{Name: "m5-hpt+hwt", NeedsHPT: true, NeedsHWT: true, Make: makeManager("m5-hpt+hwt")})
 	Register(Spec{Name: "m5-static", NeedsHPT: true,
 		Make: requireMigrate("m5-static", func(env Env) (tiermem.Policy, error) {
-			return m5mgr.NewStaticPolicy(env.Sys, m5mgr.NewNominator(env.Ctrl, m5mgr.HPTOnly), 1_000_000), nil
+			return m5mgr.NewStaticPolicy(env.Sys, m5mgr.NewNominator(env.Ctrl, m5mgr.HPTOnly)), nil
 		})})
 	Register(Spec{Name: "m5-threshold", NeedsHPT: true,
 		Make: requireMigrate("m5-threshold", func(env Env) (tiermem.Policy, error) {
@@ -207,13 +202,34 @@ func init() {
 		})})
 	Register(Spec{Name: "m5-density", NeedsHPT: true, NeedsHWT: true,
 		Make: requireMigrate("m5-density", func(env Env) (tiermem.Policy, error) {
-			return m5mgr.NewDensityFilterPolicy(env.Sys, m5mgr.NewNominator(env.Ctrl, m5mgr.HPTDriven), 2), nil
+			return m5mgr.NewDensityFilterPolicy(env.Sys, m5mgr.NewNominator(env.Ctrl, m5mgr.HPTDriven)), nil
 		})})
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// pebsRate is the registry "pebs" sampler's rate: one sample per 100 LLC
+// misses, the rate [75] reports >15% overhead for.
+const pebsRate = 100
+
+// migrateQuota is the pages a CPU-driven solution elects for promotion
+// per period on a footprint of footPages: DAMON's DAMOS batch and the
+// PEBS sampler's top-K.
+func migrateQuota(footPages int) int { return max(footPages/64, 16) }
+
+// NewPEBS builds the PEBS sampler over env, taking one of every rate
+// LLC misses and electing migrateQuota pages per period, and attaches it
+// to env's miss stream. It is the one constructor of the solution: the
+// registry's "pebs" is NewPEBS at pebsRate.
+func NewPEBS(env Env, rate uint64) (*baseline.PEBS, error) {
+	if env.AttachMissSink == nil {
+		return nil, fmt.Errorf("policy \"pebs\" needs an LLC-miss stream (Env.AttachMissSink)")
 	}
-	return b
+	p := baseline.NewPEBS(env.Sys, baseline.PEBSConfig{
+		SampleRate: rate,
+		HotK:       migrateQuota(env.FootPages),
+		Migrate:    env.Migrate,
+		HotListCap: env.HotListCap,
+		Metrics:    env.Metrics,
+	})
+	env.AttachMissSink(p)
+	return p, nil
 }

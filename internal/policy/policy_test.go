@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"m5/internal/baseline"
 	"m5/internal/policy"
 	"m5/internal/sim"
+	"m5/internal/trace"
 	"m5/internal/workload"
 )
 
@@ -100,6 +102,70 @@ func TestConstructAndTickAll(t *testing.T) {
 				t.Errorf("%s: Stats().Ticks = 0 after a run", name)
 			}
 		})
+	}
+}
+
+// TestInstallPolicyAll assembles each runner the way m5sim does, with
+// only the trackers the policy's NeedsHPT/NeedsHWT ask for, installs the
+// policy, and runs it: the capability flags must suffice for every name
+// in the vocabulary, "none" included.
+func TestInstallPolicyAll(t *testing.T) {
+	for _, name := range policy.Names() {
+		wl := workload.MustNew("roms", workload.ScaleTiny, 1)
+		cfg := sim.Config{Workload: wl}
+		if policy.NeedsHPT(name) {
+			cfg.HPT = policy.DefaultHPT()
+		}
+		if policy.NeedsHWT(name) {
+			cfg.HWT = policy.DefaultHWT()
+		}
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := policy.New(name, policy.Env{
+			Sys:            r.Sys,
+			Ctrl:           r.Ctrl,
+			FootPages:      100,
+			Migrate:        true,
+			AttachMissSink: r.AttachMissSink,
+		})
+		if err != nil {
+			t.Errorf("New(%q): %v", name, err)
+		}
+		if d != nil {
+			r.SetDaemon(d)
+		}
+		if res := r.Run(200_000); res.Accesses == 0 {
+			t.Errorf("%s: no progress", name)
+		}
+		r.Close()
+	}
+}
+
+// TestPEBSOneQuota pins the one PEBS model: the registry's "pebs" is
+// NewPEBS at 1/100, ext-pebs's coarse arm differs only in its rate, and
+// both elect max(footPages/64, 16) pages per period, the DAMOS batch.
+func TestPEBSOneQuota(t *testing.T) {
+	r := newTestRunner(t)
+	for _, foot := range []int{100, 64 * 40} {
+		env := policy.Env{Sys: r.Sys, FootPages: foot, Migrate: true, AttachMissSink: func(trace.Sink) {}}
+		d, err := policy.New("pebs", env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := baseline.PEBSConfig{SampleRate: 100, HotK: max(foot/64, 16), Migrate: true}
+		if got := d.(*baseline.PEBS).Config(); got != want {
+			t.Errorf("footPages %d: registry pebs config %+v, want %+v", foot, got, want)
+		}
+		coarse, err := policy.NewPEBS(env, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.SampleRate = 1000
+		if got := coarse.Config(); got != want {
+			t.Errorf("footPages %d: 1/1000 pebs config %+v, want %+v", foot, got, want)
+		}
 	}
 }
 

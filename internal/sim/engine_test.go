@@ -167,12 +167,12 @@ func stepCases() []stepCase {
 		{name: "anb-faults", bench: "mcf",
 			arm: func(r *Runner) {
 				r.SetDaemon(baseline.NewANB(r.Sys, baseline.ANBConfig{
-					PeriodNs: 500_000, SamplePages: 64, Migrate: true,
+					SamplePages: 64, Migrate: true,
 				}))
 			}},
 		{name: "pebs-sink", bench: "redis",
 			arm: func(r *Runner) {
-				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
+				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, HotK: 256, Migrate: true})
 				r.AttachMissSink(p)
 				r.SetDaemon(p)
 			}},
@@ -361,7 +361,7 @@ func TestCoRunningMatchesStep(t *testing.T) {
 		{name: "redis-x2-ops", bench: "redis", cores: 2},
 		{name: "pebs-sink", bench: "redis", cores: 2, sink: true,
 			arm: func(r *Runner) {
-				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
+				p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, HotK: 256, Migrate: true})
 				r.AttachMissSink(p)
 				r.SetDaemon(p)
 			}},

@@ -114,9 +114,7 @@ func TestDaemonInterferenceCostsTime(t *testing.T) {
 		}
 		defer r.Close()
 		if withDaemon {
-			r.SetDaemon(baseline.NewDAMON(r.Sys, baseline.DAMONConfig{
-				PeriodNs: 200_000, AggregationTicks: 4,
-			}))
+			r.SetDaemon(baseline.NewDAMON(r.Sys, baseline.DAMONConfig{}))
 		}
 		return r.Run(800_000)
 	}
@@ -141,7 +139,7 @@ func TestANBEndToEnd(t *testing.T) {
 	}
 	defer r.Close()
 	r.SetDaemon(baseline.NewANB(r.Sys, baseline.ANBConfig{
-		PeriodNs: 500_000, SamplePages: 64, Migrate: true,
+		SamplePages: 64, Migrate: true,
 	}))
 	res := r.Run(2_000_000)
 	if res.Promotions == 0 {
@@ -159,7 +157,7 @@ func TestPEBSAttachesAsMissSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, Migrate: true})
+	p := baseline.NewPEBS(r.Sys, baseline.PEBSConfig{SampleRate: 10, HotK: 256, Migrate: true})
 	r.AttachMissSink(p)
 	r.SetDaemon(p)
 	res := r.Run(2_000_000)

@@ -21,8 +21,6 @@ type Config struct {
 	Cores int
 	// TLBEntries sizes each core's TLB (default 1536).
 	TLBEntries int
-	// Costs is the operation cost model; zero value selects DefaultCosts.
-	Costs CostModel
 	// Metrics, when non-nil, receives the system's migration and fault
 	// counters (promotions, demotions, mglru_demotions, rejected, faults,
 	// walks, shootdowns). Handles are interned at NewSystem; disabled
@@ -33,9 +31,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Cores == 0 {
 		c.Cores = 1
-	}
-	if c.Costs == (CostModel{}) {
-		c.Costs = DefaultCosts()
 	}
 	return c
 }
@@ -89,7 +84,7 @@ func NewSystem(cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
 		pt:    NewPageTable(),
-		costs: cfg.Costs,
+		costs: DefaultCosts(),
 	}
 	s.nodes[NodeDDR] = NewNode(NodeDDR, ddrSpan)
 	s.nodes[NodeCXL] = NewNode(NodeCXL, cxlSpan)
@@ -122,7 +117,7 @@ func (s *System) PageTable() *PageTable { return s.pt }
 // MGLRU exposes the aging state.
 func (s *System) MGLRU() *MGLRU { return s.lru }
 
-// Costs returns the cost model in force.
+// Costs returns the cost model in force: DefaultCosts.
 func (s *System) Costs() CostModel { return s.costs }
 
 // Cores returns the core count.

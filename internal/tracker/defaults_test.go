@@ -13,9 +13,6 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if cfg.Entries != 32*1024 {
 		t.Errorf("default Entries = %d, want 32768", cfg.Entries)
 	}
-	if cfg.Rows != 4 {
-		t.Errorf("default Rows = %d, want 4", cfg.Rows)
-	}
 	if cfg.Granularity != PageGranularity {
 		t.Errorf("default Granularity = %v, want page", cfg.Granularity)
 	}
@@ -36,8 +33,8 @@ func TestNamedConstructorsMatchNew(t *testing.T) {
 	if hwt.Granularity != WordGranularity {
 		t.Errorf("NewHWT granularity = %v, want word", hwt.Granularity)
 	}
-	if hwt.K != 5 || hwt.Rows != 4 {
-		t.Errorf("NewHWT defaults K=%d Rows=%d, want 5/4", hwt.K, hwt.Rows)
+	if hwt.K != 5 {
+		t.Errorf("NewHWT default K=%d, want 5", hwt.K)
 	}
 }
 

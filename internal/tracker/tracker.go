@@ -92,10 +92,6 @@ type Config struct {
 	// Entries is N, the number of access counts (H×W for CM-Sketch, the
 	// counter-table size for Space-Saving / Sticky Sampling).
 	Entries int
-	// Rows is H for CM-Sketch (default 4, per Table 4).
-	Rows int
-	// Seed feeds Sticky Sampling's RNG; ignored elsewhere.
-	Seed int64
 	// DecayOnQuery ages counts by halving instead of clearing them when a
 	// query is served — epochs blend exponentially rather than starting
 	// cold (the DESIGN §4 item-6 ablation; the paper's hardware resets).
@@ -126,11 +122,15 @@ func (c Config) withDefaults() Config {
 	if c.Entries == 0 {
 		c.Entries = 32 * 1024
 	}
-	if c.Rows == 0 {
-		c.Rows = 4
-	}
 	return c
 }
+
+const (
+	// cmRows is H for CM-Sketch (per Table 4).
+	cmRows = 4
+	// stickySeed seeds Sticky Sampling's admission RNG.
+	stickySeed = 0
+)
 
 // Tracker is one HPT or HWT instance. It implements trace.Sink.
 type Tracker struct {
@@ -143,14 +143,14 @@ type Tracker struct {
 	queries  uint64 // queries served over the tracker lifetime
 }
 
-// New builds a tracker from the config, applying defaults (K=5, N=32K,
-// H=4) for zero fields.
+// New builds a tracker from the config, applying defaults (K=5, N=32K)
+// for zero fields; a CM-Sketch has cmRows rows.
 func New(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{cfg: cfg}
 	switch cfg.Algorithm {
 	case CMSketch, ConservativeCMSketch:
-		cols := cfg.Entries / cfg.Rows
+		cols := cfg.Entries / cmRows
 		if cols < 1 {
 			cols = 1
 		}
@@ -158,14 +158,14 @@ func New(cfg Config) *Tracker {
 		if cfg.Algorithm == ConservativeCMSketch {
 			opts = append(opts, sketch.WithConservativeUpdate())
 		}
-		t.counter = sketch.NewCountMin(cfg.Rows, cols, opts...)
+		t.counter = sketch.NewCountMin(cmRows, cols, opts...)
 		t.topk = cam.NewSorted(cfg.K)
 	case SpaceSaving:
 		ss := sketch.NewSpaceSaving(cfg.Entries)
 		t.counter = ss
 		t.ss = ss
 	case StickySampling:
-		t.counter = sketch.NewStickySampling(cfg.Entries, cfg.Seed)
+		t.counter = sketch.NewStickySampling(cfg.Entries, stickySeed)
 		t.topk = cam.NewSorted(cfg.K)
 	default:
 		panic(fmt.Sprintf("tracker: unknown algorithm %v", cfg.Algorithm))

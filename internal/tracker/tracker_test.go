@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"m5/internal/mem"
+	"m5/internal/sketch"
 	"m5/internal/trace"
 )
 
@@ -46,8 +47,11 @@ func TestAlgorithmString(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	tr := New(Config{})
 	cfg := tr.Config()
-	if cfg.K != 5 || cfg.Entries != 32*1024 || cfg.Rows != 4 {
+	if cfg.K != 5 || cfg.Entries != 32*1024 {
 		t.Errorf("defaults = %+v", cfg)
+	}
+	if rows, _ := tr.counter.(*sketch.CountMin).Shape(); rows != cmRows {
+		t.Errorf("CM-Sketch rows = %d, want %d", rows, cmRows)
 	}
 }
 
@@ -87,7 +91,7 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 // Space-Saving evictions and sketch collisions frequent.
 func TestObserveKeyNMatchesRepeatedObserveKey(t *testing.T) {
 	for _, alg := range []Algorithm{CMSketch, ConservativeCMSketch, SpaceSaving, StickySampling} {
-		cfg := Config{Algorithm: alg, Entries: 16, K: 3, Seed: 5}
+		cfg := Config{Algorithm: alg, Entries: 16, K: 3}
 		weighted, unit := New(cfg), New(cfg)
 		rng := rand.New(rand.NewSource(1))
 		for step := 0; step < 3000; step++ {
@@ -268,7 +272,7 @@ func TestSpaceSavingQueryResets(t *testing.T) {
 }
 
 func TestStickySamplingTracker(t *testing.T) {
-	tr := New(Config{Algorithm: StickySampling, Entries: 256, Seed: 1})
+	tr := New(Config{Algorithm: StickySampling, Entries: 256})
 	for i := 0; i < 10000; i++ {
 		tr.Observe(trace.Access{Addr: 0x2000})
 	}

@@ -13,11 +13,6 @@ type LiblinearConfig struct {
 	Samples uint64
 	// Features is the dimensionality of the weight vector.
 	Features uint64
-	// NNZPerSample is the average non-zeros per example.
-	NNZPerSample int
-	// FeatureZipfS skews which features appear (KDD features are
-	// heavy-tailed).
-	FeatureZipfS float64
 	// Seed drives matrix synthesis and the visiting order.
 	Seed int64
 }
@@ -29,14 +24,16 @@ func (c LiblinearConfig) withDefaults() LiblinearConfig {
 	if c.Features == 0 {
 		c.Features = 1 << 14
 	}
-	if c.NNZPerSample == 0 {
-		c.NNZPerSample = 12
-	}
-	if c.FeatureZipfS == 0 {
-		c.FeatureZipfS = 1.1
-	}
 	return c
 }
+
+const (
+	// nnzPerSample is the average non-zeros per example.
+	nnzPerSample = 12
+	// featureZipfS skews which features appear (KDD features are
+	// heavy-tailed).
+	featureZipfS = 1.1
+)
 
 // NewLiblinear builds the workload. Each epoch visits every sample in a
 // shuffled order; per sample it streams the sample's index/value pairs
@@ -45,14 +42,14 @@ func (c LiblinearConfig) withDefaults() LiblinearConfig {
 func NewLiblinear(cfg LiblinearConfig) Generator {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.FeatureZipfS, 4, cfg.Features-1)
+	zipf := rand.NewZipf(rng, featureZipfS, 4, cfg.Features-1)
 
 	// Synthesize the CSR design matrix.
 	rowStart := make([]uint64, cfg.Samples+1)
 	var idx []uint32
 	for s := uint64(0); s < cfg.Samples; s++ {
 		rowStart[s] = uint64(len(idx))
-		nnz := cfg.NNZPerSample/2 + rng.Intn(cfg.NNZPerSample)
+		nnz := nnzPerSample/2 + rng.Intn(nnzPerSample)
 		for k := 0; k < nnz; k++ {
 			idx = append(idx, uint32(zipf.Uint64()))
 		}

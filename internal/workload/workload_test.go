@@ -275,7 +275,7 @@ func sparseFraction(pages map[uint64]map[uint64]bool, threshold int) float64 {
 
 func TestRedisSparsity(t *testing.T) {
 	// Figure 4 / §4.1: ≥~80% of Redis pages see at most 16 of 64 words.
-	g := NewRedisYCSBA(1<<14, 1)
+	g := NewYCSB(YCSBConfig{Name: "redis", Keys: 1 << 14, Seed: 1})
 	defer g.Close()
 	pages := wordsPerPage(g, 2_000_000)
 	if frac := sparseFraction(pages, 16); frac < 0.75 {
@@ -388,7 +388,7 @@ func percentileU64(vals []uint64, p int) uint64 {
 }
 
 func TestKVSOpsEndWithMarkers(t *testing.T) {
-	g := NewRedisYCSBA(1<<10, 1)
+	g := NewYCSB(YCSBConfig{Name: "redis", Keys: 1 << 10, Seed: 1})
 	defer g.Close()
 	sawEnd := false
 	for i := 0; i < 100; i++ {
@@ -524,7 +524,7 @@ func TestYCSBDLatestDistributionDrifts(t *testing.T) {
 func TestYCSBEScans(t *testing.T) {
 	// E's scans read consecutive slab slots... at minimum it must produce
 	// sequential multi-key ops (ops longer than a point read).
-	g := NewYCSB(YCSBConfig{Kind: YCSBE, Keys: 1 << 10, Seed: 3, ScanLen: 8})
+	g := NewYCSB(YCSBConfig{Kind: YCSBE, Keys: 1 << 10, Seed: 3})
 	defer g.Close()
 	opLens := map[int]int{}
 	cur := 0
@@ -547,6 +547,40 @@ func TestYCSBEScans(t *testing.T) {
 	}
 	if long == 0 {
 		t.Error("ycsb-e should produce multi-key scan operations")
+	}
+}
+
+func TestParseScale(t *testing.T) {
+	for s := ScaleTiny; s <= ScaleLarge; s++ {
+		got, err := ParseScale(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if _, err := ParseScale("giant"); err == nil {
+		t.Error("unknown scale should error")
+	}
+}
+
+// TestRedisIsYCSBA pins the one slab KVS: the catalog's redis is YCSB-A
+// over the same value sizes, so the two names emit one stream.
+func TestRedisIsYCSBA(t *testing.T) {
+	redis := MustNew("redis", ScaleTiny, 1)
+	defer redis.Close()
+	ycsb := MustNew("ycsb-a", ScaleTiny, 1)
+	defer ycsb.Close()
+	want := make([]Access, 4096)
+	got := make([]Access, 4096)
+	for n := 0; n < 1_000_000; n += len(want) {
+		nw, ng := NextBatch(redis, want), NextBatch(ycsb, got)
+		if nw != len(want) || ng != nw {
+			t.Fatalf("short batches at %d: redis %d, ycsb-a %d", n, nw, ng)
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("access %d: redis %+v, ycsb-a %+v", n+i, want[i], got[i])
+			}
+		}
 	}
 }
 

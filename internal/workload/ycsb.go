@@ -34,17 +34,36 @@ const (
 // String names the workload (lower case, matching the catalog names).
 func (k YCSBKind) String() string { return fmt.Sprintf("ycsb-%c", byte(k)-'A'+'a') }
 
-// YCSBConfig parameterizes a YCSB run over the slab KVS layout.
+const (
+	// slotBytes is the slab slot size (allocation class). Values occupy a
+	// few 64B words of their slot, so even a fully exercised page has
+	// most of its words untouched.
+	slotBytes = 1024
+	// kvsZipfS is the request-distribution skew exponent in math/rand's
+	// Zipf parameterization (must exceed 1); 1.1 matches YCSB's
+	// zipfian(0.99) head mass over these key counts.
+	kvsZipfS = 1.1
+	// scanLen is YCSB-E's maximum scan length.
+	scanLen = 16
+)
+
+// YCSBConfig parameterizes a YCSB run over the slab key-value store: a
+// hash-bucket array, an object-header array and slab value slots. The
+// paper's in-memory stores are this model under YCSB-A (Redis, Memcached
+// and CacheLib in Figure 4; Redis in the main evaluation). The decisive
+// property the paper measures is allocator-induced sparsity: 86%/76%/74%
+// of Redis/Memcached/CacheLib pages see ≤16 of 64 words.
 type YCSBConfig struct {
+	// Name labels the stream ("redis", "mcd", "c.-lib"); empty names it
+	// after Kind ("ycsb-a").
+	Name string
 	// Kind is the core workload letter.
 	Kind YCSBKind
 	// Keys is the maximum key population (D/E start at half and insert
 	// toward it, then recycle).
 	Keys uint64
-	// ScanLen is the maximum scan length for E (default 16).
-	ScanLen int
-	// SlotBytes / value-word bounds follow KVSConfig semantics.
-	SlotBytes     uint64
+	// MinValueWords / MaxValueWords bound the words an object's header +
+	// value actually occupy inside its slot.
 	MinValueWords int
 	MaxValueWords int
 	// Seed drives the request stream.
@@ -55,14 +74,11 @@ func (c YCSBConfig) withDefaults() YCSBConfig {
 	if c.Kind == 0 {
 		c.Kind = YCSBA
 	}
+	if c.Name == "" {
+		c.Name = c.Kind.String()
+	}
 	if c.Keys == 0 {
 		c.Keys = 1 << 16
-	}
-	if c.ScanLen == 0 {
-		c.ScanLen = 16
-	}
-	if c.SlotBytes == 0 {
-		c.SlotBytes = 1024
 	}
 	if c.MinValueWords == 0 {
 		c.MinValueWords = 2
@@ -73,17 +89,20 @@ func (c YCSBConfig) withDefaults() YCSBConfig {
 	return c
 }
 
-// NewYCSB builds the requested core workload over the slab KVS layout
-// (hash buckets + object headers + slab value slots). Operations end with
-// EndOp markers for per-op latency measurement.
+// NewYCSB builds the requested core workload over the slab KVS layout.
+// Every operation ends with an EndOp marker so the simulator can report
+// p99 operation latency.
 func NewYCSB(cfg YCSBConfig) Generator {
 	cfg = cfg.withDefaults()
 	var l Layout
-	buckets := l.Place(cfg.Keys, 8)
-	meta := l.Place(cfg.Keys, 64)
-	slabs := l.Place(cfg.Keys, cfg.SlotBytes)
+	buckets := l.Place(cfg.Keys, 8)       // hash table: 8B bucket heads
+	meta := l.Place(cfg.Keys, 64)         // object headers: 1 line each
+	slabs := l.Place(cfg.Keys, slotBytes) // value slots
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, 1.1, 1, cfg.Keys-1)
+	zipf := rand.NewZipf(rng, kvsZipfS, 1, cfg.Keys-1)
+
+	// Per-key deterministic properties: slot placement permutation (slab
+	// allocators scatter neighbours) and value length in words.
 	slot := rng.Perm(int(cfg.Keys))
 	words := make([]int, cfg.Keys)
 	span := cfg.MaxValueWords - cfg.MinValueWords + 1
@@ -100,6 +119,9 @@ func NewYCSB(cfg YCSBConfig) Generator {
 		}
 	}
 
+	// touch is one hash lookup: the bucket head, then the object header,
+	// then the value's words inside its slab slot; an update also
+	// rewrites the header (LRU/clock bits).
 	touch := func(e *Emitter, key uint64, write bool) {
 		bucket := (key * 11400714819323198485) % cfg.Keys
 		e.Load(buckets.At(bucket))
@@ -139,10 +161,17 @@ func NewYCSB(cfg YCSBConfig) Generator {
 
 	prog := func(e *Emitter) {
 		for {
+			if cfg.Kind == YCSBA {
+				// The key, then the read/update coin, updating on its
+				// upper half: the draw order of the paper's Redis runs.
+				// The other mixes flip their coin first.
+				key := pick()
+				touch(e, key, rng.Float64() >= 0.5)
+				e.EndOp()
+				continue
+			}
 			r := rng.Float64()
 			switch cfg.Kind {
-			case YCSBA:
-				touch(e, pick(), r < 0.5)
 			case YCSBB:
 				touch(e, pick(), r < 0.05)
 			case YCSBC:
@@ -158,7 +187,7 @@ func NewYCSB(cfg YCSBConfig) Generator {
 					insert(e)
 				} else {
 					start := pick()
-					n := 1 + rng.Intn(cfg.ScanLen)
+					n := 1 + rng.Intn(scanLen)
 					for i := 0; i < n; i++ {
 						k := start + uint64(i)
 						if k >= population {
@@ -179,20 +208,35 @@ func NewYCSB(cfg YCSBConfig) Generator {
 			e.EndOp()
 		}
 	}
-	return newBase(cfg.Kind.String(), l.Footprint(), prog)
+	return newBase(cfg.Name, l.Footprint(), prog)
 }
 
-func ycsbBuilder(kind YCSBKind) Builder {
+// ycsbBuilder is the catalog builder of one YCSB stream over values of
+// 2..maxWords words; an empty name names it after the kind.
+func ycsbBuilder(name string, kind YCSBKind, maxWords int) Builder {
 	return func(scale Scale, seed int64) (Generator, error) {
-		return NewYCSB(YCSBConfig{Kind: kind, Keys: kvsKeys(scale), Seed: seed}), nil
+		return NewYCSB(YCSBConfig{
+			Name: name, Kind: kind, Keys: kvsKeys(scale),
+			MaxValueWords: maxWords, Seed: seed,
+		}), nil
 	}
 }
 
 func init() {
-	Register("ycsb-a", ycsbBuilder(YCSBA))
-	Register("ycsb-b", ycsbBuilder(YCSBB))
-	Register("ycsb-c", ycsbBuilder(YCSBC))
-	Register("ycsb-d", ycsbBuilder(YCSBD))
-	Register("ycsb-e", ycsbBuilder(YCSBE))
-	Register("ycsb-f", ycsbBuilder(YCSBF))
+	// The paper's stores are YCSB-A over their value sizes: Redis over
+	// 2-4 words, Memcached's 1KB chunks a bit denser, CacheLib denser
+	// still.
+	Register("redis", ycsbBuilder("redis", YCSBA, 4))
+	mcd := ycsbBuilder("mcd", YCSBA, 6)
+	Register("mcd", mcd)
+	Register("memcached", mcd)
+	clib := ycsbBuilder("c.-lib", YCSBA, 7)
+	Register("c.-lib", clib)
+	Register("cachelib", clib)
+	Register("ycsb-a", ycsbBuilder("", YCSBA, 4))
+	Register("ycsb-b", ycsbBuilder("", YCSBB, 4))
+	Register("ycsb-c", ycsbBuilder("", YCSBC, 4))
+	Register("ycsb-d", ycsbBuilder("", YCSBD, 4))
+	Register("ycsb-e", ycsbBuilder("", YCSBE, 4))
+	Register("ycsb-f", ycsbBuilder("", YCSBF, 4))
 }
