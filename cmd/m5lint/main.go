@@ -1,8 +1,10 @@
 // Command m5lint checks the repository against the simulator's source
-// invariants: determinism of the simulation packages, the //m5:hotpath
-// zero-alloc discipline, the obs scope.metric naming grammar, and
-// init-time collision-free policy/workload registration. See DESIGN.md
-// §8 for the contract each analyzer enforces.
+// invariants with seven analyzers: determinism of the simulation
+// packages, the //m5:hotpath zero-alloc discipline, the obs scope.metric
+// naming grammar, init-time collision-free policy/workload registration,
+// config-seam plumbing, lock discipline in the concurrent layers, and
+// float confinement in the byte-identity metric packages.
+// See DESIGN.md §8 for the contract each analyzer enforces.
 //
 // Standalone:
 //

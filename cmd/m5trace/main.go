@@ -115,8 +115,8 @@ func record(args []string) error {
 		return err
 	}
 	var writeErr error
-	r.Ctrl.Device.Attach(trace.SinkFunc(func(a trace.Access) {
-		if writeErr == nil {
+	r.Ctrl.Device.Attach(trace.SinkFunc(func(a trace.Access, n uint64) {
+		for ; n > 0 && writeErr == nil; n-- {
 			writeErr = w.Write(a)
 		}
 	}))
@@ -224,7 +224,8 @@ func replay(args []string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	acc := experiments.ScoreTrackerOnTrace(tracker.New(cfg), accs, experiments.EpochByTime(*period))
+	acc := experiments.ScoreTrackerOnWeightedTrace(tracker.New(cfg),
+		experiments.WeightedTrace{Accs: accs}, experiments.EpochByTime(*period))
 	fmt.Printf("trace          %s (%d accesses)\n", *in, len(accs))
 	fmt.Printf("tracker        %s/%s N=%d K=%d, query period %dns\n",
 		*alg, *gran, *entries, *k, *period)

@@ -36,8 +36,8 @@ func main() {
 	for i := 0; i < 2_000_000; i++ {
 		page := mem.PFN(zipf.Uint64())
 		addr := page.Addr() + mem.PhysAddr(rng.Intn(mem.WordsPerPage))*mem.WordSize
-		hpt.Observe(trace.Access{Time: uint64(i), Addr: addr})
-		exact.Add(uint64(page))
+		hpt.ObserveN(trace.Access{Time: uint64(i), Addr: addr}, 1)
+		exact.AddN(uint64(page), 1)
 	}
 
 	// Query the tracker (one MMIO read in hardware); this also resets it

@@ -19,11 +19,6 @@ import (
 //	                      scoped package: the loop has been reviewed as
 //	                      order-insensitive; a justification should
 //	                      follow on the same line.
-//	//m5:unitcredit <why>
-//	                    — on a unit-credit call (Observe/Add/Access/...)
-//	                      whose receiver also offers the weighted *N
-//	                      twin: the call site is a reviewed weight-1
-//	                      credit (exact engine, per-access delegation).
 //	//m5:plumb <Type> [ignore=F1,F2,...]
 //	                    — on a function declaration's doc comment: the
 //	                      body is a copy/patch/merge/validate seam for
@@ -47,7 +42,6 @@ const (
 	markHotpath        = "hotpath"
 	markColdpath       = "coldpath"
 	markOrderInvariant = "orderinvariant"
-	markUnitCredit     = "unitcredit"
 	markPlumb          = "plumb"
 	markGuardedBy      = "guardedby"
 	markLocked         = "locked"
@@ -92,7 +86,7 @@ type markerLine struct {
 }
 
 // collectMarkers maps source lines to in-function markers (coldpath,
-// orderinvariant, unitcredit, floatok, ...). A marker governs the
+// orderinvariant, floatok, ...). A marker governs the
 // statement on its own line or, for a comment on a line of its own, the
 // line below, in its own file only.
 func collectMarkers(fset *token.FileSet, files []*ast.File) map[markerLine]markerInfo {

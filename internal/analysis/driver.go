@@ -42,12 +42,12 @@ func RunWithFacts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, f
 	return ds, nil
 }
 
-// All returns the full m5lint suite: the four PR 5 analyzers plus the
-// four post-PR5 invariant classes (weighted crediting, config plumbing,
-// lock discipline, float confinement).
+// All returns the full m5lint suite: determinism, hotpath, obs naming
+// and registration discipline, plus config plumbing, lock discipline and
+// float confinement.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Creditweight, Determinism, Floatconfine, Hotpath,
+		Determinism, Floatconfine, Hotpath,
 		Lockdiscipline, ObsScope, Plumbing, Registry,
 	}
 }

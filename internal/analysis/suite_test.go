@@ -39,13 +39,6 @@ func TestRegistryCorpus(t *testing.T) {
 	)
 }
 
-func TestCreditweightCorpus(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.All(),
-		"m5/internal/sketch/creditbad",
-		"m5/internal/sketch/creditgood",
-	)
-}
-
 func TestPlumbingCorpus(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.All(),
 		"m5/internal/experiments/plumbbad",

@@ -1,8 +1,8 @@
 // Package sim is a corpus stub standing in for the real simulator
 // package at its import path, so the plumbing analyzer's watched-struct
 // table (sim.Config, sim.SamplingConfig) resolves and exports facts.
-// Its own code must stay clean: the path is inside the determinism,
-// creditweight, and floatconfine scopes.
+// Its own code must stay clean: the path is inside the determinism and
+// floatconfine scopes.
 package sim
 
 // Config is the corpus stand-in for the simulator's machine config.

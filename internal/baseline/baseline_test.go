@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m5/internal/mem"
@@ -242,9 +243,9 @@ func TestPEBSSamplesAndElects(t *testing.T) {
 	coldPhys := sys.Translate(0, (base + 20).Addr(), false).Phys
 	// 10,100 misses at 1/10 fill the pebsBufferEntries buffer once.
 	for i := 0; i < 10000; i++ {
-		p.Observe(trace.Access{Addr: hotPhys})
+		p.ObserveN(trace.Access{Addr: hotPhys}, 1)
 		if i%100 == 0 {
-			p.Observe(trace.Access{Addr: coldPhys})
+			p.ObserveN(trace.Access{Addr: coldPhys}, 1)
 		}
 	}
 	if p.Samples() == 0 {
@@ -260,13 +261,39 @@ func TestPEBSSamplesAndElects(t *testing.T) {
 	}
 }
 
+// A weighted miss takes the samples its n unit misses would: ObserveN
+// advances the sampling counter once per occurrence, across drains.
+func TestPEBSObserveNMatchesUnitMisses(t *testing.T) {
+	sys, base := newSys(t, 64)
+	weighted := NewPEBS(sys, PEBSConfig{SampleRate: 7, HotK: 4})
+	unit := NewPEBS(sys, PEBSConfig{SampleRate: 7, HotK: 4})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		a := trace.Access{Addr: sys.Translate(0, (base + tiermem.VPN(rng.Intn(8))).Addr(), false).Phys}
+		n := uint64(rng.Intn(9))
+		weighted.ObserveN(a, n)
+		for j := uint64(0); j < n; j++ {
+			unit.ObserveN(a, 1)
+		}
+	}
+	weighted.Tick(0)
+	unit.Tick(0)
+	if weighted.Samples() != unit.Samples() || weighted.Drains() != unit.Drains() || weighted.Drains() == 0 {
+		t.Errorf("samples/drains = %d/%d, unit misses give %d/%d (want drains > 0)",
+			weighted.Samples(), weighted.Drains(), unit.Samples(), unit.Drains())
+	}
+	if got, want := weighted.HotPFNs(), unit.HotPFNs(); !slices.Equal(got, want) {
+		t.Errorf("hot list = %v, unit misses give %v", got, want)
+	}
+}
+
 func TestPEBSIgnoresDDRSamples(t *testing.T) {
 	sys, base := newSys(t, 64)
 	p := NewPEBS(sys, PEBSConfig{SampleRate: 1})
 	sys.Migrate(base, tiermem.NodeDDR)
 	ddrPhys := sys.Translate(0, base.Addr(), false).Phys
 	for i := 0; i < 100; i++ {
-		p.Observe(trace.Access{Addr: ddrPhys})
+		p.ObserveN(trace.Access{Addr: ddrPhys}, 1)
 	}
 	if p.Samples() != 0 {
 		t.Error("DDR addresses must not be sampled for promotion")
@@ -278,7 +305,7 @@ func TestPEBSMigrates(t *testing.T) {
 	p := NewPEBS(sys, PEBSConfig{SampleRate: 1, HotK: 1, Migrate: true})
 	phys := sys.Translate(0, base.Addr(), false).Phys
 	for i := 0; i < 50; i++ {
-		p.Observe(trace.Access{Addr: phys})
+		p.ObserveN(trace.Access{Addr: phys}, 1)
 	}
 	p.Tick(0)
 	if p.Promoted() != 1 || sys.NodeOf(base) != tiermem.NodeDDR {
@@ -291,7 +318,7 @@ func TestPEBSDecay(t *testing.T) {
 	p := NewPEBS(sys, PEBSConfig{SampleRate: 1, HotK: 64})
 	phys := sys.Translate(0, base.Addr(), false).Phys
 	for i := 0; i < 8; i++ {
-		p.Observe(trace.Access{Addr: phys})
+		p.ObserveN(trace.Access{Addr: phys}, 1)
 	}
 	// Several decaying ticks with no new samples should eventually drop
 	// the page from the histogram.

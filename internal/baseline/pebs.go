@@ -33,7 +33,7 @@ type PEBSConfig struct {
 	// HotListCap bounds the recorded hot list; 0 = unbounded.
 	HotListCap int
 	// Metrics, when non-nil, receives PEBS's counters (ticks, samples,
-	// drains, promoted). The Observe hot path pays one nil check per
+	// drains, promoted). The ObserveN hot path pays one nil check per
 	// captured sample when disabled.
 	Metrics *obs.Registry
 }
@@ -97,25 +97,29 @@ func (p *PEBS) Name() string { return "pebs" }
 // PeriodNs implements the migration-daemon contract.
 func (p *PEBS) PeriodNs() uint64 { return pebsPeriodNs }
 
-// Observe implements trace.Sink over the LLC-miss address stream.
-func (p *PEBS) Observe(a trace.Access) {
-	p.seen++
-	if p.seen%p.cfg.SampleRate != 0 {
-		return
-	}
-	// Only slow-tier samples matter for promotion decisions.
-	if p.sys.NodeOfAddr(a.Addr) != tiermem.NodeCXL {
-		return
-	}
-	p.samples++
-	p.obsSamples.Inc()
-	p.counts[a.Addr.Page()]++
-	p.buffer++
-	if p.buffer >= pebsBufferEntries {
-		p.buffer = 0
-		p.drains++
-		p.obsDrains.Inc()
-		p.sys.AddKernelNs(pebsDrainCostNs)
+// ObserveN implements trace.Sink over the LLC-miss address stream. Each
+// of the n misses advances the sampling counter on its own, as n separate
+// misses would, so a weighted miss can take more than one sample.
+func (p *PEBS) ObserveN(a trace.Access, n uint64) {
+	for ; n > 0; n-- {
+		p.seen++
+		if p.seen%p.cfg.SampleRate != 0 {
+			continue
+		}
+		// Only slow-tier samples matter for promotion decisions.
+		if p.sys.NodeOfAddr(a.Addr) != tiermem.NodeCXL {
+			continue
+		}
+		p.samples++
+		p.obsSamples.Inc()
+		p.counts[a.Addr.Page()]++
+		p.buffer++
+		if p.buffer >= pebsBufferEntries {
+			p.buffer = 0
+			p.drains++
+			p.obsDrains.Inc()
+			p.sys.AddKernelNs(pebsDrainCostNs)
+		}
 	}
 }
 

@@ -45,31 +45,11 @@ func (d *Device) Span() mem.Range { return d.span }
 // the MC serves is observed by all attached sinks, in attach order.
 func (d *Device) Attach(s trace.Sink) { d.snoop = append(d.snoop, s) }
 
-// Access serves one host memory access. Accesses outside the device span
-// are a host bug and panic. The AFU observes the access before the MC
-// completes it (address snooping, Figure 2).
-//
-//m5:hotpath
-func (d *Device) Access(a trace.Access) {
-	if !d.span.Contains(a.Addr) {
-		//m5:coldpath host-bug guard; formatting happens only while dying.
-		panic(fmt.Sprintf("cxl: access %v outside device span %v", a.Addr, d.span))
-	}
-	d.snoop.Observe(a)
-	if a.Write {
-		d.writes++
-		d.obsWrites.Inc()
-	} else {
-		d.reads++
-		d.obsReads.Inc()
-	}
-}
-
-// AccessN implements trace.WeightedSink semantics on the device port:
-// serve the access n times with one snoop fan-out. The sampled simulator
-// tier uses it to credit the device traffic of thinned-away batches;
-// attached near-memory functions receive the weight through
-// Tee.ObserveN (O(1) for PAC/WAC and the trackers).
+// AccessN serves the host memory access n times with one snoop fan-out:
+// the exact engine passes 1, and the sampled simulator tier passes the
+// weight of a batch that stands in for thinned-away neighbours. Accesses
+// outside the device span are a host bug and panic. The AFU observes the
+// access before the MC completes it (address snooping, Figure 2).
 //
 //m5:hotpath
 func (d *Device) AccessN(a trace.Access, n uint64) {
@@ -86,6 +66,10 @@ func (d *Device) AccessN(a trace.Access, n uint64) {
 		d.obsReads.Add(n)
 	}
 }
+
+// Access is AccessN at weight 1. Its only caller is perfbench's
+// device-layer replay; the simulator calls AccessN.
+func (d *Device) Access(a trace.Access) { d.AccessN(a, 1) }
 
 // Reads returns the 64B reads served by the device MC.
 func (d *Device) Reads() uint64 { return d.reads }

@@ -13,14 +13,18 @@ func span() mem.Range { return mem.NewRange(0x4000_0000, 64*mem.PageSize) }
 func TestDeviceCountsAndSnoops(t *testing.T) {
 	d := NewDevice(span())
 	var seen []trace.Access
-	d.Attach(trace.SinkFunc(func(a trace.Access) { seen = append(seen, a) }))
-	d.Access(trace.Access{Addr: span().Start, Write: false})
-	d.Access(trace.Access{Addr: span().Start + 64, Write: true})
-	if d.Reads() != 1 || d.Writes() != 1 {
-		t.Errorf("reads=%d writes=%d", d.Reads(), d.Writes())
+	var weight uint64
+	d.Attach(trace.SinkFunc(func(a trace.Access, n uint64) {
+		seen = append(seen, a)
+		weight += n
+	}))
+	d.Access(trace.Access{Addr: span().Start, Write: false}) // AccessN at weight 1
+	d.AccessN(trace.Access{Addr: span().Start + 64, Write: true}, 3)
+	if d.Reads() != 1 || d.Writes() != 3 {
+		t.Errorf("reads=%d writes=%d, want 1 and 3", d.Reads(), d.Writes())
 	}
-	if len(seen) != 2 {
-		t.Errorf("snoop saw %d accesses", len(seen))
+	if len(seen) != 2 || weight != 4 {
+		t.Errorf("snoop saw %d accesses of total weight %d, want 2 of weight 4", len(seen), weight)
 	}
 }
 
@@ -31,7 +35,7 @@ func TestDevicePanicsOutsideSpan(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	d.Access(trace.Access{Addr: 0})
+	d.AccessN(trace.Access{Addr: 0}, 1)
 }
 
 func TestDevicePanicsOnBadSpan(t *testing.T) {
@@ -53,9 +57,9 @@ func TestControllerFullStack(t *testing.T) {
 	})
 	hot := span().Start.Page() + 3
 	for i := 0; i < 100; i++ {
-		c.Device.Access(trace.Access{Addr: hot.Word(uint(i % 4)).Addr()})
+		c.Device.AccessN(trace.Access{Addr: hot.Word(uint(i % 4)).Addr()}, 1)
 	}
-	c.Device.Access(trace.Access{Addr: span().Start})
+	c.Device.AccessN(trace.Access{Addr: span().Start}, 1)
 
 	if got := c.PAC.CountPage(hot); got != 100 {
 		t.Errorf("PAC count = %d", got)
@@ -82,7 +86,7 @@ func TestControllerFullStack(t *testing.T) {
 
 func TestControllerDisabledFunctions(t *testing.T) {
 	c := NewController(ControllerConfig{Span: span()})
-	c.Device.Access(trace.Access{Addr: span().Start})
+	c.Device.AccessN(trace.Access{Addr: span().Start}, 1)
 	if c.QueryHPT() != nil || c.QueryHWT() != nil {
 		t.Error("disabled trackers should return nil")
 	}

@@ -106,19 +106,6 @@ func (p Params) applySpeed(cfg *sim.Config) {
 	}
 }
 
-// DefaultParams returns the full-experiment configuration used by
-// cmd/m5bench: medium-scale instances and multi-million-access runs.
-func DefaultParams() Params {
-	return Params{
-		Scale:      workload.ScaleMedium,
-		Warmup:     1_000_000,
-		Accesses:   6_000_000,
-		Points:     10,
-		Seed:       1,
-		Benchmarks: workload.Names(),
-	}
-}
-
 // QuickParams returns a reduced configuration for tests: tiny instances,
 // sub-million access budgets, a benchmark subset that still covers every
 // workload family (graph, SPEC-dense, SPEC-skewed, KVS, ML).

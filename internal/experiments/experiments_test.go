@@ -53,9 +53,6 @@ func TestParamsDefaults(t *testing.T) {
 	if p.Accesses == 0 || p.Points == 0 || len(p.Benchmarks) != 12 {
 		t.Errorf("defaults = %+v", p)
 	}
-	if DefaultParams().Scale != workload.ScaleMedium {
-		t.Error("default scale")
-	}
 	if QuickParams().Scale != workload.ScaleTiny {
 		t.Error("quick scale")
 	}

@@ -78,10 +78,8 @@ func Fig11(p Params) ([]Fig11Row, error) {
 // demand in the same (outer trace index, inner process rotation) order as
 // InterleaveProcesses, and each synthesized copy carries its entry's
 // Horvitz-Thompson weight. Epochs end every quarter of the trace's
-// credited access count — the weighted analogue of EpochByCount(len/4);
-// with all-ones weights (every exact-mode collection) the boundaries,
-// observations, and resulting scores are byte-identical to the former
-// ScoreTrackerOnTrace(InterleaveProcesses(...)) path.
+// credited access count; with all-ones weights (every exact-mode
+// collection) that is every quarter of the interleaved stream.
 func scoreFig11(tr *tracker.Tracker, wt WeightedTrace, procs int) float64 {
 	gran := tr.Config().Granularity
 	exact := sketch.NewCountTable(1024)
@@ -113,7 +111,7 @@ func scoreFig11(tr *tracker.Tracker, wt WeightedTrace, procs int) float64 {
 	per /= 4
 	if per == 0 {
 		// Degenerate tiny trace: no interior boundaries, score once at the
-		// end (what EpochByCount(0) effectively did).
+		// end.
 		per = ^uint64(0)
 	}
 	const stride = mem.PhysAddr(64) << 30 // disjoint 64GB windows

@@ -115,12 +115,10 @@ type WeightedTrace struct {
 	Weights []uint64
 }
 
-// weightedRecorder records the device snoop stream with weights; it
-// implements trace.WeightedSink so the sampled engine's O(1) weighted
-// crediting lands as one entry instead of n repeats.
+// weightedRecorder records the device snoop stream with weights: the
+// sampled engine's O(1) weighted crediting lands as one entry instead of
+// n repeats.
 type weightedRecorder struct{ wt *WeightedTrace }
-
-func (r weightedRecorder) Observe(a trace.Access) { r.ObserveN(a, 1) }
 
 func (r weightedRecorder) ObserveN(a trace.Access, n uint64) {
 	r.wt.Accs = append(r.wt.Accs, a)
@@ -163,40 +161,16 @@ func EpochByTime(periodNs uint64) EpochPolicy {
 	}
 }
 
-// EpochByCount ends an epoch every n accesses (used by the scalability
-// study where interleaving inflates wall time). Like EpochByTime it is
-// stateful: a running counter replaces the per-access index%n division,
-// relying on the replay loop calling the policy once per index in order.
-func EpochByCount(n int) EpochPolicy {
-	seen := 0
-	return func(_ trace.Access, _ int) bool {
-		boundary := seen == n
-		if boundary {
-			seen = 0
-		}
-		seen++
-		return boundary
-	}
-}
-
-// ScoreTrackerOnTrace replays a trace into a tracker, querying at epoch
-// boundaries and scoring each epoch's reported top-K against exact
-// counting of the same epoch. It returns the mean epoch ratio (0 when no
-// epoch produced a score). It is ScoreTrackerOnWeightedTrace at unit
-// weights.
-func ScoreTrackerOnTrace(tr *tracker.Tracker, accs []trace.Access, epoch EpochPolicy) float64 {
-	return ScoreTrackerOnWeightedTrace(tr, WeightedTrace{Accs: accs}, epoch)
-}
-
-// ScoreTrackerOnWeightedTrace is ScoreTrackerOnTrace over a weighted
-// trace: each entry flows into the tracker and the exact reference with
-// its weight (Tracker.ObserveKeyN). For an all-ones weight vector — every
-// exact-mode collection — the scores match ScoreTrackerOnTrace exactly;
-// sampled-mode weights keep both sides of each epoch ratio unbiased in
-// expectation while the replay only touches the simulated subset of the
-// stream; nil weights count every entry once. It builds the trace's
-// epoch truth and scores the tracker against it; Figure 7 builds each
-// truth once for all its cells.
+// ScoreTrackerOnWeightedTrace replays a weighted trace into a tracker,
+// querying at epoch boundaries and scoring each epoch's reported top-K
+// against exact counting of the same epoch. It returns the mean epoch
+// ratio (0 when no epoch produced a score). Each entry flows into the
+// tracker and the exact reference with its weight (Tracker.ObserveKeyN):
+// all 1 for every exact-mode collection, while sampled-mode weights keep
+// both sides of each epoch ratio unbiased in expectation with the replay
+// touching only the simulated subset of the stream; nil weights count
+// every entry once. It builds the trace's epoch truth and scores the
+// tracker against it; Figure 7 builds each truth once for all its cells.
 func ScoreTrackerOnWeightedTrace(tr *tracker.Tracker, wt WeightedTrace, epoch EpochPolicy) float64 {
 	cfg := tr.Config()
 	return newEpochTruth(wt, cfg.Granularity, epoch, cfg.K).score(tr)

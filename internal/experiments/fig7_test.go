@@ -140,9 +140,10 @@ func TestFig7MatchesStreamingScorer(t *testing.T) {
 }
 
 // ScoreTrackerOnWeightedTrace at all-ones weights must score exactly as
-// ScoreTrackerOnTrace, and both as the streaming reference, for every
-// tracker family (Sticky Sampling replays weights one occurrence at a
-// time) and for decay-on-query epochs.
+// with nil weights (the plain trace m5trace replay passes), and both as
+// the streaming reference, for every tracker family (Sticky Sampling
+// replays weights one occurrence at a time) and for decay-on-query
+// epochs.
 func TestScoreTrackerUnitWeightsMatchTrace(t *testing.T) {
 	p := tinyParams("mcf")
 	p.Warmup, p.Accesses = 20_000, 80_000
@@ -161,7 +162,7 @@ func TestScoreTrackerUnitWeightsMatchTrace(t *testing.T) {
 			for _, gran := range []tracker.Granularity{tracker.PageGranularity, tracker.WordGranularity} {
 				cfg := tracker.Config{Granularity: gran, Algorithm: alg, Entries: 512, K: 5, DecayOnQuery: decay}
 				epoch := func() EpochPolicy { return EpochByTime(200_000) }
-				plain := ScoreTrackerOnTrace(tracker.New(cfg), accs, epoch())
+				plain := ScoreTrackerOnWeightedTrace(tracker.New(cfg), WeightedTrace{Accs: accs}, epoch())
 				weighted := ScoreTrackerOnWeightedTrace(tracker.New(cfg), wt, epoch())
 				ref := streamScore(tracker.New(cfg), wt, epoch())
 				if math.Float64bits(plain) != math.Float64bits(weighted) || math.Float64bits(plain) != math.Float64bits(ref) {

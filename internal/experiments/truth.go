@@ -41,8 +41,8 @@ type truthEpoch struct {
 // newEpochTruth counts a weighted trace once under the given key
 // granularity and epoch policy, for queries reporting up to k keys. The
 // policy is called once per entry in order, as the streaming scorer
-// called it, so stateful policies (EpochByTime, EpochByCount) place the
-// same boundaries. Nil weights credit every entry once.
+// called it, so a stateful policy (EpochByTime) places the same
+// boundaries. Nil weights credit every entry once.
 func newEpochTruth(wt WeightedTrace, gran tracker.Granularity, epoch EpochPolicy, k int) *epochTruth {
 	t := &epochTruth{keys: make([]uint64, len(wt.Accs))}
 	if slices.ContainsFunc(wt.Weights, func(w uint64) bool { return w != 1 }) {

@@ -64,7 +64,6 @@ type Elector struct {
 	steps        uint64
 	migrations   uint64
 	skipped      uint64
-	lastStats    Stats
 }
 
 // NewElector wires the three components.
@@ -85,7 +84,6 @@ func (e *Elector) fscale(x float64) float64 {
 func (e *Elector) Step(nowNs uint64) uint64 {
 	e.steps++
 	stats := e.mon.Sample(nowNs)
-	e.lastStats = stats
 
 	// Line 2: T = 1 / (fscale(bw_den(CXL)/bw_den(DDR)) * f_default).
 	ratio := 1.0
@@ -154,6 +152,3 @@ func (e *Elector) Migrations() uint64 { return e.migrations }
 
 // Skipped returns steps where migration was withheld (Guideline 2).
 func (e *Elector) Skipped() uint64 { return e.skipped }
-
-// LastStats returns the most recent Monitor sample.
-func (e *Elector) LastStats() Stats { return e.lastStats }

@@ -7,8 +7,8 @@ import (
 	"m5/internal/trace"
 )
 
-// Observe is called once per CXL access in the simulator, so it must stay
-// allocation-free at steady state.
+// ObserveN is called once per CXL access in the simulator, so it must
+// stay allocation-free at steady state.
 
 func TestObserveZeroAllocs(t *testing.T) {
 	const pages = 1024
@@ -19,11 +19,11 @@ func TestObserveZeroAllocs(t *testing.T) {
 		c := New(Config{Granularity: PageCounter, Region: region})
 		i := uint64(0)
 		allocs := testing.AllocsPerRun(10_000, func() {
-			c.Observe(trace.Access{Addr: mem.PFN(first + i%pages).Addr()})
+			c.ObserveN(trace.Access{Addr: mem.PFN(first + i%pages).Addr()}, 1)
 			i += 7
 		})
 		if allocs != 0 {
-			t.Errorf("Counter.Observe allocates %.1f allocs/op", allocs)
+			t.Errorf("Counter.ObserveN allocates %.1f allocs/op", allocs)
 		}
 	})
 }
@@ -36,6 +36,6 @@ func BenchmarkCounterObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Observe(trace.Access{Addr: mem.PFN(first + uint64(i)%pages).Addr()})
+		c.ObserveN(trace.Access{Addr: mem.PFN(first + uint64(i)%pages).Addr()}, 1)
 	}
 }

@@ -35,7 +35,7 @@ func TestZeroConfigCounterCounts(t *testing.T) {
 	pc := New(Config{})
 	addr := mem.PhysAddr(3 * mem.PageSize)
 	for i := 0; i < 4; i++ {
-		pc.Observe(trace.Access{Addr: addr})
+		pc.ObserveN(trace.Access{Addr: addr}, 1)
 	}
 	if got := pc.CountPage(addr.Page()); got != 4 {
 		t.Errorf("CountPage = %d, want 4", got)

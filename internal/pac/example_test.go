@@ -15,9 +15,9 @@ func ExampleCounter() {
 	p := pac.NewPAC(region)
 
 	for i := 0; i < 7; i++ {
-		p.Observe(trace.Access{Addr: mem.PFN(3).Addr()})
+		p.ObserveN(trace.Access{Addr: mem.PFN(3).Addr()}, 1)
 	}
-	p.Observe(trace.Access{Addr: mem.PFN(9).Addr()})
+	p.ObserveN(trace.Access{Addr: mem.PFN(9).Addr()}, 1)
 
 	for _, kc := range p.TopK(2) {
 		fmt.Printf("%s: %d\n", mem.PFN(kc.Key), kc.Count)
@@ -38,10 +38,10 @@ func ExampleCounter_SparsityCDF() {
 
 	// Page 0: 2 unique words (sparse). Page 1: 40 unique words (dense).
 	for i := uint(0); i < 2; i++ {
-		w.Observe(trace.Access{Addr: mem.PFN(0).Word(i).Addr()})
+		w.ObserveN(trace.Access{Addr: mem.PFN(0).Word(i).Addr()}, 1)
 	}
 	for i := uint(0); i < 40; i++ {
-		w.Observe(trace.Access{Addr: mem.PFN(1).Word(i).Addr()})
+		w.ObserveN(trace.Access{Addr: mem.PFN(1).Word(i).Addr()}, 1)
 	}
 
 	cdf := w.SparsityCDF([]int{16, 48})

@@ -148,34 +148,14 @@ func (c *Counter) key(a mem.PhysAddr) (uint64, bool) {
 	return uint64(a.Page()), true
 }
 
-// Observe implements trace.Sink: count one DRAM access.
-//
-//m5:hotpath
-func (c *Counter) Observe(a trace.Access) {
-	key, ok := c.key(a.Addr)
-	if !ok {
-		c.dropped++
-		return
-	}
-	c.total++
-	i := key - c.firstKey
-	if c.sram[i] == c.max {
-		// Saturation: accumulate into the 64-bit access-count table via a
-		// D2H/D2D write and restart the SRAM counter at 1.
-		c.spill[key] += c.sram[i]
-		c.sram[i] = 1
-		c.spills++
-		return
-	}
-	c.sram[i]++
-}
-
-// ObserveN implements trace.WeightedSink: count the access n times in one
-// operation (the sampled simulator tier's weighted crediting). The spill
-// arithmetic reproduces the sequential semantics in closed form: from an
-// SRAM value v, the first max-v occurrences fill the counter; after that
-// every block of max occurrences spends one on a spill event (accumulate
-// max into the table, restart at 1) and the rest on increments.
+// ObserveN implements trace.Sink: count the DRAM access n times in one
+// operation (1 on the exact engine, a batch's weight on the sampled
+// tier). A saturated SRAM counter spills into the 64-bit access-count
+// table via a D2H/D2D write and restarts at 1; the spill arithmetic
+// reproduces n sequential counts in closed form: from an SRAM value v, the
+// first max-v occurrences fill the counter; after that every block of max
+// occurrences spends one on a spill event (accumulate max into the table,
+// restart at 1) and the rest on increments.
 //
 //m5:hotpath
 func (c *Counter) ObserveN(a trace.Access, n uint64) {
@@ -194,7 +174,7 @@ func (c *Counter) ObserveN(a trace.Access, n uint64) {
 		c.sram[i] += n
 		return
 	}
-	//m5:coldpath saturation: identical spill totals to n sequential Observes.
+	//m5:coldpath saturation: identical spill totals to n unit counts.
 	r := n - room // occurrences arriving with the counter saturated
 	events := (r-1)/c.max + 1
 	c.spill[key] += events * c.max

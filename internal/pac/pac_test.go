@@ -18,10 +18,10 @@ func TestPACCountsExactly(t *testing.T) {
 	p := NewPAC(r)
 	base := r.Start
 	for i := 0; i < 5; i++ {
-		p.Observe(trace.Access{Addr: base})
+		p.ObserveN(trace.Access{Addr: base}, 1)
 	}
 	for i := 0; i < 3; i++ {
-		p.Observe(trace.Access{Addr: base + mem.PageSize + 64})
+		p.ObserveN(trace.Access{Addr: base + mem.PageSize + 64}, 1)
 	}
 	if got := p.CountPage(base.Page()); got != 5 {
 		t.Errorf("page 0 count = %d, want 5", got)
@@ -40,8 +40,8 @@ func TestPACCountsExactly(t *testing.T) {
 func TestOutOfRegionDropped(t *testing.T) {
 	r := testRegion(4)
 	p := NewPAC(r)
-	p.Observe(trace.Access{Addr: r.End})
-	p.Observe(trace.Access{Addr: r.Start - 64})
+	p.ObserveN(trace.Access{Addr: r.End}, 1)
+	p.ObserveN(trace.Access{Addr: r.Start - 64}, 1)
 	if p.Total() != 0 || p.Dropped() != 2 {
 		t.Errorf("Total=%d Dropped=%d", p.Total(), p.Dropped())
 	}
@@ -55,8 +55,8 @@ func TestOutOfRegionDropped(t *testing.T) {
 func TestWACWindow(t *testing.T) {
 	window := testRegion(4)
 	w := NewWAC(window)
-	w.Observe(trace.Access{Addr: window.Start})
-	w.Observe(trace.Access{Addr: window.Start + 10*mem.PageSize})
+	w.ObserveN(trace.Access{Addr: window.Start}, 1)
+	w.ObserveN(trace.Access{Addr: window.Start + 10*mem.PageSize}, 1)
 	if w.Total() != 1 || w.Dropped() != 1 {
 		t.Errorf("WAC window: total=%d dropped=%d", w.Total(), w.Dropped())
 	}
@@ -70,7 +70,7 @@ func TestSaturationSpill(t *testing.T) {
 		n uint64
 	}{{NewWAC(r), 40}, {NewPAC(r), 1<<DefaultPACBits + 9}} {
 		for i := uint64(0); i < tc.n; i++ {
-			tc.c.Observe(trace.Access{Addr: r.Start})
+			tc.c.ObserveN(trace.Access{Addr: r.Start}, 1)
 		}
 		key, _ := tc.c.key(r.Start)
 		if got := tc.c.Count(key); got != tc.n {
@@ -92,7 +92,7 @@ func TestSpillExactnessProperty(t *testing.T) {
 		truth := map[uint64]uint64{}
 		for i := 0; i < 2000; i++ {
 			a := r.Start + mem.PhysAddr(64*rng.Intn(8))
-			c.Observe(trace.Access{Addr: a})
+			c.ObserveN(trace.Access{Addr: a}, 1)
 			truth[uint64(a.Word())]++
 		}
 		for k, v := range truth {
@@ -107,13 +107,59 @@ func TestSpillExactnessProperty(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesUnitObserves pins ObserveN's closed-form spill
+// arithmetic, which every exact PAC/WAC count runs through, against n
+// calls at weight 1: on PAC's 16-bit and WAC's 4-bit counters, with n
+// drawn from 0 to three times the counter's maximum and, on every other
+// step, placed on the saturation edge (one short of the room left in the
+// SRAM counter, exactly at it, or one past it, possibly a whole spill
+// block later), and with out-of-region addresses mixed in.
+func TestObserveNMatchesUnitObserves(t *testing.T) {
+	r := testRegion(2)
+	addrs := []mem.PhysAddr{r.Start, r.Start + 64, r.Start + mem.PageSize + 128, r.End, r.Start - 64}
+	for _, newCounter := range []func(mem.Range) *Counter{NewPAC, NewWAC} {
+		one, unit := newCounter(r), newCounter(r)
+		max := one.max
+		rng := rand.New(rand.NewSource(1))
+		for step := 0; step < 60; step++ {
+			a := trace.Access{Addr: addrs[rng.Intn(len(addrs))]}
+			n := uint64(rng.Int63n(int64(3*max) + 1))
+			if key, ok := one.key(a.Addr); ok && step%2 == 1 {
+				room := max - one.sram[key-one.firstKey]
+				n = room + uint64(rng.Intn(2))*max + uint64(rng.Intn(3))
+				if n > 0 {
+					n--
+				}
+			}
+			one.ObserveN(a, n)
+			for i := uint64(0); i < n; i++ {
+				unit.ObserveN(a, 1)
+			}
+			for k := one.firstKey; k < one.firstKey+uint64(one.Entries()); k++ {
+				if one.Count(k) != unit.Count(k) {
+					t.Fatalf("%v step %d (n=%d): Count(%d) = %d, unit observes give %d",
+						one.Config().Granularity, step, n, k, one.Count(k), unit.Count(k))
+				}
+			}
+			if one.Spills() != unit.Spills() || one.Total() != unit.Total() || one.Dropped() != unit.Dropped() {
+				t.Fatalf("%v step %d (n=%d): spills/total/dropped = %d/%d/%d, unit observes give %d/%d/%d",
+					one.Config().Granularity, step, n, one.Spills(), one.Total(), one.Dropped(),
+					unit.Spills(), unit.Total(), unit.Dropped())
+			}
+		}
+		if one.Spills() == 0 || one.Dropped() == 0 {
+			t.Errorf("%v: the stream never spilled (%d) or dropped (%d)", one.Config().Granularity, one.Spills(), one.Dropped())
+		}
+	}
+}
+
 func TestWACWordGranularity(t *testing.T) {
 	r := testRegion(2)
 	w := NewWAC(r)
 	p0 := r.Start.Page()
-	w.Observe(trace.Access{Addr: p0.Word(0).Addr()})
-	w.Observe(trace.Access{Addr: p0.Word(0).Addr()})
-	w.Observe(trace.Access{Addr: p0.Word(5).Addr()})
+	w.ObserveN(trace.Access{Addr: p0.Word(0).Addr()}, 1)
+	w.ObserveN(trace.Access{Addr: p0.Word(0).Addr()}, 1)
+	w.ObserveN(trace.Access{Addr: p0.Word(5).Addr()}, 1)
 	if got := w.CountWord(p0.Word(0)); got != 2 {
 		t.Errorf("word 0 = %d", got)
 	}
@@ -136,10 +182,10 @@ func TestWordsAccessedPerPageAndSparsity(t *testing.T) {
 	first := r.Start.Page()
 	// Page 0: 4 unique words; page 1: 40 unique words.
 	for i := uint(0); i < 4; i++ {
-		w.Observe(trace.Access{Addr: first.Word(i).Addr()})
+		w.ObserveN(trace.Access{Addr: first.Word(i).Addr()}, 1)
 	}
 	for i := uint(0); i < 40; i++ {
-		w.Observe(trace.Access{Addr: (first + 1).Word(i).Addr()})
+		w.ObserveN(trace.Access{Addr: (first + 1).Word(i).Addr()}, 1)
 	}
 	per := w.WordsAccessedPerPage()
 	if per[first] != 4 || per[first+1] != 40 {
@@ -169,7 +215,7 @@ func TestTopKAndRatio(t *testing.T) {
 	// Page i gets i+1 accesses.
 	for i := uint64(0); i < 8; i++ {
 		for j := uint64(0); j <= i; j++ {
-			p.Observe(trace.Access{Addr: mem.PFN(first + i).Addr()})
+			p.ObserveN(trace.Access{Addr: mem.PFN(first + i).Addr()}, 1)
 		}
 	}
 	top := p.TopK(3)
@@ -193,8 +239,8 @@ func TestTopKAndRatio(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := testRegion(2)
 	p := NewPAC(r)
-	p.Observe(trace.Access{Addr: r.Start})
-	p.Observe(trace.Access{Addr: r.End}) // dropped
+	p.ObserveN(trace.Access{Addr: r.Start}, 1)
+	p.ObserveN(trace.Access{Addr: r.End}, 1) // dropped
 	p.Reset()
 	if p.Total() != 0 || p.Dropped() != 0 || p.NonZero() != 0 {
 		t.Error("Reset should clear everything")
@@ -204,13 +250,13 @@ func TestReset(t *testing.T) {
 func TestCountsSnapshot(t *testing.T) {
 	r := testRegion(4)
 	p := NewPAC(r)
-	p.Observe(trace.Access{Addr: r.Start})
+	p.ObserveN(trace.Access{Addr: r.Start}, 1)
 	m := p.Counts()
 	if len(m) != 1 || m[uint64(r.Start.Page())] != 1 {
 		t.Errorf("Counts = %v", m)
 	}
 	// Snapshot is independent of later updates.
-	p.Observe(trace.Access{Addr: r.Start})
+	p.ObserveN(trace.Access{Addr: r.Start}, 1)
 	if m[uint64(r.Start.Page())] != 1 {
 		t.Error("snapshot should not alias live counters")
 	}
@@ -245,7 +291,7 @@ func TestMMIOWindowing(t *testing.T) {
 	// Count one access in a page that lives beyond the first window
 	// (entry index 600000 -> byte offset 1.2MB).
 	idx := uint64(600000)
-	p.Observe(trace.Access{Addr: mem.PFN(uint64(r.Start.Page()) + idx).Addr()})
+	p.ObserveN(trace.Access{Addr: mem.PFN(uint64(r.Start.Page()) + idx).Addr()}, 1)
 
 	// Not visible in window 0 at that offset (offset beyond window).
 	if _, err := m.Read(idx * 2); err == nil {
@@ -290,7 +336,7 @@ func TestMMIOReadAll(t *testing.T) {
 	first := uint64(r.Start.Page())
 	for i := uint64(0); i < 32; i++ {
 		for j := uint64(0); j <= i%3; j++ {
-			p.Observe(trace.Access{Addr: mem.PFN(first + i).Addr()})
+			p.ObserveN(trace.Access{Addr: mem.PFN(first + i).Addr()}, 1)
 		}
 	}
 	all, err := p.MMIO().ReadAll()

@@ -20,10 +20,11 @@ import (
 // engine must match: the same machine written out without hoisting,
 // batching or the latency tables.
 func (r *Runner) Step() bool {
-	a, ok := r.gen.Next()
-	if !ok {
+	var one [1]workload.Access
+	if r.gen.NextBatch(one[:]) == 0 {
 		return false
 	}
+	a := one[0]
 	r.accesses++
 	kernelBefore := r.Sys.KernelNs()
 	va := r.base.Addr() + tiermem.VirtAddr(a.Offset)
@@ -45,18 +46,18 @@ func (r *Runner) Step() bool {
 			r.clockNs += extra
 			node = served
 		}
-		r.Sys.Node(node).CountRead()
+		r.Sys.Node(node).CountReads(1)
 		r.dramReads[node]++
 		if r.queue != nil {
 			r.clockNs += r.queue[node].serve(r.clockNs)
 		}
 		if node == tiermem.NodeCXL {
 			r.clockNs += r.costs.CXLReadNs
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
+			r.Ctrl.Device.AccessN(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}, 1)
 		} else {
 			r.clockNs += r.costs.DDRReadNs
 		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write})
+		r.sinks.ObserveN(trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}, 1)
 	}
 	for _, wb := range res.Writeback {
 		node := r.Sys.CountDRAMAccess(wb, true)
@@ -66,9 +67,9 @@ func (r *Runner) Step() bool {
 			r.queue[node].serve(r.clockNs)
 		}
 		if node == tiermem.NodeCXL {
-			r.Ctrl.Device.Access(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
+			r.Ctrl.Device.AccessN(trace.Access{Time: r.clockNs, Addr: wb, Write: true}, 1)
 		}
-		r.sinks.Observe(trace.Access{Time: r.clockNs, Addr: wb, Write: true})
+		r.sinks.ObserveN(trace.Access{Time: r.clockNs, Addr: wb, Write: true}, 1)
 	}
 
 	if a.OpEnd {
@@ -118,23 +119,23 @@ func runUnbatched(r *Runner, n int) Result {
 	return r.endSpan(span)
 }
 
-// countingSink records how many DRAM accesses it observed, the last one,
-// and a hash of the whole stream; it adds no simulated time, so runs that
-// must agree have to feed it identically.
+// countingSink records how many DRAM accesses it observed (weights
+// summed), the last one, and a hash of the whole weighted stream; it adds
+// no simulated time, so runs that must agree have to feed it identically.
 type countingSink struct {
 	n    uint64
 	last trace.Access
 	hash uint64
 }
 
-func (s *countingSink) Observe(a trace.Access) {
-	s.n++
+func (s *countingSink) ObserveN(a trace.Access, n uint64) {
+	s.n += n
 	s.last = a
 	w := uint64(0)
 	if a.Write {
 		w = 1
 	}
-	for _, v := range [...]uint64{a.Time, uint64(a.Addr), w} {
+	for _, v := range [...]uint64{a.Time, uint64(a.Addr), w, n} {
 		s.hash = (s.hash ^ v) * 0x100000001b3 // one FNV-1a step per field
 	}
 }

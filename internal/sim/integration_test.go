@@ -173,14 +173,16 @@ func TestTraceFileRoundTripThroughTracker(t *testing.T) {
 	var recorded []trace.Access
 	live := tracker.NewHPT(tracker.CMSketch, 4096)
 	r.Ctrl.Device.Attach(live)
-	r.Ctrl.Device.Attach(trace.SinkFunc(func(a trace.Access) {
-		recorded = append(recorded, a)
+	r.Ctrl.Device.Attach(trace.SinkFunc(func(a trace.Access, n uint64) {
+		for ; n > 0; n-- {
+			recorded = append(recorded, a)
+		}
 	}))
 	r.Run(400_000)
 
 	replayed := tracker.NewHPT(tracker.CMSketch, 4096)
 	for _, a := range recorded {
-		replayed.Observe(a)
+		replayed.ObserveN(a, 1)
 	}
 	liveTop := live.Peek()
 	replayTop := replayed.Peek()

@@ -449,7 +449,7 @@ func (r *Runner) runBatch(accs []workload.Access) {
 				r.clockNs += extra
 				node = served
 			}
-			r.Sys.Node(node).CountRead() //m5:unitcredit exact engine: one access, weight 1
+			r.Sys.Node(node).CountReads(1)
 			r.dramReads[node]++
 			if r.queue != nil {
 				r.clockNs += r.queue[node].serve(r.clockNs)
@@ -458,10 +458,10 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: tr.Phys, Write: a.Write}
 				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
+					r.Ctrl.Device.AccessN(scratch, 1)
 				}
 				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
+					r.sinks.ObserveN(scratch, 1)
 				}
 			}
 		}
@@ -475,10 +475,10 @@ func (r *Runner) runBatch(accs []workload.Access) {
 			if node == tiermem.NodeCXL || hasSinks {
 				scratch = trace.Access{Time: r.clockNs, Addr: wb, Write: true}
 				if node == tiermem.NodeCXL {
-					r.Ctrl.Device.Access(scratch) //m5:unitcredit exact engine: one access, weight 1
+					r.Ctrl.Device.AccessN(scratch, 1)
 				}
 				if hasSinks {
-					r.sinks.Observe(scratch) //m5:unitcredit exact engine: one access, weight 1
+					r.sinks.ObserveN(scratch, 1)
 				}
 			}
 		}

@@ -2,11 +2,11 @@ package sketch
 
 import "testing"
 
-// The Add hot paths must be allocation-free at steady state: the
-// simulator calls them once per DRAM access, so a single alloc/op shows
-// up directly in harness wall time.
-
-func TestAddPathsZeroAllocs(t *testing.T) {
+// The AddN hot paths must be allocation-free at steady state: the
+// simulator calls them once per DRAM access, at weight 1 on the exact
+// engine and at a batch's Horvitz-Thompson weight on the sampled tier, so
+// a single alloc/op shows up directly in harness wall time.
+func TestAddNPathsZeroAllocs(t *testing.T) {
 	keys := benchKeys(4096)
 	counters := []struct {
 		name string
@@ -24,48 +24,18 @@ func TestAddPathsZeroAllocs(t *testing.T) {
 			// eviction/rescale churn in effect) before measuring.
 			for i := 0; i < 4; i++ {
 				for _, k := range keys {
-					tc.c.Add(k)
-				}
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(10_000, func() {
-				tc.c.Add(keys[i%len(keys)])
-				i++
-			})
-			if allocs != 0 {
-				t.Errorf("%s.Add allocates %.1f allocs/op at steady state", tc.name, allocs)
-			}
-		})
-	}
-}
-
-// The weighted AddN paths carry the sampled engine's Horvitz-Thompson
-// credits and sit on the same per-access hot path as Add.
-func TestAddNPathsZeroAllocs(t *testing.T) {
-	keys := benchKeys(4096)
-	counters := []struct {
-		name string
-		c    WeightedCounter
-	}{
-		{"Exact", NewExact()},
-		{"CountMin", NewCountMin(4, 1024)},
-		{"CountMinConservative", NewCountMin(4, 1024, WithConservativeUpdate())},
-		{"SpaceSaving", NewSpaceSaving(256)},
-	}
-	for _, tc := range counters {
-		t.Run(tc.name, func(t *testing.T) {
-			for i := 0; i < 4; i++ {
-				for _, k := range keys {
 					tc.c.AddN(k, 3)
 				}
 			}
-			i := 0
-			allocs := testing.AllocsPerRun(10_000, func() {
-				tc.c.AddN(keys[i%len(keys)], 7)
-				i++
-			})
-			if allocs != 0 {
-				t.Errorf("%s.AddN allocates %.1f allocs/op at steady state", tc.name, allocs)
+			for _, n := range []uint64{1, 7} {
+				i := 0
+				allocs := testing.AllocsPerRun(10_000, func() {
+					tc.c.AddN(keys[i%len(keys)], n)
+					i++
+				})
+				if allocs != 0 {
+					t.Errorf("%s.AddN(key, %d) allocates %.1f allocs/op at steady state", tc.name, n, allocs)
+				}
 			}
 		})
 	}
@@ -84,13 +54,13 @@ func benchmarkAdd(b *testing.B, c Counter) {
 	keys := benchKeys(4096)
 	for i := 0; i < 2; i++ {
 		for _, k := range keys {
-			c.Add(k)
+			c.AddN(k, 1)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Add(keys[i%len(keys)])
+		c.AddN(keys[i%len(keys)], 1)
 	}
 }
 

@@ -15,7 +15,7 @@ type CountMin struct {
 	cols         int
 	counts       []uint64 // rows*cols, row-major
 	seeds        []uint64
-	idx          []int  // per-Add scratch: one slot index per row
+	idx          []int  // per-AddN scratch: one slot index per row
 	mask         uint64 // cols-1 when cols is a power of two, else 0
 	conservative bool
 }
@@ -68,51 +68,20 @@ func (c *CountMin) index(row int, key uint64) int {
 	return row*c.cols + int(h%uint64(c.cols))
 }
 
-// Add implements Counter. It returns the post-increment estimate (the
-// minimum across rows, as produced by the comparator tree in Figure 5).
-//
-//m5:hotpath
-func (c *CountMin) Add(key uint64) uint64 {
-	if c.conservative {
-		// Hash each row once into the scratch index buffer: the estimate
-		// pass and the update pass reuse the same slots.
-		min := ^uint64(0)
-		for r := 0; r < c.rows; r++ {
-			i := c.index(r, key)
-			c.idx[r] = i
-			if c.counts[i] < min {
-				min = c.counts[i]
-			}
-		}
-		target := min + 1
-		for _, i := range c.idx {
-			if c.counts[i] < target {
-				c.counts[i] = target
-			}
-		}
-		return target
-	}
-	min := ^uint64(0)
-	for r := 0; r < c.rows; r++ {
-		i := c.index(r, key)
-		c.counts[i]++
-		if c.counts[i] < min {
-			min = c.counts[i]
-		}
-	}
-	return min
-}
-
-// AddN implements WeightedCounter: one O(rows) pass equivalent to n
-// sequential Adds. Plain mode adds n to every row counter. Conservative
-// mode exploits that n same-key conservative updates raise exactly the
-// counters below min+n to min+n: after each single update every probed
-// slot is at least the new minimum, so the target advances by one per
-// occurrence and the fixpoint is min+n.
+// AddN implements Counter: one O(rows) pass equivalent to n sequential
+// unit adds. It returns the post-increment estimate (the minimum across
+// rows, as produced by the comparator tree in Figure 5). Plain mode adds
+// n to every row counter. Conservative mode exploits that n same-key
+// conservative updates raise exactly the counters below min+n to min+n:
+// after each single update every probed slot is at least the new
+// minimum, so the target advances by one per occurrence and the fixpoint
+// is min+n.
 //
 //m5:hotpath
 func (c *CountMin) AddN(key uint64, n uint64) uint64 {
 	if c.conservative {
+		// Hash each row once into the scratch index buffer: the estimate
+		// pass and the update pass reuse the same slots.
 		min := ^uint64(0)
 		for r := 0; r < c.rows; r++ {
 			i := c.index(r, key)

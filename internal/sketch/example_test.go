@@ -11,9 +11,9 @@ import (
 func ExampleCountMin() {
 	cm := sketch.NewCountMin(4, 1024)
 	for i := 0; i < 500; i++ {
-		cm.Add(0xABC)
+		cm.AddN(0xABC, 1)
 	}
-	cm.Add(0xDEF)
+	cm.AddN(0xDEF, 1)
 	fmt.Println("hot key:", cm.Estimate(0xABC))
 	fmt.Println("cold key:", cm.Estimate(0xDEF))
 	fmt.Println("unseen key:", cm.Estimate(0x123))
@@ -28,10 +28,10 @@ func ExampleCountMin() {
 // error.
 func ExampleSpaceSaving() {
 	ss := sketch.NewSpaceSaving(2)
-	ss.Add(1)
-	ss.Add(1)
-	ss.Add(2)
-	ss.Add(3) // evicts key 2 (count 1); key 3 inherits 1+1=2 with error 1
+	ss.AddN(1, 1)
+	ss.AddN(1, 1)
+	ss.AddN(2, 1)
+	ss.AddN(3, 1) // evicts key 2 (count 1); key 3 inherits 1+1=2 with error 1
 	for _, kc := range ss.Top(2) {
 		e, _ := ss.Error(kc.Key)
 		fmt.Printf("key %d: count %d (error %d)\n", kc.Key, kc.Count, e)

@@ -6,7 +6,7 @@
 // reference in simulations.
 //
 // All counters share one contract: keys are opaque uint64 values (PFNs for
-// HPT, word numbers for HWT), Add records one occurrence and returns the
+// HPT, word numbers for HWT), AddN records n occurrences and returns the
 // estimate after the increment, and Reset clears state for the next epoch.
 package sketch
 
@@ -18,26 +18,14 @@ type Decayer interface {
 	Decay()
 }
 
-// WeightedCounter is implemented by counters whose Add can be applied n
-// times in one O(1) (or O(rows)) operation. AddN(key, n) must return the
-// same estimate and leave the same counting state as n sequential
-// Add(key) calls; the trackers use it on the sampled simulator tier to
-// absorb Horvitz-Thompson access weights without replaying the stream.
-// Sticky Sampling deliberately does not implement it: its admission
-// decisions consume RNG state per occurrence, so a closed form would
-// diverge from the sequential semantics.
-type WeightedCounter interface {
-	Counter
-	// AddN records n occurrences of key and returns the estimated count
-	// after the increment.
-	AddN(key uint64, n uint64) uint64
-}
-
 // Counter estimates per-key occurrence counts over a stream.
 type Counter interface {
-	// Add records one occurrence of key and returns the estimated count
-	// after the increment.
-	Add(key uint64) uint64
+	// AddN records n occurrences of key and returns the estimated count
+	// after the increment, the estimate n sequential AddN(key, 1) calls
+	// reach. The exact simulator engine credits weight 1; the sampled
+	// tier passes Horvitz-Thompson access weights without replaying the
+	// stream. AddN(key, 0) is Estimate.
+	AddN(key uint64, n uint64) uint64
 	// Estimate returns the current estimated count of key without
 	// modifying state.
 	Estimate(key uint64) uint64
@@ -63,7 +51,7 @@ func splitmix64(x uint64) uint64 {
 // Exact is the oracle counter: an unbounded exact frequency table. It
 // models PAC/WAC-style exact counting in simulator contexts where the full
 // hardware model of package pac is not needed. The backing store is an
-// open-addressed CountTable, so the per-access Add path is allocation-free
+// open-addressed CountTable, so the per-access AddN path is allocation-free
 // once the table reaches the workload's cardinality.
 type Exact struct {
 	counts *CountTable
@@ -74,14 +62,7 @@ func NewExact() *Exact {
 	return &Exact{counts: NewCountTable(1024)}
 }
 
-// Add implements Counter.
-//
-//m5:hotpath
-func (e *Exact) Add(key uint64) uint64 {
-	return e.counts.Inc(key, 1)
-}
-
-// AddN implements WeightedCounter.
+// AddN implements Counter.
 //
 //m5:hotpath
 func (e *Exact) AddN(key uint64, n uint64) uint64 {

@@ -8,11 +8,11 @@ import (
 
 func TestExactCounter(t *testing.T) {
 	e := NewExact()
-	if got := e.Add(5); got != 1 {
-		t.Errorf("first Add = %d", got)
+	if got := e.AddN(5, 1); got != 1 {
+		t.Errorf("first AddN = %d", got)
 	}
-	if got := e.Add(5); got != 2 {
-		t.Errorf("second Add = %d", got)
+	if got := e.AddN(5, 1); got != 2 {
+		t.Errorf("second AddN = %d", got)
 	}
 	if e.Estimate(5) != 2 || e.Estimate(6) != 0 {
 		t.Error("Estimate mismatch")
@@ -35,7 +35,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			k := rng.Uint64() % 200
 			truth[k]++
-			cm.Add(k)
+			cm.AddN(k, 1)
 		}
 		for k, c := range truth {
 			if cm.Estimate(k) < c {
@@ -57,7 +57,7 @@ func TestCountMinConservativeNeverUnderestimates(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			k := rng.Uint64() % 200
 			truth[k]++
-			cm.Add(k)
+			cm.AddN(k, 1)
 		}
 		for k, c := range truth {
 			if cm.Estimate(k) < c {
@@ -77,7 +77,7 @@ func TestCountMinExactWhenNoCollisions(t *testing.T) {
 	cm := NewCountMin(4, 1<<16)
 	for i := 0; i < 100; i++ {
 		for j := uint64(0); j < 5; j++ {
-			cm.Add(j)
+			cm.AddN(j, 1)
 		}
 	}
 	for j := uint64(0); j < 5; j++ {
@@ -95,8 +95,8 @@ func TestCountMinConservativeAtLeastAsAccurate(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		k := uint64(rng.Intn(2000))
 		truth[k]++
-		plain.Add(k)
-		cons.Add(k)
+		plain.AddN(k, 1)
+		cons.AddN(k, 1)
 	}
 	var errPlain, errCons uint64
 	for k, c := range truth {
@@ -110,15 +110,15 @@ func TestCountMinConservativeAtLeastAsAccurate(t *testing.T) {
 
 func TestCountMinAddReturnsEstimate(t *testing.T) {
 	cm := NewCountMin(2, 8)
-	got := cm.Add(42)
+	got := cm.AddN(42, 1)
 	if got != cm.Estimate(42) {
-		t.Errorf("Add returned %d, Estimate = %d", got, cm.Estimate(42))
+		t.Errorf("AddN returned %d, Estimate = %d", got, cm.Estimate(42))
 	}
 }
 
 func TestCountMinResetAndShape(t *testing.T) {
 	cm := NewCountMin(4, 16)
-	cm.Add(1)
+	cm.AddN(1, 1)
 	cm.Reset()
 	if cm.Estimate(1) != 0 {
 		t.Error("Reset should clear estimates")
@@ -144,7 +144,7 @@ func TestSpaceSavingExactUnderCapacity(t *testing.T) {
 	ss := NewSpaceSaving(10)
 	for i := 0; i < 5; i++ {
 		for j := 0; j <= i; j++ {
-			ss.Add(uint64(i))
+			ss.AddN(uint64(i), 1)
 		}
 	}
 	for i := uint64(0); i < 5; i++ {
@@ -162,10 +162,10 @@ func TestSpaceSavingExactUnderCapacity(t *testing.T) {
 
 func TestSpaceSavingEviction(t *testing.T) {
 	ss := NewSpaceSaving(2)
-	ss.Add(1) // {1:1}
-	ss.Add(1) // {1:2}
-	ss.Add(2) // {1:2, 2:1}
-	ss.Add(3) // evicts 2 (min=1): {1:2, 3:2 err=1}
+	ss.AddN(1, 1) // {1:1}
+	ss.AddN(1, 1) // {1:2}
+	ss.AddN(2, 1) // {1:2, 2:1}
+	ss.AddN(3, 1) // evicts 2 (min=1): {1:2, 3:2 err=1}
 	if ss.Estimate(2) != 0 {
 		t.Error("evicted key should estimate 0")
 	}
@@ -189,7 +189,7 @@ func TestSpaceSavingOverestimates(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			k := uint64(rng.Intn(100))
 			truth[k]++
-			ss.Add(k)
+			ss.AddN(k, 1)
 		}
 		for _, kc := range ss.Top(ss.Tracked()) {
 			if kc.Count < truth[kc.Key] {
@@ -210,9 +210,9 @@ func TestSpaceSavingFindsHeavyHitter(t *testing.T) {
 	ss := NewSpaceSaving(8)
 	for i := 0; i < 10000; i++ {
 		if i%2 == 0 {
-			ss.Add(777)
+			ss.AddN(777, 1)
 		} else {
-			ss.Add(rng.Uint64())
+			ss.AddN(rng.Uint64(), 1)
 		}
 	}
 	top := ss.Top(1)
@@ -224,12 +224,12 @@ func TestSpaceSavingFindsHeavyHitter(t *testing.T) {
 func TestSpaceSavingTopOrderingAndReset(t *testing.T) {
 	ss := NewSpaceSaving(8)
 	for i := 0; i < 3; i++ {
-		ss.Add(10)
+		ss.AddN(10, 1)
 	}
 	for i := 0; i < 2; i++ {
-		ss.Add(20)
+		ss.AddN(20, 1)
 	}
-	ss.Add(30)
+	ss.AddN(30, 1)
 	top := ss.Top(10)
 	if len(top) != 3 {
 		t.Fatalf("Top length %d", len(top))
@@ -245,18 +245,18 @@ func TestSpaceSavingTopOrderingAndReset(t *testing.T) {
 
 func TestSpaceSavingHeapIndexConsistency(t *testing.T) {
 	// Stress the heap/index bookkeeping with many evictions, then verify
-	// every tracked key estimates to a positive count and Add on a tracked
+	// every tracked key estimates to a positive count and AddN on a tracked
 	// key hits the right entry.
 	rng := rand.New(rand.NewSource(9))
 	ss := NewSpaceSaving(32)
 	for i := 0; i < 100000; i++ {
-		ss.Add(rng.Uint64() % 1000)
+		ss.AddN(rng.Uint64()%1000, 1)
 	}
 	for _, kc := range ss.Top(ss.Tracked()) {
 		before := ss.Estimate(kc.Key)
-		after := ss.Add(kc.Key)
+		after := ss.AddN(kc.Key, 1)
 		if after != before+1 {
-			t.Fatalf("Add on tracked key %d: %d -> %d", kc.Key, before, after)
+			t.Fatalf("AddN on tracked key %d: %d -> %d", kc.Key, before, after)
 		}
 	}
 }
@@ -266,9 +266,9 @@ func TestStickySamplingTracksHeavyHitters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 50000; i++ {
 		if i%3 == 0 {
-			ss.Add(42)
+			ss.AddN(42, 1)
 		} else {
-			ss.Add(rng.Uint64())
+			ss.AddN(rng.Uint64(), 1)
 		}
 	}
 	if ss.Estimate(42) == 0 {
@@ -288,7 +288,7 @@ func TestStickySamplingNeverOverestimates(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			k := uint64(rng.Intn(200))
 			truth[k]++
-			ss.Add(k)
+			ss.AddN(k, 1)
 		}
 		for k, c := range truth {
 			if ss.Estimate(k) > c {
@@ -305,7 +305,7 @@ func TestStickySamplingNeverOverestimates(t *testing.T) {
 func TestStickySamplingReset(t *testing.T) {
 	ss := NewStickySampling(8, 5)
 	for i := 0; i < 100; i++ {
-		ss.Add(1)
+		ss.AddN(1, 1)
 	}
 	ss.Reset()
 	if ss.Tracked() != 0 || ss.Estimate(1) != 0 {
@@ -324,8 +324,8 @@ func TestCounterInterfaceCompliance(t *testing.T) {
 		NewStickySampling(16, 1),
 	}
 	for _, c := range counters {
-		c.Add(1)
-		c.Add(1)
+		c.AddN(1, 1)
+		c.AddN(1, 1)
 		if c.Estimate(1) == 0 {
 			t.Errorf("%T: repeated key should have nonzero estimate", c)
 		}
@@ -347,7 +347,7 @@ func TestSortKeyCounts(t *testing.T) {
 func TestCountMinDecay(t *testing.T) {
 	cm := NewCountMin(4, 64)
 	for i := 0; i < 10; i++ {
-		cm.Add(7)
+		cm.AddN(7, 1)
 	}
 	cm.Decay()
 	if got := cm.Estimate(7); got != 5 {
@@ -357,9 +357,9 @@ func TestCountMinDecay(t *testing.T) {
 
 func TestExactDecay(t *testing.T) {
 	e := NewExact()
-	e.Add(1)
+	e.AddN(1, 1)
 	for i := 0; i < 4; i++ {
-		e.Add(2)
+		e.AddN(2, 1)
 	}
 	e.Decay()
 	if e.Estimate(1) != 0 {

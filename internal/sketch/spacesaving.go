@@ -13,7 +13,7 @@ import "slices"
 //
 // Entries live in a fixed arena allocated at construction, and the
 // key→entry lookup is a fixed-capacity open-addressed index with
-// tombstone deletion, so the Add path performs zero allocations even
+// tombstone deletion, so the AddN path performs zero allocations even
 // under steady-state eviction churn (one delete + one insert per miss).
 type SpaceSaving struct {
 	capacity int
@@ -45,44 +45,14 @@ func NewSpaceSaving(n int) *SpaceSaving {
 	return s
 }
 
-// Add implements Counter.
-//
-//m5:hotpath
-func (s *SpaceSaving) Add(key uint64) uint64 {
-	if slot, ok := s.index.get(key); ok {
-		e := &s.pool[slot]
-		e.count++
-		s.entries.fix(e.pos)
-		return e.count
-	}
-	if len(s.entries) < s.capacity {
-		e := &s.pool[s.used]
-		*e = ssEntry{key: key, count: 1, slot: int32(s.used)}
-		s.used++
-		s.entries.push(e)
-		s.index.put(key, e.slot)
-		return 1
-	}
-	// Evict the minimum entry; the newcomer inherits min+1 with error=min.
-	min := s.entries[0]
-	s.index.del(min.key)
-	min.err = min.count
-	min.count++
-	min.key = key
-	s.index.put(key, min.slot)
-	if s.index.tombs > len(s.index.keys)/4 {
-		//m5:coldpath amortized tombstone compaction.
-		s.rebuildIndex()
-	}
-	s.entries.fix(0)
-	return min.count
-}
-
-// AddN implements WeightedCounter: one table operation equivalent to n
-// sequential Adds. After the first occurrence the key is tracked, so the
+// AddN implements Counter: one table operation in place of n sequential
+// unit adds. After the first occurrence the key is tracked, so the
 // remaining n-1 are plain increments on the same entry; a tracked key
 // gains n, a newcomer starts at n, and an evicting newcomer inherits
-// min+n with error=min — exactly the sequential outcomes.
+// min+n with error=min — the sequential counts. One difference is left: a
+// newcomer admitted below capacity enters the heap at n, where unit adds
+// would sift it up at 1 and back down, so when several entries tie at the
+// minimum a later eviction can pick a different one of them.
 //
 //m5:hotpath
 func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
@@ -104,6 +74,7 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 		s.index.put(key, e.slot)
 		return n
 	}
+	// Evict the minimum entry; the newcomer inherits min+n with error=min.
 	min := s.entries[0]
 	s.index.del(min.key)
 	min.err = min.count

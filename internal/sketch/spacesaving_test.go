@@ -85,11 +85,12 @@ func (o *ssOracle) top(k int) []KeyCount {
 	return out[:max(0, min(k, len(out)))]
 }
 
-// TestSpaceSavingMatchesHeapOracle drives random Add/AddN streams over a
-// key space a few times the capacity, so count ties and evictions happen
-// on most steps, and compares the counter with the container/heap oracle
-// after every step: the heap layout, every key's estimate and error, and
-// Top at k around the interesting edges (a negative k asks for nothing).
+// TestSpaceSavingMatchesHeapOracle drives random AddN streams (weight 1 on
+// two steps in three, 0 to 3 on the rest) over a key space a few times the
+// capacity, so count ties and evictions happen on most steps, and compares
+// the counter with the container/heap oracle after every step: the heap
+// layout, every key's estimate and error, and Top at k around the
+// interesting edges (a negative k asks for nothing).
 func TestSpaceSavingMatchesHeapOracle(t *testing.T) {
 	for _, tc := range []struct{ capacity, keys int }{{1, 3}, {2, 5}, {5, 12}, {16, 40}} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -103,7 +104,7 @@ func TestSpaceSavingMatchesHeapOracle(t *testing.T) {
 						n := uint64(rng.Intn(4)) // 0 is a pure query
 						got, want = ss.AddN(key, n), o.addN(key, n)
 					} else {
-						got, want = ss.Add(key), o.addN(key, 1)
+						got, want = ss.AddN(key, 1), o.addN(key, 1)
 					}
 					if got != want {
 						t.Fatalf("step %d: add(%d) = %d, oracle %d", step, key, got, want)
@@ -156,7 +157,7 @@ func BenchmarkSpaceSavingTop(b *testing.B) {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			ss := NewSpaceSaving(n)
 			for _, k := range benchKeys(4 * n) {
-				ss.Add(k)
+				ss.AddN(k, 1)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,7 +9,7 @@ import "math/rand"
 // grows past the capacity budget, and counts are probabilistically pruned
 // at each rate change, keeping memory bounded.
 //
-// Counts live in an open-addressed CountTable: the Add hot path is
+// Counts live in an open-addressed CountTable: the AddN hot path is
 // allocation-free, and rescale consumes randomness in slot order — a
 // deterministic function of the insertion history — where the previous
 // map-backed version iterated in Go's randomized map order and therefore
@@ -74,22 +74,29 @@ func NewStickySampling(capacity int, seed int64) *StickySampling {
 	}
 }
 
-// Add implements Counter.
+// AddN implements Counter by running n single admissions in order: a
+// tracked key is always counted, and an untracked one draws from the RNG
+// per occurrence, so a rescale can prune the key partway through a run
+// and no closed form matches the sequential outcome.
 //
 //m5:hotpath
-func (s *StickySampling) Add(key uint64) uint64 {
-	if c := s.counts.Get(key); c > 0 {
-		return s.counts.Inc(key, 1)
-	}
-	if s.rate == 1 || s.rng.Uint64()%s.rate == 0 {
-		s.counts.Set(key, 1)
-		if s.counts.Len() > s.capacity {
-			//m5:coldpath rate doubling when the tracked set overflows.
-			s.rescale()
+func (s *StickySampling) AddN(key uint64, n uint64) uint64 {
+	est := s.counts.Get(key) // the key's count before each admission
+	for ; n > 0; n-- {
+		if est > 0 {
+			est = s.counts.Inc(key, 1)
+			continue
 		}
-		return s.counts.Get(key)
+		if s.rate == 1 || s.rng.Uint64()%s.rate == 0 {
+			s.counts.Set(key, 1)
+			if s.counts.Len() > s.capacity {
+				//m5:coldpath rate doubling when the tracked set overflows.
+				s.rescale()
+			}
+			est = s.counts.Get(key)
+		}
 	}
-	return 0
+	return est
 }
 
 // rescale doubles the sampling rate and prunes entries: for each tracked

@@ -1,106 +1,18 @@
 // Package stats provides the small statistical toolkit used across the M5
-// reproduction: exact percentile estimation over collected samples, CDFs
-// over access-count distributions (Figure 10), log-bucketed histograms, and
-// running moments.
+// reproduction: percentile estimation over a bounded reservoir, CDFs over
+// access-count distributions (Figure 10), and running moments.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Sample collects float64 observations and answers exact order statistics.
-// It is not safe for concurrent use; each simulated core keeps its own.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// NewSample returns an empty sample with the given capacity hint.
-func NewSample(capHint int) *Sample {
-	return &Sample{xs: make([]float64, 0, capHint)}
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using the
-// nearest-rank method. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s.xs[rank-1]
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
-}
-
-// Reset discards all observations, keeping the backing storage.
-func (s *Sample) Reset() {
-	s.xs = s.xs[:0]
-	s.sorted = false
-}
-
-func (s *Sample) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-}
 
 // Running accumulates count/mean/variance in one pass (Welford).
 type Running struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
@@ -108,16 +20,6 @@ type Running struct {
 //m5:hotpath
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
@@ -128,23 +30,6 @@ func (r *Running) N() uint64 { return r.n }
 
 // Mean returns the running mean.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the population variance.
-func (r *Running) Variance() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Stddev returns the population standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation seen.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation seen.
-func (r *Running) Max() float64 { return r.max }
 
 // CDF is an empirical cumulative distribution over uint64 values, used for
 // the per-page access-count distribution of Figure 10.
@@ -198,89 +83,4 @@ func (c *CDF) LogPoints(log10s []float64) []float64 {
 		out[i] = c.At(uint64(math.Pow(10, p)))
 	}
 	return out
-}
-
-// Histogram is a log2-bucketed histogram of uint64 values.
-type Histogram struct {
-	buckets [65]uint64 // bucket i holds values v with bitlen(v) == i (0 -> v==0)
-	total   uint64
-}
-
-// Add records one value.
-func (h *Histogram) Add(v uint64) {
-	h.buckets[bitLen(v)]++
-	h.total++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count of values whose bit length is i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// String renders the non-empty buckets, one per line.
-func (h *Histogram) String() string {
-	out := ""
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		lo := uint64(0)
-		if i > 0 {
-			lo = 1 << (i - 1)
-		}
-		out += fmt.Sprintf("[%d, %d): %d\n", lo, uint64(1)<<i, c)
-	}
-	return out
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Ratio returns a/b, or 0 when b is 0. It keeps experiment code free of
-// divide-by-zero guards.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// GeoMean returns the geometric mean of positive values, skipping
-// non-positive entries. It returns 0 if no positive values exist.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Mean returns the arithmetic mean of the values, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

@@ -159,24 +159,14 @@ func (n *Node) Restore(s NodeSnapshot) {
 	n.writes = s.writes
 }
 
-// CountRead records one 64B read served by this node.
-//
-//m5:hotpath
-func (n *Node) CountRead() { n.reads++ }
-
-// CountReads records k 64B reads served by this node (the sampled
-// simulator tier's weighted crediting).
+// CountReads records k 64B reads served by this node: 1 per access on
+// the exact engine, a batch's weight on the sampled tier.
 //
 //m5:hotpath
 func (n *Node) CountReads(k uint64) { n.reads += k }
 
-// CountWrite records one 64B write served by this node.
-//
-//m5:hotpath
-func (n *Node) CountWrite() { n.writes++ }
-
-// CountWrites records k 64B writes served by this node (the sampled
-// simulator tier's weighted crediting).
+// CountWrites records k 64B writes served by this node: 1 per access on
+// the exact engine, a batch's weight on the sampled tier.
 //
 //m5:hotpath
 func (n *Node) CountWrites(k uint64) { n.writes += k }

@@ -256,9 +256,9 @@ func (s *System) NodeOfAddr(a mem.PhysAddr) NodeID {
 func (s *System) CountDRAMAccess(a mem.PhysAddr, write bool) NodeID {
 	id := s.NodeOfAddr(a)
 	if write {
-		s.nodes[id].CountWrite() //m5:unitcredit one 64B access per call, weighted paths call CountWrites directly
+		s.nodes[id].CountWrites(1)
 	} else {
-		s.nodes[id].CountRead() //m5:unitcredit one 64B access per call, weighted paths call CountReads directly
+		s.nodes[id].CountReads(1)
 	}
 	return id
 }

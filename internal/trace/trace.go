@@ -35,56 +35,34 @@ type Source interface {
 	Next() (Access, bool)
 }
 
-// Sink consumes accesses one at a time. PAC, WAC, HPT, HWT, and the DRAM
+// Sink consumes weighted accesses. PAC, WAC, HPT, HWT, and the DRAM
 // bandwidth monitors all implement Sink.
 type Sink interface {
-	Observe(Access)
-}
-
-// WeightedSink is implemented by sinks that can record one access n times
-// in O(1). ObserveN(a, n) must leave the sink in the same observable state
-// as n consecutive Observe(a) calls; the simulator's sampled tier uses it
-// to credit the traffic of thinned-away batches (Horvitz-Thompson
-// weighting) without replaying the sink work n times.
-type WeightedSink interface {
-	Sink
-	// ObserveN records the access n times.
+	// ObserveN records the access n times, leaving the sink in the same
+	// observable state as n calls at weight 1. The exact engine passes 1;
+	// the sampled tier passes the Horvitz-Thompson weight of a batch that
+	// stands in for thinned-away neighbours, so sinks that can absorb it
+	// in O(1) (PAC/WAC, the trackers) never replay the stream.
 	ObserveN(a Access, n uint64)
 }
 
 // SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Access)
+type SinkFunc func(a Access, n uint64)
 
-// Observe implements Sink.
-func (f SinkFunc) Observe(a Access) { f(a) }
+// ObserveN implements Sink.
+func (f SinkFunc) ObserveN(a Access, n uint64) { f(a, n) }
 
 // Tee fans one access out to several sinks, mirroring the AFU snoop path of
 // Figure 2 where PAC/WAC observe the same address stream the MC serves.
 type Tee []Sink
 
-// Observe implements Sink by forwarding to every sink in order.
-//
-//m5:hotpath
-func (t Tee) Observe(a Access) {
-	for _, s := range t {
-		s.Observe(a)
-	}
-}
-
-// ObserveN implements WeightedSink: sinks that support weighted observes
-// get one O(1) call; the rest replay n sequential Observes, so the fan-out
-// is state-equivalent either way.
+// ObserveN implements Sink by forwarding the weighted access to every
+// sink in order.
 //
 //m5:hotpath
 func (t Tee) ObserveN(a Access, n uint64) {
 	for _, s := range t {
-		if w, ok := s.(WeightedSink); ok {
-			w.ObserveN(a, n)
-			continue
-		}
-		for i := uint64(0); i < n; i++ {
-			s.Observe(a)
-		}
+		s.ObserveN(a, n)
 	}
 }
 
@@ -115,7 +93,8 @@ func (s *SliceSource) Rewind() { s.pos = 0 }
 // Len returns the total number of accesses in the trace.
 func (s *SliceSource) Len() int { return len(s.accesses) }
 
-// Drain pushes every access from src into sink and returns the count.
+// Drain pushes every access from src into sink at weight 1 and returns
+// the count.
 func Drain(src Source, sink Sink) int {
 	n := 0
 	for {
@@ -123,7 +102,7 @@ func Drain(src Source, sink Sink) int {
 		if !ok {
 			return n
 		}
-		sink.Observe(a)
+		sink.ObserveN(a, 1)
 		n++
 	}
 }

@@ -41,14 +41,18 @@ func TestCollectMax(t *testing.T) {
 
 func TestDrainAndTee(t *testing.T) {
 	accs := []Access{{Addr: 0x40}, {Addr: 0x80}, {Addr: 0xc0}}
-	var a, b int
+	var a, b uint64
 	tee := Tee{
-		SinkFunc(func(Access) { a++ }),
-		SinkFunc(func(Access) { b++ }),
+		SinkFunc(func(_ Access, n uint64) { a += n }),
+		SinkFunc(func(_ Access, n uint64) { b += n }),
 	}
 	n := Drain(NewSliceSource(accs), tee)
 	if n != 3 || a != 3 || b != 3 {
 		t.Errorf("Drain/Tee: n=%d a=%d b=%d", n, a, b)
+	}
+	tee.ObserveN(accs[0], 5)
+	if a != 8 || b != 8 {
+		t.Errorf("after Tee.ObserveN(a, 5): a=%d b=%d, want 8 each", a, b)
 	}
 }
 

@@ -43,9 +43,9 @@ func TestNamedConstructorsMatchNew(t *testing.T) {
 func TestZeroConfigTrackerCounts(t *testing.T) {
 	tr := New(Config{})
 	for i := 0; i < 10; i++ {
-		tr.ObserveKey(42)
+		tr.ObserveKeyN(42, 1)
 	}
-	tr.ObserveKey(7)
+	tr.ObserveKeyN(7, 1)
 	top := tr.Query()
 	if len(top) == 0 || top[0].Addr != 42 {
 		t.Fatalf("top-K after observing key 42 ten times = %v", top)

@@ -20,12 +20,12 @@ func ExampleTracker_Query() {
 
 	// A stream with one very hot page, one warm page, and noise.
 	for i := 0; i < 100; i++ {
-		hpt.Observe(trace.Access{Addr: mem.PFN(7).Addr()})
+		hpt.ObserveN(trace.Access{Addr: mem.PFN(7).Addr()}, 1)
 	}
 	for i := 0; i < 10; i++ {
-		hpt.Observe(trace.Access{Addr: mem.PFN(9).Addr()})
+		hpt.ObserveN(trace.Access{Addr: mem.PFN(9).Addr()}, 1)
 	}
-	hpt.Observe(trace.Access{Addr: mem.PFN(1000).Addr()})
+	hpt.ObserveN(trace.Access{Addr: mem.PFN(1000).Addr()}, 1)
 
 	for _, e := range hpt.Query() {
 		fmt.Printf("%s: %d accesses\n", mem.PFN(e.Addr), e.Count)
@@ -45,7 +45,7 @@ func ExampleNewHWT() {
 	hwt := tracker.NewHWT(tracker.CMSketch, 4096)
 	hot := mem.PFN(3).Word(5) // word 5 of page 3
 	for i := 0; i < 42; i++ {
-		hwt.Observe(trace.Access{Addr: hot.Addr()})
+		hwt.ObserveN(trace.Access{Addr: hot.Addr()}, 1)
 	}
 	top := hwt.Peek()
 	fmt.Printf("page %d word %d: %d accesses\n",

@@ -134,13 +134,15 @@ const (
 
 // Tracker is one HPT or HWT instance. It implements trace.Sink.
 type Tracker struct {
-	cfg      Config
-	counter  sketch.Counter
-	weighted sketch.WeightedCounter // counter's AddN view; nil for Sticky Sampling
-	topk     *cam.Sorted            // nil in Space-Saving mode
-	ss       *sketch.SpaceSaving
-	observed uint64 // accesses observed in the current epoch
-	queries  uint64 // queries served over the tracker lifetime
+	cfg     Config
+	counter sketch.Counter
+	topk    *cam.Sorted // nil in Space-Saving mode
+	ss      *sketch.SpaceSaving
+	// perOccurrence makes ObserveKeyN feed the counter and the CAM one
+	// occurrence at a time (Sticky Sampling; see ObserveKeyN).
+	perOccurrence bool
+	observed      uint64 // accesses observed in the current epoch
+	queries       uint64 // queries served over the tracker lifetime
 }
 
 // New builds a tracker from the config, applying defaults (K=5, N=32K)
@@ -167,10 +169,10 @@ func New(cfg Config) *Tracker {
 	case StickySampling:
 		t.counter = sketch.NewStickySampling(cfg.Entries, stickySeed)
 		t.topk = cam.NewSorted(cfg.K)
+		t.perOccurrence = true
 	default:
 		panic(fmt.Sprintf("tracker: unknown algorithm %v", cfg.Algorithm))
 	}
-	t.weighted, _ = t.counter.(sketch.WeightedCounter)
 	return t
 }
 
@@ -188,49 +190,31 @@ func NewHWT(alg Algorithm, entries int) *Tracker {
 // Config returns the (defaulted) configuration.
 func (t *Tracker) Config() Config { return t.cfg }
 
-// Observe implements trace.Sink: one DRAM access flows through the
+// ObserveN implements trace.Sink: the access, n times, flows through the
 // estimation unit and then the sorted CAM, as in Figure 5.
-func (t *Tracker) Observe(a trace.Access) {
-	t.ObserveKey(t.cfg.Granularity.Key(a.Addr))
-}
-
-// ObserveKey records one occurrence of a pre-mapped key.
-func (t *Tracker) ObserveKey(key uint64) {
-	t.observed++
-	est := t.counter.Add(key)
-	if t.topk == nil {
-		return // Space-Saving ranks inside its own table.
-	}
-	if t.topk.Contains(key) || est > t.topk.Min() {
-		t.topk.Update(key, est)
-	}
-}
-
-// ObserveN implements trace.WeightedSink: record the access n times in one
-// pass. The sampled simulator tier uses it to credit the snooped traffic
-// of thinned-away batches without replaying the estimation unit n times.
 func (t *Tracker) ObserveN(a trace.Access, n uint64) {
 	t.ObserveKeyN(t.cfg.Granularity.Key(a.Addr), n)
 }
 
-// ObserveKeyN records n occurrences of a pre-mapped key. Counters that
-// implement sketch.WeightedCounter absorb the weight in one operation;
-// the CAM update folds to a single call because the estimate on one key
-// only grows across the n occurrences, so the final admission decision
-// and count match the sequential outcome. Sticky Sampling (whose
-// admissions consume RNG state per occurrence) replays sequentially.
+// ObserveKeyN records n occurrences of a pre-mapped key. CM-Sketch and
+// Space-Saving absorb the weight in one AddN; the CAM update folds to a
+// single call because the estimate on one key only grows across the n
+// occurrences, so the final admission decision and count match the
+// sequential outcome. Sticky Sampling's estimate can fall mid-run (a
+// rescale may prune the key), so its tracker steps one occurrence at a
+// time and offers the CAM each estimate.
 func (t *Tracker) ObserveKeyN(key uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	if t.weighted == nil {
+	if t.perOccurrence && n > 1 {
 		for ; n > 0; n-- {
-			t.ObserveKey(key)
+			t.ObserveKeyN(key, 1)
 		}
 		return
 	}
 	t.observed += n
-	est := t.weighted.AddN(key, n)
+	est := t.counter.AddN(key, n)
 	if t.topk == nil {
 		return // Space-Saving ranks inside its own table.
 	}

@@ -85,10 +85,11 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 	New(Config{Algorithm: Algorithm(77)})
 }
 
-// ObserveKeyN must leave a tracker where n ObserveKey calls would: through
-// the counter's AddN where it has one, occurrence by occurrence for Sticky
-// Sampling. A small table over a larger key space keeps CAM admissions,
-// Space-Saving evictions and sketch collisions frequent.
+// One ObserveKeyN(key, n) call must leave a tracker where n calls at
+// weight 1 would: through one AddN on CM-Sketch and Space-Saving,
+// occurrence by occurrence for Sticky Sampling. A small table over a
+// larger key space keeps CAM admissions, Space-Saving evictions and
+// sketch collisions frequent.
 func TestObserveKeyNMatchesRepeatedObserveKey(t *testing.T) {
 	for _, alg := range []Algorithm{CMSketch, ConservativeCMSketch, SpaceSaving, StickySampling} {
 		cfg := Config{Algorithm: alg, Entries: 16, K: 3}
@@ -98,14 +99,14 @@ func TestObserveKeyNMatchesRepeatedObserveKey(t *testing.T) {
 			key, n := uint64(rng.Intn(40)), uint64(rng.Intn(4))
 			weighted.ObserveKeyN(key, n)
 			for i := uint64(0); i < n; i++ {
-				unit.ObserveKey(key)
+				unit.ObserveKeyN(key, 1)
 			}
 			got, want := weighted.Peek(), unit.Peek()
 			if step%250 == 249 {
 				got, want = weighted.Query(), unit.Query()
 			}
 			if !slices.Equal(got, want) || weighted.Observed() != unit.Observed() {
-				t.Fatalf("%v step %d: ObserveKeyN top %v (observed %d), repeated ObserveKey %v (observed %d)",
+				t.Fatalf("%v step %d: ObserveKeyN top %v (observed %d), n unit calls %v (observed %d)",
 					alg, step, got, weighted.Observed(), want, unit.Observed())
 			}
 		}
@@ -121,7 +122,7 @@ func feedZipf(t *Tracker, n int, seed int64, gran Granularity) map[uint64]uint64
 	for i := 0; i < n; i++ {
 		page := z.Uint64()
 		addr := mem.PFN(page).Addr() + mem.PhysAddr(rng.Intn(mem.WordsPerPage))*mem.WordSize
-		t.Observe(trace.Access{Time: uint64(i), Addr: addr})
+		t.ObserveN(trace.Access{Time: uint64(i), Addr: addr}, 1)
 		truth[gran.Key(addr)]++
 	}
 	return truth
@@ -224,12 +225,12 @@ func TestHWTKeysOnWords(t *testing.T) {
 	// One very hot word inside one page.
 	hot := mem.PFN(100).Word(7)
 	for i := 0; i < 1000; i++ {
-		tr.Observe(trace.Access{Addr: hot.Addr()})
+		tr.ObserveN(trace.Access{Addr: hot.Addr()}, 1)
 	}
 	// Background noise in other pages.
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2000; i++ {
-		tr.Observe(trace.Access{Addr: mem.PFN(rng.Intn(5000)).Addr()})
+		tr.ObserveN(trace.Access{Addr: mem.PFN(rng.Intn(5000)).Addr()}, 1)
 	}
 	top := tr.Peek()
 	if len(top) == 0 || top[0].Addr != uint64(hot) {
@@ -239,7 +240,7 @@ func TestHWTKeysOnWords(t *testing.T) {
 
 func TestQueryResetsEpoch(t *testing.T) {
 	tr := NewHPT(CMSketch, 1024)
-	tr.Observe(trace.Access{Addr: 0x1000})
+	tr.ObserveN(trace.Access{Addr: 0x1000}, 1)
 	if tr.Observed() != 1 {
 		t.Errorf("Observed = %d", tr.Observed())
 	}
@@ -260,8 +261,8 @@ func TestQueryResetsEpoch(t *testing.T) {
 
 func TestSpaceSavingQueryResets(t *testing.T) {
 	tr := NewHPT(SpaceSaving, 50)
-	tr.Observe(trace.Access{Addr: 0x1000})
-	tr.Observe(trace.Access{Addr: 0x1000})
+	tr.ObserveN(trace.Access{Addr: 0x1000}, 1)
+	tr.ObserveN(trace.Access{Addr: 0x1000}, 1)
 	top := tr.Query()
 	if len(top) != 1 || top[0].Count != 2 {
 		t.Fatalf("Query = %+v", top)
@@ -274,7 +275,7 @@ func TestSpaceSavingQueryResets(t *testing.T) {
 func TestStickySamplingTracker(t *testing.T) {
 	tr := New(Config{Algorithm: StickySampling, Entries: 256})
 	for i := 0; i < 10000; i++ {
-		tr.Observe(trace.Access{Addr: 0x2000})
+		tr.ObserveN(trace.Access{Addr: 0x2000}, 1)
 	}
 	top := tr.Peek()
 	if len(top) == 0 || top[0].Addr != uint64(mem.PhysAddr(0x2000).Page()) {
@@ -285,7 +286,7 @@ func TestStickySamplingTracker(t *testing.T) {
 func TestPeekDoesNotMutate(t *testing.T) {
 	tr := NewHPT(CMSketch, 1024)
 	for i := 0; i < 10; i++ {
-		tr.Observe(trace.Access{Addr: 0x5000})
+		tr.ObserveN(trace.Access{Addr: 0x5000}, 1)
 	}
 	a := tr.Peek()
 	b := tr.Peek()
@@ -302,8 +303,8 @@ func TestDecayOnQueryRetainsHotState(t *testing.T) {
 	reset := New(Config{Algorithm: CMSketch, Entries: 4096, K: 4})
 	hot := mem.PFN(42)
 	for i := 0; i < 100; i++ {
-		decay.Observe(trace.Access{Addr: hot.Addr()})
-		reset.Observe(trace.Access{Addr: hot.Addr()})
+		decay.ObserveN(trace.Access{Addr: hot.Addr()}, 1)
+		reset.ObserveN(trace.Access{Addr: hot.Addr()}, 1)
 	}
 	decay.Query()
 	reset.Query()
@@ -327,7 +328,7 @@ func TestDecayOnQueryRetainsHotState(t *testing.T) {
 func TestDecayFallsBackToResetWithoutDecayer(t *testing.T) {
 	// Space-Saving has no Decay; DecayOnQuery degrades to Reset.
 	tr := New(Config{Algorithm: SpaceSaving, Entries: 16, DecayOnQuery: true})
-	tr.Observe(trace.Access{Addr: 0x1000})
+	tr.ObserveN(trace.Access{Addr: 0x1000}, 1)
 	tr.Query()
 	if len(tr.Peek()) != 0 {
 		t.Error("non-decayable tracker should reset on query")

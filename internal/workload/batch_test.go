@@ -2,10 +2,21 @@ package workload
 
 import "testing"
 
+// next reads one access as a batch of one; ok is false once the stream
+// has ended.
+func next(g Generator) (Access, bool) {
+	var one [1]Access
+	if g.NextBatch(one[:]) == 0 {
+		return Access{}, false
+	}
+	return one[0], true
+}
+
 // TestNextBatchMatchesNext pins the batch path's equivalence claim for
 // every catalog generator: a fresh instance drained through NextBatch with
 // awkward buffer sizes emits element-for-element the stream a second fresh
-// instance (a Close/reopen boundary away) emits through repeated Next.
+// instance (a Close/reopen boundary away) emits one access at a time, as
+// one-element batches.
 func TestNextBatchMatchesNext(t *testing.T) {
 	const n = 40_000
 	// Deliberately ragged sizes so batches straddle the producer's internal
@@ -16,9 +27,9 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			ref := MustNew(name, ScaleTiny, 3)
 			want := make([]Access, n)
 			for i := range want {
-				a, ok := ref.Next()
+				a, ok := next(ref)
 				if !ok {
-					t.Fatalf("Next stream ended at %d", i)
+					t.Fatalf("one-access stream ended at %d", i)
 				}
 				want[i] = a
 			}
@@ -26,9 +37,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 
 			g := MustNew(name, ScaleTiny, 3)
 			defer g.Close()
-			if _, ok := g.(BatchGenerator); !ok {
-				t.Fatalf("%s does not implement BatchGenerator", name)
-			}
 			got := make([]Access, 0, n)
 			for si := 0; len(got) < n; si++ {
 				size := sizes[si%len(sizes)]
@@ -44,7 +52,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("access %d: batch %+v != next %+v", i, got[i], want[i])
+					t.Fatalf("access %d: batch %+v != one-access %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -53,20 +61,22 @@ func TestNextBatchMatchesNext(t *testing.T) {
 
 // TestCheckpointReplay pins the replay contract for every catalog
 // generator: NewAt(Checkpoint()) continues the stream exactly where the
-// original generator is, for any mix of Next and NextBatch consumption.
+// original generator is, for any mix of batch sizes, one-access batches
+// included.
 func TestCheckpointReplay(t *testing.T) {
 	const prefix, tail = 10_000, 5_000
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			g := MustNew(name, ScaleTiny, 5)
 			defer g.Close()
-			// Consume the prefix through both paths so Consumed counts both.
+			// Consume the prefix in one large batch and then one access at a
+			// time, so Consumed counts both.
 			buf := make([]Access, prefix/2)
 			if k := NextBatch(g, buf); k != len(buf) {
 				t.Fatalf("NextBatch = %d, want %d", k, len(buf))
 			}
 			for i := 0; i < prefix-len(buf); i++ {
-				if _, ok := g.Next(); !ok {
+				if _, ok := next(g); !ok {
 					t.Fatal("stream ended in prefix")
 				}
 			}
@@ -83,8 +93,8 @@ func TestCheckpointReplay(t *testing.T) {
 			}
 			defer replay.Close()
 			for i := 0; i < tail; i++ {
-				want, ok1 := g.Next()
-				got, ok2 := replay.Next()
+				want, ok1 := next(g)
+				got, ok2 := next(replay)
 				if !ok1 || !ok2 {
 					t.Fatalf("stream ended at tail access %d", i)
 				}

@@ -121,22 +121,7 @@ func (b *base) Name() string { return b.name }
 // Footprint implements Generator.
 func (b *base) Footprint() uint64 { return b.footprint }
 
-// Next implements Generator.
-func (b *base) Next() (Access, bool) {
-	for b.pos >= len(b.cur) {
-		batch, ok := <-b.out
-		if !ok {
-			return Access{}, false
-		}
-		b.cur, b.pos = batch, 0
-	}
-	a := b.cur[b.pos]
-	b.pos++
-	b.consumed++
-	return a, true
-}
-
-// NextBatch implements BatchGenerator: bulk copies from the producer's
+// NextBatch implements Generator: bulk copies from the producer's
 // batches so the engine pays one call (and no channel operation, most of
 // the time) per buffer instead of per access.
 func (b *base) NextBatch(buf []Access) int {

@@ -13,12 +13,9 @@ func Example_catalog() {
 	defer g.Close()
 
 	fmt.Printf("benchmark %s, footprint %d KB\n", g.Name(), g.Footprint()/1024)
+	buf := make([]workload.Access, 1000)
 	ops := 0
-	for i := 0; i < 1000; i++ {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
+	for _, a := range buf[:g.NextBatch(buf)] {
 		if a.OpEnd {
 			ops++
 		}
@@ -33,9 +30,9 @@ func Example_catalog() {
 func ExampleNewYCSB() {
 	g := workload.NewYCSB(workload.YCSBConfig{Kind: workload.YCSBC, Keys: 1 << 10, Seed: 1})
 	defer g.Close()
+	buf := make([]workload.Access, 5000)
 	writes := 0
-	for i := 0; i < 5000; i++ {
-		a, _ := g.Next()
+	for _, a := range buf[:g.NextBatch(buf)] {
 		if a.Write {
 			writes++
 		}

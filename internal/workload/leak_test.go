@@ -69,7 +69,7 @@ func TestCloseUnblocksPendingProducer(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		g := MustNew("pr", ScaleTiny, int64(i))
 		// Pull one access so the producer is warmed up and mid-stream.
-		if _, ok := g.Next(); !ok {
+		if _, ok := next(g); !ok {
 			t.Fatal("stream ended immediately")
 		}
 		g.Close()

@@ -31,7 +31,6 @@ type Cursor struct {
 
 	tail   workload.Generator // private live continuation, nil normally
 	err    error
-	one    [1]workload.Access
 	closed bool
 }
 
@@ -135,15 +134,7 @@ func (c *Cursor) Name() string { return c.t.wlName }
 // Footprint implements workload.Generator.
 func (c *Cursor) Footprint() uint64 { return c.t.footprint }
 
-// Next implements workload.Generator.
-func (c *Cursor) Next() (workload.Access, bool) {
-	if c.NextBatch(c.one[:]) == 0 {
-		return workload.Access{}, false
-	}
-	return c.one[0], true
-}
-
-// NextBatch implements workload.BatchGenerator: it decodes straight into
+// NextBatch implements workload.Generator: it decodes straight into
 // buf with no allocation.
 func (c *Cursor) NextBatch(buf []workload.Access) int {
 	if c.closed {

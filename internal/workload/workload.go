@@ -27,52 +27,26 @@ type Access struct {
 	OpEnd bool
 }
 
-// Generator produces an unbounded access stream. Implementations are not
-// safe for concurrent use. Close releases the producer; it is safe to call
-// more than once.
+// Generator produces an unbounded access stream in batches; one access is
+// a batch of one. Implementations are not safe for concurrent use. Close
+// releases the producer; it is safe to call more than once.
 type Generator interface {
 	// Name identifies the benchmark (matches the paper's Table 3 names).
 	Name() string
 	// Footprint is the arena size in bytes.
 	Footprint() uint64
-	// Next returns the next access. ok=false only after Close.
-	Next() (Access, bool)
+	// NextBatch fills buf with the next accesses of the stream and
+	// returns how many were written. A return of 0 means the stream has
+	// ended, which happens only after Close.
+	NextBatch(buf []Access) int
 	// Close stops the generator.
 	Close()
 }
 
-// BatchGenerator is implemented by generators that can hand out many
-// accesses per call, amortizing the per-access interface dispatch on the
-// simulator's hot path. The batch stream is element-for-element identical
-// to the Next stream.
-type BatchGenerator interface {
-	Generator
-	// NextBatch fills buf with the next accesses of the stream and
-	// returns how many were written. A return of 0 means the stream has
-	// ended (only after Close), exactly when Next would report ok=false.
-	NextBatch(buf []Access) int
-}
-
-// NextBatch fills buf from g, using the generator's batch path when it has
-// one and falling back to repeated Next calls otherwise, so engines can be
-// written against batches without caring which kind of generator they got.
+// NextBatch fills buf from g and returns how many accesses it wrote.
 //
 //m5:hotpath
-func NextBatch(g Generator, buf []Access) int {
-	if bg, ok := g.(BatchGenerator); ok {
-		return bg.NextBatch(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
-		buf[n] = a
-		n++
-	}
-	return n
-}
+func NextBatch(g Generator, buf []Access) int { return g.NextBatch(buf) }
 
 // Skipper is implemented by generators that can discard accesses without
 // decoding them: tape cursors jump whole committed blocks in O(1) and walk

@@ -44,7 +44,7 @@ func TestEngineProducesAndCloses(t *testing.T) {
 	})
 	defer g.Close()
 	for i := 0; i < 10000; i++ {
-		if _, ok := g.Next(); !ok {
+		if _, ok := next(g); !ok {
 			t.Fatal("generator ended early")
 		}
 	}
@@ -63,7 +63,7 @@ func TestEngineEndOp(t *testing.T) {
 	defer g.Close()
 	ends := 0
 	for i := 0; i < 1000; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			t.Fatal("ended early")
 		}
@@ -156,7 +156,7 @@ func TestCatalogAllBenchmarksProduce(t *testing.T) {
 		}
 		seen := map[uint64]bool{}
 		for i := 0; i < 100000; i++ {
-			a, ok := g.Next()
+			a, ok := next(g)
 			if !ok {
 				t.Fatalf("%s ended after %d accesses", name, i)
 			}
@@ -222,7 +222,7 @@ func TestCatalogExtraKVSVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, ok := g.Next(); !ok {
+		if _, ok := next(g); !ok {
 			t.Errorf("%s should produce", name)
 		}
 		g.Close()
@@ -247,7 +247,7 @@ func TestScaleString(t *testing.T) {
 func wordsPerPage(g Generator, n int) map[uint64]map[uint64]bool {
 	pages := map[uint64]map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			break
 		}
@@ -321,7 +321,7 @@ func TestROMSSkew(t *testing.T) {
 	defer g.Close()
 	counts := map[uint64]uint64{}
 	for i := 0; i < 4_000_000; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			break
 		}
@@ -345,7 +345,7 @@ func TestPageRankFlatterThanLiblinear(t *testing.T) {
 		defer g.Close()
 		counts := map[uint64]uint64{}
 		for i := 0; i < 2_000_000; i++ {
-			a, ok := g.Next()
+			a, ok := next(g)
 			if !ok {
 				break
 			}
@@ -392,7 +392,7 @@ func TestKVSOpsEndWithMarkers(t *testing.T) {
 	defer g.Close()
 	sawEnd := false
 	for i := 0; i < 100; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			t.Fatal("ended")
 		}
@@ -409,7 +409,7 @@ func TestBatchWorkloadsHaveNoOpMarkers(t *testing.T) {
 	g := MustNew("pr", ScaleTiny, 1)
 	defer g.Close()
 	for i := 0; i < 10000; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			break
 		}
@@ -426,7 +426,7 @@ func TestGapKernelsComputeOverWholeGraph(t *testing.T) {
 		g := MustNew(name, ScaleTiny, 3)
 		seen := map[uint64]bool{}
 		for i := 0; i < 3_000_000; i++ {
-			a, ok := g.Next()
+			a, ok := next(g)
 			if !ok {
 				break
 			}
@@ -441,44 +441,56 @@ func TestGapKernelsComputeOverWholeGraph(t *testing.T) {
 }
 
 func TestYCSBKinds(t *testing.T) {
+	// Write-fraction bands. A read touch is w+2 loads (bucket head,
+	// header, w value words); an update or insert touch is 2 loads plus
+	// w+1 stores (the value words and the header rewrite). Values span
+	// w = 2..4 words and the zipfian requests weight the hot keys' w, so
+	// each band spans its fraction from w = 2 to w = 4, widened for the
+	// op coin over 50,000 accesses:
+	//   A: half reads, half updates: (w+1)/(2w+5), 0.333 to 0.385.
+	//   B, D: 5% updates (inserts for D): 0.05(w+1)/(w+2.05), 0.037 to
+	//      0.041.
+	//   E: 5% inserts, 95% scans of 8.5 keys on average:
+	//      0.05(w+1)/(8.075(w+2)+0.05(w+3)), 0.0046 to 0.0051.
+	//   F: every op reads and half then update: (w+1)/(3w+7), 0.231 to
+	//      0.263.
+	//   C: read-only, exactly 0.
+	bands := map[YCSBKind][2]float64{
+		YCSBA: {0.30, 0.42},
+		YCSBB: {0.025, 0.055},
+		YCSBC: {0, 0},
+		YCSBD: {0.025, 0.055},
+		YCSBE: {0.002, 0.009},
+		YCSBF: {0.20, 0.29},
+	}
 	for _, kind := range []YCSBKind{YCSBA, YCSBB, YCSBC, YCSBD, YCSBE, YCSBF} {
-		g := NewYCSB(YCSBConfig{Kind: kind, Keys: 1 << 10, Seed: 1})
-		reads, writes, ends := 0, 0, 0
-		for i := 0; i < 50000; i++ {
-			a, ok := g.Next()
-			if !ok {
-				t.Fatalf("%v ended early", kind)
+		for seed := int64(1); seed <= 5; seed++ {
+			g := NewYCSB(YCSBConfig{Kind: kind, Keys: 1 << 10, Seed: seed})
+			reads, writes, ends := 0, 0, 0
+			for i := 0; i < 50000; i++ {
+				a, ok := next(g)
+				if !ok {
+					t.Fatalf("%v ended early", kind)
+				}
+				if a.Offset >= g.Footprint() {
+					t.Fatalf("%v: offset out of range", kind)
+				}
+				if a.Write {
+					writes++
+				} else {
+					reads++
+				}
+				if a.OpEnd {
+					ends++
+				}
 			}
-			if a.Offset >= g.Footprint() {
-				t.Fatalf("%v: offset out of range", kind)
+			g.Close()
+			if ends == 0 {
+				t.Errorf("%v seed %d: no op markers", kind, seed)
 			}
-			if a.Write {
-				writes++
-			} else {
-				reads++
-			}
-			if a.OpEnd {
-				ends++
-			}
-		}
-		g.Close()
-		if ends == 0 {
-			t.Errorf("%v: no op markers", kind)
-		}
-		switch kind {
-		case YCSBC:
-			if writes != 0 {
-				t.Errorf("ycsb-c must be read-only, saw %d writes", writes)
-			}
-		case YCSBA, YCSBF:
-			frac := float64(writes) / float64(reads+writes)
-			if frac < 0.25 || frac > 0.65 {
-				t.Errorf("%v write fraction = %.2f", kind, frac)
-			}
-		case YCSBB:
-			frac := float64(writes) / float64(reads+writes)
-			if frac > 0.15 {
-				t.Errorf("ycsb-b write fraction = %.2f, want small", frac)
+			band := bands[kind]
+			if frac := float64(writes) / float64(reads+writes); frac < band[0] || frac > band[1] {
+				t.Errorf("%v seed %d: write fraction = %.4f, want within [%g, %g]", kind, seed, frac, band[0], band[1])
 			}
 		}
 	}
@@ -497,7 +509,7 @@ func TestYCSBDLatestDistributionDrifts(t *testing.T) {
 	meanKey := func(n int) float64 {
 		sum, cnt := 0.0, 0
 		for i := 0; i < n; i++ {
-			a, ok := g.Next()
+			a, ok := next(g)
 			if !ok {
 				t.Fatal("ended")
 			}
@@ -513,7 +525,7 @@ func TestYCSBDLatestDistributionDrifts(t *testing.T) {
 	}
 	early := meanKey(50_000)
 	for i := 0; i < 400_000; i++ {
-		g.Next()
+		next(g)
 	}
 	late := meanKey(50_000)
 	if late <= early {
@@ -529,7 +541,7 @@ func TestYCSBEScans(t *testing.T) {
 	opLens := map[int]int{}
 	cur := 0
 	for i := 0; i < 50_000; i++ {
-		a, ok := g.Next()
+		a, ok := next(g)
 		if !ok {
 			t.Fatal("ended")
 		}
@@ -590,7 +602,7 @@ func TestYCSBCatalogNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := g.Next(); !ok {
+		if _, ok := next(g); !ok {
 			t.Errorf("%s should produce", name)
 		}
 		if g.Name() != name {
