@@ -84,21 +84,6 @@ func TestExitLoadFailure(t *testing.T) {
 	}
 }
 
-func TestExitBadVetConfig(t *testing.T) {
-	dir := t.TempDir()
-	cfg := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfg, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2\nstderr: %s", code, &stderr)
-	}
-	if stderr.Len() == 0 {
-		t.Fatal("bad config left stderr empty")
-	}
-}
-
 func TestJSONOutput(t *testing.T) {
 	writeModule(t, map[string]string{"internal/sim/sim.go": dirtySim})
 	var stdout, stderr bytes.Buffer
@@ -128,16 +113,17 @@ func TestJSONOutputCleanIsEmptyArray(t *testing.T) {
 	}
 }
 
-func TestVersionAndFlagsProbes(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exit = %d, want 0", code)
-	}
-	if !strings.Contains(stdout.String(), "m5lint version") {
-		t.Fatalf("-V=full stdout = %q", &stdout)
-	}
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exit = %d, want 0", code)
+// TestUnknownFlagIsUsageError pins -json as the only flag: anything
+// else, including the removed -fix and the vet-tool probes, exits 2
+// before loading a package.
+func TestUnknownFlagIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-fix", "-V=full", "-flags"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{flag, "./..."}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit = %d, want 2", flag, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "unknown flag") {
+			t.Errorf("%s: stdout %q, stderr %q", flag, &stdout, &stderr)
+		}
 	}
 }

@@ -34,8 +34,8 @@ type want struct {
 }
 
 // Run loads the packages at paths from the srcRoot corpus tree, applies
-// the analyzers (including Finish hooks), and reports any mismatch
-// between findings and want annotations as test errors.
+// the analyzers, and reports any mismatch between findings and want
+// annotations as test errors.
 func Run(t *testing.T, srcRoot string, analyzers []*analysis.Analyzer, paths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -30,14 +30,6 @@ import (
 //	//m5:locked <mu>    — on a function declaration's doc comment: every
 //	                      caller holds the receiver's mutex <mu>
 //	                      (lock-discipline analysis assumes it held).
-//	//m5:floatok <why>  — on a statement or expression line in a float-
-//	                      confined package: a reviewed float operation
-//	                      (setup-time sizing, report-side derivation).
-//	//m5:floatestimate <why>
-//	                    — anywhere in a file of a float-confined
-//	                      package: the whole file is a sanctioned
-//	                      estimate layer (the sampled tier), exempt from
-//	                      float confinement.
 const (
 	markHotpath        = "hotpath"
 	markColdpath       = "coldpath"
@@ -45,8 +37,6 @@ const (
 	markPlumb          = "plumb"
 	markGuardedBy      = "guardedby"
 	markLocked         = "locked"
-	markFloatOK        = "floatok"
-	markFloatEstimate  = "floatestimate"
 )
 
 // marker parses "m5:<name> ..." comment text; ok is false for ordinary
@@ -86,7 +76,7 @@ type markerLine struct {
 }
 
 // collectMarkers maps source lines to in-function markers (coldpath,
-// orderinvariant, floatok, ...). A marker governs the
+// orderinvariant, ...). A marker governs the
 // statement on its own line or, for a comment on a line of its own, the
 // line below, in its own file only.
 func collectMarkers(fset *token.FileSet, files []*ast.File) map[markerLine]markerInfo {
@@ -159,23 +149,10 @@ func declMarkers(fd *ast.FuncDecl, name string) []string {
 	return args
 }
 
-// fileMarker returns the argument of the first occurrence of the named
-// marker anywhere in the file's comments.
-func fileMarker(f *ast.File, name string) (string, bool) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if n, arg, ok := markerArg(c.Text); ok && n == name {
-				return arg, true
-			}
-		}
-	}
-	return "", false
-}
-
-// FuncKey is the stable, fact-encodable identity of a function or
-// method within its package: "Name" for package functions,
-// "Type.Name" for methods (pointer receivers included as "Type").
-func FuncKey(fn *types.Func) string {
+// funcKey is the stable identity of a function or method within its
+// package: "Name" for package functions, "Type.Name" for methods
+// (pointer receivers included as "Type").
+func funcKey(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return fn.Name()
@@ -190,7 +167,7 @@ func FuncKey(fn *types.Func) string {
 	return fn.Name()
 }
 
-// declKey is FuncKey computed syntactically from a declaration.
+// declKey is funcKey computed syntactically from a declaration.
 func declKey(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name

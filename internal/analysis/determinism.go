@@ -184,7 +184,9 @@ var sortFuncs = map[string]bool{
 // checkMapRangeBody classifies every statement in a map-range body as
 // order-insensitive or not. Allowed without further proof:
 //
-//   - compound assignments and ++/-- (commutative integer folds),
+//   - compound assignments and ++/-- (commutative integer folds), except
+//     a float-typed target declared outside the loop: float addition
+//     rounds differently in each visit order,
 //   - plain assignments whose targets are index expressions or
 //     variables declared inside the loop,
 //   - delete(...) on a map,
@@ -269,7 +271,20 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		case nil:
 		case *ast.AssignStmt:
 			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
-				return // compound assignment: commutative fold
+				// Compound assignment: a commutative fold, unless it
+				// folds floats into an outer variable. Keyed writes
+				// (m[k] += x) see one iteration each.
+				lhs := s.Lhs[0]
+				if _, keyed := lhs.(*ast.IndexExpr); keyed {
+					return
+				}
+				if id, ok := lhs.(*ast.Ident); ok && declaredInside(id) {
+					return
+				}
+				if b, ok := pass.TypesInfo.TypeOf(lhs).Underlying().(*types.Basic); ok && b.Info()&(types.IsFloat|types.IsComplex) != 0 {
+					pass.Reportf(s.Pos(), "float accumulation into %s inside map iteration rounds differently in each visit order; sort the keys first or annotate //m5:orderinvariant", types.ExprString(lhs))
+				}
+				return
 			}
 			for _, rhs := range s.Rhs {
 				checkCallsIn(s, rhs)
@@ -358,8 +373,7 @@ func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, lhs, rhs ast.Expr, tok 
 			if obj != nil && sortedAfter(obj, rng.End()) {
 				return
 			}
-			pass.ReportFix(lhs.Pos(), mapRangeAppendFix(pass, rng, obj, l.Name),
-				"append inside map iteration collects values in map order; sort %s after the loop or annotate //m5:orderinvariant", l.Name)
+			pass.Reportf(lhs.Pos(), "append inside map iteration collects values in map order; sort %s after the loop or annotate //m5:orderinvariant", l.Name)
 			return
 		}
 		if usesLoopVar(rhs) {
@@ -372,57 +386,6 @@ func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, lhs, rhs ast.Expr, tok 
 	case *ast.StarExpr:
 		pass.Reportf(lhs.Pos(), "pointer write inside map iteration depends on map order; sort the keys first or annotate //m5:orderinvariant")
 	}
-}
-
-// mapRangeAppendFix builds the mechanical fix for an append collecting
-// in map order: insert `sort.<Kind>s(x)` right after the loop when the
-// element type has a stdlib sorter and the file already imports "sort";
-// otherwise fall back to an //m5:orderinvariant annotation stub on the
-// range statement, leaving a reviewable TODO.
-func mapRangeAppendFix(pass *Pass, rng *ast.RangeStmt, obj types.Object, name string) *SuggestedFix {
-	sorter := ""
-	if obj != nil {
-		if sl, ok := obj.Type().Underlying().(*types.Slice); ok {
-			if b, ok := sl.Elem().(*types.Basic); ok {
-				switch b.Kind() {
-				case types.String:
-					sorter = "sort.Strings"
-				case types.Int:
-					sorter = "sort.Ints"
-				case types.Float64:
-					sorter = "sort.Float64s"
-				}
-			}
-		}
-	}
-	if sorter != "" && fileImports(pass, rng.Pos(), "sort") {
-		off := pass.lineEndOffset(rng.End())
-		return &SuggestedFix{
-			Message: "sort the collected slice after the loop",
-			Edits: []TextEdit{{
-				Filename: pass.Fset.Position(rng.End()).Filename,
-				Start:    off,
-				End:      off,
-				NewText:  "\n" + pass.lineIndent(rng.Pos()) + sorter + "(" + name + ")",
-			}},
-		}
-	}
-	return pass.annotationStub(rng.Pos(), markOrderInvariant, "justify order-insensitivity of this loop")
-}
-
-// fileImports reports whether the file containing pos imports the path.
-func fileImports(pass *Pass, pos token.Pos, path string) bool {
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"`+path+`"` {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return false
 }
 
 // isBuiltinOrConversion reports whether the call invokes a builtin or

@@ -3,20 +3,14 @@ package analysis
 import "go/token"
 
 // Run executes the analyzers over the packages (which must be in
-// dependency order, as LoadModule returns them), then runs each
-// analyzer's Finish hook, and returns the findings in the stable
-// file:line:column order.
+// dependency order, as LoadModule returns them) and returns the
+// findings in the stable file:line:column order.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFactSet()
-	return RunWithFacts(fset, pkgs, analyzers, facts)
-}
-
-// RunWithFacts is Run with a caller-supplied fact store. The vet-tool
-// driver uses it to pre-seed facts decoded from dependency .vetx files.
-func RunWithFacts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
 	var ds []Diagnostic
 	report := func(d Diagnostic) { ds = append(ds, d) }
+	facts := map[factKey]any{}
 	for _, pkg := range pkgs {
+		markers := collectMarkers(fset, pkg.Files)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -24,30 +18,20 @@ func RunWithFacts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, f
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Facts:     facts,
+				facts:     facts,
 				report:    report,
+				markers:   markers,
 			}
-			pass.markers = collectMarkers(fset, pkg.Files)
 			if err := a.Run(pass); err != nil {
 				return nil, err
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(facts, report)
 		}
 	}
 	SortDiagnostics(ds)
 	return ds, nil
 }
 
-// All returns the full m5lint suite: determinism, hotpath, obs naming
-// and registration discipline, plus config plumbing, lock discipline and
-// float confinement.
+// All returns the full m5lint suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Determinism, Floatconfine, Hotpath,
-		Lockdiscipline, ObsScope, Plumbing, Registry,
-	}
+	return []*Analyzer{Determinism, Hotpath, Lockdiscipline, ObsScope, Plumbing}
 }

@@ -1,89 +1,33 @@
 package analysis_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
+	"go/token"
 	"strings"
 	"testing"
-
-	"go/token"
 
 	"m5/internal/analysis"
 )
 
-// loadHotCorpus returns the hotdep and hotgood corpus packages in one
-// fileset, split out so each can run as its own analysis unit — the
-// shape the vet-tool driver sees.
-func loadHotCorpus(t *testing.T) (fset *token.FileSet, dep, good *analysis.Package) {
-	t.Helper()
-	fset = token.NewFileSet()
-	pkgs, err := analysis.LoadTestdata(fset, "testdata/src", "m5/hotdep", "m5/hotgood")
+// TestFactMissingChangesVerdict proves the hotpath fact carries
+// information: analyzed without hotdep, whose exported fact names Fast
+// as a hotpath function, hotgood's call to it becomes a cross-package
+// finding.
+func TestFactMissingChangesVerdict(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := analysis.LoadTestdata(fset, "testdata/src", "m5/hotgood")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var good []*analysis.Package
 	for _, p := range pkgs {
-		switch p.PkgPath {
-		case "m5/hotdep":
-			dep = p
-		case "m5/hotgood":
-			good = p
+		if p.PkgPath == "m5/hotgood" {
+			good = append(good, p)
 		}
 	}
-	if dep == nil || good == nil {
-		t.Fatalf("corpus packages missing: dep=%v good=%v", dep, good)
+	if len(good) != 1 {
+		t.Fatalf("corpus package m5/hotgood missing from %d loaded packages", len(pkgs))
 	}
-	return fset, dep, good
-}
-
-// TestFactRoundTrip pins the .vetx contract end to end: facts exported
-// while analyzing one package, encoded to a file, decoded into a fresh
-// store, and consumed by a dependent package analyzed in isolation —
-// exactly how the vet-tool driver threads facts between units.
-func TestFactRoundTrip(t *testing.T) {
-	fset, dep, good := loadHotCorpus(t)
-	suite := []*analysis.Analyzer{analysis.Hotpath}
-
-	factsA := analysis.NewFactSet()
-	ds, err := analysis.RunWithFacts(fset, []*analysis.Package{dep}, suite, factsA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 0 {
-		t.Fatalf("hotdep should be clean, got %v", ds)
-	}
-
-	// Through the .vetx file, as cmd/go hands it to the next unit.
-	vetx := filepath.Join(t.TempDir(), "hotdep.vetx")
-	if err := os.WriteFile(vetx, factsA.Encode("m5/hotdep"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(vetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factsB := analysis.NewFactSet()
-	if err := factsB.Decode("m5/hotdep", blob); err != nil {
-		t.Fatal(err)
-	}
-
-	ds, err = analysis.RunWithFacts(fset, []*analysis.Package{good}, suite, factsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 0 {
-		t.Fatalf("hotgood with imported facts should be clean, got %v", ds)
-	}
-}
-
-// TestFactMissingChangesVerdict proves the fact carries information:
-// without hotdep's exported HotpathFact, the same dependent package
-// produces a cross-package finding.
-func TestFactMissingChangesVerdict(t *testing.T) {
-	fset, _, good := loadHotCorpus(t)
-	suite := []*analysis.Analyzer{analysis.Hotpath}
-
-	ds, err := analysis.RunWithFacts(fset, []*analysis.Package{good}, suite, analysis.NewFactSet())
+	ds, err := analysis.Run(fset, good, []*analysis.Analyzer{analysis.Hotpath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,27 +38,6 @@ func TestFactMissingChangesVerdict(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("expected a cross-package finding about m5/hotdep.Fast with empty facts, got %v", ds)
-	}
-}
-
-// TestFactEncodeDeterministic pins byte-stable .vetx payloads: the
-// build cache keys on them, so two encodes of the same facts must be
-// identical.
-func TestFactEncodeDeterministic(t *testing.T) {
-	fset, dep, _ := loadHotCorpus(t)
-	suite := []*analysis.Analyzer{analysis.Hotpath}
-
-	factsA := analysis.NewFactSet()
-	if _, err := analysis.RunWithFacts(fset, []*analysis.Package{dep}, suite, factsA); err != nil {
-		t.Fatal(err)
-	}
-	one := factsA.Encode("m5/hotdep")
-	two := factsA.Encode("m5/hotdep")
-	if !bytes.Equal(one, two) {
-		t.Fatalf("Encode is not deterministic:\n%s\nvs\n%s", one, two)
-	}
-	if len(one) == 0 {
-		t.Fatal("Encode returned an empty payload for a package with annotated functions")
+		t.Fatalf("expected a cross-package finding about m5/hotdep.Fast without hotdep's fact, got %v", ds)
 	}
 }

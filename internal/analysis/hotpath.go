@@ -7,13 +7,6 @@ import (
 	"strings"
 )
 
-// HotpathFact is the set of //m5:hotpath-annotated functions a package
-// exports, keyed by FuncKey, so importers can validate cross-package
-// calls.
-type HotpathFact struct {
-	Funcs []string
-}
-
 // Hotpath enforces the zero-allocation contract on annotated functions:
 // a function marked //m5:hotpath (the TLB/translate, cache, DRAM,
 // tape-cursor, sketch, and obs update paths pinned by AllocsPerRun
@@ -62,13 +55,9 @@ func runHotpath(pass *Pass) error {
 			decls = append(decls, fd)
 		}
 	}
-	keys := make([]string, 0, len(local))
-	for k := range local {
-		keys = append(keys, k)
-	}
-	// Deterministic fact payloads keep vetx files and reports stable.
-	sortStrings(keys)
-	pass.ExportFact(HotpathFact{Funcs: keys})
+	// The package's fact is its set of annotated functions, keyed by
+	// funcKey, so importers can validate cross-package calls.
+	pass.ExportFact(local)
 
 	for _, fd := range decls {
 		if fd.Body == nil {
@@ -359,19 +348,15 @@ func (hc *hotpathChecker) callee(call *ast.CallExpr) {
 		}
 		return
 	}
-	key := FuncKey(fn)
+	key := funcKey(fn)
 	if fn.Pkg() == hc.pass.Pkg {
 		if !hc.local[key] {
 			hc.report(call.Pos(), "call to non-hotpath function %s from hotpath function; annotate it //m5:hotpath or mark this call //m5:coldpath", key)
 		}
 		return
 	}
-	var fact HotpathFact
-	hc.pass.ImportFact(path, &fact)
-	for _, k := range fact.Funcs {
-		if k == key {
-			return
-		}
+	if fact, _ := hc.pass.ImportFact(path).(map[string]bool); fact[key] {
+		return
 	}
 	hc.report(call.Pos(), "call to non-hotpath function %s.%s from hotpath function; annotate it //m5:hotpath or mark this call //m5:coldpath", path, key)
 }

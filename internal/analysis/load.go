@@ -109,7 +109,7 @@ func LoadModule(fset *token.FileSet, dir string, patterns ...string) ([]*Package
 		if m.Standard || m.ImportPath == "unsafe" {
 			continue
 		}
-		pkg, err := CheckPackage(fset, imp, m.ImportPath, m.Dir, m.GoFiles)
+		pkg, err := checkPackage(fset, imp, m.ImportPath, m.Dir, m.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -119,10 +119,9 @@ func LoadModule(fset *token.FileSet, dir string, patterns ...string) ([]*Package
 	return pkgs, nil
 }
 
-// CheckPackage parses and type-checks one package from source, with
-// imports satisfied by imp. The vet-tool driver uses it directly to
-// check a single compilation unit against prebuilt export data.
-func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
+// checkPackage parses and type-checks one package from source, with
+// imports satisfied by imp.
+func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

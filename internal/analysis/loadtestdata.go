@@ -80,7 +80,7 @@ func (l *testdataLoader) load(path string) (*Package, error) {
 		}
 		return l.std.Import(ip)
 	})
-	pkg, err := CheckPackage(l.fset, imp, path, dir, goFiles)
+	pkg, err := checkPackage(l.fset, imp, path, dir, goFiles)
 	l.loading = l.loading[:len(l.loading)-1]
 	if err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ import (
 // routed through a seam is half-plumbed — it silently keeps its zero
 // value on some path. Each seam declares itself with //m5:plumb <Type>
 // [ignore=F1,F2] in its doc comment; the analyzer compares the struct's
-// field set (from the defining package's exported fact) against the
-// fields the body actually mentions, and reports the difference in both
+// field set (from type information) against the fields the body
+// actually mentions, and reports the difference in both
 // directions: unrouted fields, and stale ignore entries.
 //
 // A second rule closes the harness seam without per-site annotations:
@@ -28,32 +28,11 @@ var Plumbing = &Analyzer{
 	Run:  runPlumbing,
 }
 
-// plumbWatched names the watched config structs per defining package.
-var plumbWatched = map[string][]string{
-	"m5/internal/experiments": {"Params"},
-	"m5/internal/sim":         {"Config", "SamplingConfig"},
-}
-
 // plumbHarnessPkg is the package-path prefix where every sim.Config
 // literal must be accompanied by an applySpeed call.
 const plumbHarnessPkg = "m5/internal/experiments"
 
-// PlumbFact records the watched structs' field names (sorted) as
-// exported by their defining package.
-type PlumbFact struct {
-	Structs map[string][]string
-}
-
 func runPlumbing(pass *Pass) error {
-	if names, ok := plumbWatched[pass.Pkg.Path()]; ok {
-		fact := PlumbFact{Structs: map[string][]string{}}
-		for _, name := range names {
-			if fields := structFields(pass.Pkg, name); fields != nil {
-				fact.Structs[name] = fields
-			}
-		}
-		pass.ExportFact(fact)
-	}
 	inHarness := pass.Pkg.Path() == plumbHarnessPkg || strings.HasPrefix(pass.Pkg.Path(), plumbHarnessPkg+"/")
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -153,8 +132,7 @@ func (p *Pass) checkPlumbSeam(fd *ast.FuncDecl, arg string) {
 
 // resolvePlumbType maps an annotation's type reference ("Params" or
 // "experiments.Params") to its defining package path, name, and field
-// list — from the defining package's fact when available (the vet-tool
-// path), else from type information.
+// list.
 func (p *Pass) resolvePlumbType(ref string) (pkgPath, name string, fields []string, ok bool) {
 	var defPkg *types.Package
 	if qual, n, found := strings.Cut(ref, "."); found {
@@ -172,15 +150,8 @@ func (p *Pass) resolvePlumbType(ref string) (pkgPath, name string, fields []stri
 		name = ref
 		defPkg = p.Pkg
 	}
-	pkgPath = defPkg.Path()
-	var fact PlumbFact
-	if p.ImportFact(pkgPath, &fact) {
-		if fs, present := fact.Structs[name]; present {
-			return pkgPath, name, fs, true
-		}
-	}
 	if fs := structFields(defPkg, name); fs != nil {
-		return pkgPath, name, fs, true
+		return defPkg.Path(), name, fs, true
 	}
 	return "", "", nil, false
 }

@@ -9,7 +9,7 @@ import (
 
 // Each corpus runs under the full suite, so a positive package proves
 // its analyzer fires and every negative package doubles as a
-// no-false-positives check for all eight analyzers at once.
+// no-false-positives check for all five analyzers at once.
 
 func TestDeterminismCorpus(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.All(),
@@ -32,13 +32,6 @@ func TestObsScopeCorpus(t *testing.T) {
 	)
 }
 
-func TestRegistryCorpus(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.All(),
-		"m5/regone",
-		"m5/regtwo",
-	)
-}
-
 func TestPlumbingCorpus(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.All(),
 		"m5/internal/experiments/plumbbad",
@@ -50,12 +43,5 @@ func TestLockdisciplineCorpus(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.All(),
 		"m5/internal/serve/lockbad",
 		"m5/internal/serve/lockgood",
-	)
-}
-
-func TestFloatconfineCorpus(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.All(),
-		"m5/internal/cache/floatbad",
-		"m5/internal/cache/floatgood",
 	)
 }

@@ -1,27 +1,13 @@
 // Package experiments is a corpus stub that stands in for the real
-// harness registry at its import path, so the registry analyzer watches
-// calls to Register. Its own code must stay clean: the import path is
-// also inside the determinism analyzer's scope.
+// experiments package at its import path, so the plumbing analyzer
+// resolves experiments.Params. Its own code must stay clean: the import
+// path is also inside the determinism analyzer's scope.
 package experiments
 
 // Params is the corpus stand-in for the sweep parameter block; the
-// plumbing analyzer watches it and exports its field set as a fact.
+// plumbing analyzer watches it.
 type Params struct {
 	Accesses int
 	Warmup   int
 	Seed     int64
-}
-
-// Harness is a registered experiment descriptor.
-type Harness struct {
-	Name  string
-	Title string
-	Run   func() error
-}
-
-var harnesses = map[string]Harness{}
-
-// Register adds a harness descriptor.
-func Register(h Harness) {
-	harnesses[h.Name] = h
 }

@@ -1,6 +1,6 @@
 // Package obs is a corpus stub that stands in for the real
 // observability plane at its import path, so the path-keyed obsscope
-// checks apply. One method below deliberately omits its nil guard.
+// name checks apply.
 package obs
 
 // Registry hands out metric handles.
@@ -43,11 +43,6 @@ func (r *Registry) Scope(name string) *Registry {
 
 // Counter counts events.
 type Counter struct{ n uint64 }
-
-// Inc is missing its nil guard on purpose.
-func (c *Counter) Inc() { // want "must begin with `if c == nil"
-	c.n++
-}
 
 // Add is properly guarded.
 func (c *Counter) Add(n uint64) {

@@ -120,3 +120,13 @@ func Classify(m map[string]interface{ Kind() int }) int {
 	}
 	return hot
 }
+
+// WeightedTotal folds float weights in visit order: float addition is
+// not associative, so each order rounds to a different total.
+func WeightedTotal(m map[string]int) float64 {
+	var s float64
+	for _, v := range m {
+		s += float64(v) * 0.1 // want "float accumulation into s inside map iteration"
+	}
+	return s
+}

@@ -120,3 +120,14 @@ func Totals(m map[string]int, scale func() int) int {
 	}
 	return total
 }
+
+// Scale folds integers into an outer total and floats only through
+// keyed writes, each of which one iteration owns.
+func Scale(m map[string]int, scaled map[string]float64) int {
+	total := 0
+	for k, v := range m {
+		total += v
+		scaled[k] += float64(v) * 0.5
+	}
+	return total
+}

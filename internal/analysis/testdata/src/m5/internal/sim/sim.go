@@ -1,8 +1,7 @@
 // Package sim is a corpus stub standing in for the real simulator
-// package at its import path, so the plumbing analyzer's watched-struct
-// table (sim.Config, sim.SamplingConfig) resolves and exports facts.
-// Its own code must stay clean: the path is inside the determinism and
-// floatconfine scopes.
+// package at its import path, so the plumbing analyzer resolves
+// sim.Config and sim.SamplingConfig. Its own code must stay clean: the
+// path is inside the determinism scope.
 package sim
 
 // Config is the corpus stand-in for the simulator's machine config.

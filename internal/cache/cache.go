@@ -630,7 +630,7 @@ func (h *Hierarchy) MPKI() float64 {
 	if h.accesses == 0 {
 		return 0
 	}
-	return float64(h.dramReads) / float64(h.accesses) * 1000 //m5:floatok report-side MPKI derivation from integer counters
+	return float64(h.dramReads) / float64(h.accesses) * 1000
 }
 
 // L1 returns the L1 level, a view for stats. Callers may Lookup through

@@ -16,8 +16,7 @@ import (
 // (bench_test.go) — can render, serialize, or stream without knowing
 // which figure it came from. The registry replaces the closed `runners`
 // map + hand-maintained `harnessOrder` list cmd/m5bench used to carry:
-// one registration site, enumerable by any frontend, guarded by the
-// m5lint registry analyzer like the policy and workload vocabularies.
+// one registration site, enumerable by any frontend.
 type Harness struct {
 	// Name keys the harness ("fig9", "ext-phase", ...).
 	Name string
@@ -75,9 +74,8 @@ var (
 
 // Register adds a harness to the registry. Like the policy and workload
 // registries it panics on empty or duplicate names: registration is
-// init-time wiring, not a runtime path, and the m5lint registry
-// analyzer checks the discipline (init-time, string-literal names,
-// collision-free) statically.
+// init-time wiring, so a collision fails every binary that links the
+// package, test binaries included, before main or any test runs.
 func Register(h Harness) {
 	if h.Name == "" || h.Run == nil {
 		panic("experiments: Register needs a name and a run function")

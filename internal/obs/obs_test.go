@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -25,6 +26,36 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Count(); got != 0 {
 		t.Fatalf("nil histogram count = %d, want 0", got)
+	}
+}
+
+// TestNilHandlesAreInert calls every exported method of every nil
+// handle type with zero-value arguments: nil means the plane is
+// disabled, so each call must return zero values without panicking.
+// Reflection reaches methods added later without editing this test.
+func TestNilHandlesAreInert(t *testing.T) {
+	for _, h := range []any{(*Registry)(nil), (*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*EventLog)(nil)} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := "(" + v.Type().String() + ")." + v.Type().Method(i).Name
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil handle panicked: %v", name, r)
+					}
+				}()
+				for _, out := range m.Call(args) {
+					if !out.IsZero() {
+						t.Errorf("%s on a nil handle returned %v, want the zero value", name, out)
+					}
+				}
+			}()
+		}
 	}
 }
 

@@ -75,6 +75,47 @@ func TestTreeHitReturnsSameCheckpoint(t *testing.T) {
 	}
 }
 
+// TestTreeKeySeparatesWarmState pins every Params field that shapes a
+// warmed machine into the checkpoint key: two requests whose Params
+// differ only in that field must each build their own warmup, and the
+// tree must record no hit. A key that dropped one would hand a query a
+// checkpoint warmed for another scale, seed or sampling geometry.
+func TestTreeKeySeparatesWarmState(t *testing.T) {
+	exact := treeParams(2_000)
+	sampled := exact
+	sampled.Sample, sampled.SampleWindow, sampled.SampleStride, sampled.TargetCI = true, 1_000, 4, 0.05
+	for _, tc := range []struct {
+		name   string
+		base   experiments.Params
+		differ func(*experiments.Params)
+	}{
+		{"Scale", exact, func(p *experiments.Params) { p.Scale = workload.ScaleSmall }},
+		{"Seed", exact, func(p *experiments.Params) { p.Seed = 2 }},
+		{"Sample", exact, func(p *experiments.Params) { p.Sample = true }},
+		{"SampleWindow", sampled, func(p *experiments.Params) { p.SampleWindow = 2_000 }},
+		{"SampleStride", sampled, func(p *experiments.Params) { p.SampleStride = 8 }},
+		{"TargetCI", sampled, func(p *experiments.Params) { p.TargetCI = 0.1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			other := tc.base
+			tc.differ(&other)
+			tree := NewTree(8)
+			key := experiments.WarmKey{Bench: "lib.", Kind: "bare"}
+			builds := 0
+			for _, p := range []experiments.Params{tc.base, other} {
+				build := buildBare(t, "lib.", p)
+				counted := func() (*sim.Runner, error) { builds++; return build() }
+				if _, err := tree.WarmCheckpoint(p, key, counted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := tree.Stats(); builds != 2 || st.Hits != 0 {
+				t.Fatalf("builds = %d, stats = %+v: want 2 builds and no hit", builds, st)
+			}
+		})
+	}
+}
+
 // TestTreePrefixExtendByteIdentity is the core serving guarantee: a
 // checkpoint produced by forking a shorter-prefix ancestor and running
 // the warmup delta is byte-identical to one warmed cold in a single run

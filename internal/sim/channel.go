@@ -31,7 +31,7 @@ type channel struct {
 // bandwidth. metrics may be nil.
 func newChannel(bandwidthGBs float64, metrics *obs.Registry) channel {
 	return channel{
-		servicePs:  64 * 1000 / bandwidthGBs, //m5:floatok setup-time service period from the config bandwidth
+		servicePs:  64 * 1000 / bandwidthGBs,
 		obsServes:  metrics.Counter("serves"),
 		obsQueued:  metrics.Counter("queued"),
 		obsDelayNs: metrics.Counter("queue_delay_ns"),
@@ -54,7 +54,7 @@ func (c *channel) serve(now uint64) uint64 {
 		c.served = 0
 	}
 	c.served++
-	c.nextFree = c.base + uint64(float64(c.served)*c.servicePs+0.5) //m5:floatok per-channel fixed-point recurrence over the integer served count, bit-stable for identical inputs
+	c.nextFree = c.base + uint64(float64(c.served)*c.servicePs+0.5)
 	c.obsServes.Inc()
 	if delayPs > 0 {
 		c.obsQueued.Inc()

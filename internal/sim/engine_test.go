@@ -462,7 +462,9 @@ func TestSampledSkipMatchesFallback(t *testing.T) {
 // batch once the machine is warm: the engine reuses its access buffer and
 // scratch trace record, and every layer below it (cache, TLB, nodes,
 // trackers, bandwidth queues) runs on preallocated state — on a lone core
-// and on a co-running one.
+// and on a co-running one. Each run pulls a fresh batch, so the measured
+// accesses miss the caches, read memory and update the tracker as the
+// stream does, rather than replaying one batch the caches hold.
 func TestRunBatchZeroAllocs(t *testing.T) {
 	wl := workload.MustNew("roms", workload.ScaleTiny, 1)
 	r, err := NewRunner(Config{
@@ -476,29 +478,27 @@ func TestRunBatchZeroAllocs(t *testing.T) {
 	r.Run(200_000) // fault in the arena and reach steady state
 
 	buf := make([]workload.Access, runnerBatch)
-	n := workload.NextBatch(r.gen, buf)
-	if n != runnerBatch {
-		t.Fatalf("NextBatch = %d, want %d", n, runnerBatch)
+	gate := func(name string, c *Runner) {
+		t.Helper()
+		reads := c.dramReads
+		allocs := testing.AllocsPerRun(50, func() {
+			if n := workload.NextBatch(c.gen, buf); n != runnerBatch {
+				t.Fatalf("NextBatch = %d, want %d", n, runnerBatch)
+			}
+			c.runBatch(buf)
+		})
+		if allocs != 0 {
+			t.Errorf("%s runBatch allocates %.1f objects per batch, want 0", name, allocs)
+		}
+		if c.dramReads == reads {
+			t.Errorf("%s batches never read memory; the gate must measure cache misses", name)
+		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		r.runBatch(buf[:n])
-	})
-	if allocs != 0 {
-		t.Errorf("runBatch allocates %.1f objects per batch, want 0", allocs)
-	}
+	gate("lone", r)
 
 	co, _ := buildCoRunner(t, coCase{bench: "roms", cores: 2, cfg: withContentionHPT, arm: armContentionM5}, nil)
 	co.Run(100_000)
-	core := co.cores[1]
-	if n = workload.NextBatch(core.gen, buf); n != runnerBatch {
-		t.Fatalf("NextBatch = %d, want %d", n, runnerBatch)
-	}
-	allocs = testing.AllocsPerRun(50, func() {
-		core.runBatch(buf[:n])
-	})
-	if allocs != 0 {
-		t.Errorf("co-running runBatch allocates %.1f objects per batch, want 0", allocs)
-	}
+	gate("co-running", co.cores[1])
 }
 
 // TestCheckpointForkDeterminism pins the warmup-sharing contract: a fork

@@ -30,8 +30,6 @@
 // fixed stride (systematic sampling). No RNG state is consulted, so two
 // runs of the same config and seed produce identical schedules, results,
 // and obs counters — the determinism tests pin this.
-//
-//m5:floatestimate this file IS the sampling-estimate layer: the Horvitz-Thompson estimator and the CLT error budget are float math by construction, and sampled-mode results are estimates, not byte-identity metrics
 package sim
 
 import (

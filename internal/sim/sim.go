@@ -246,7 +246,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("sim: the sampled tier models neither co-running cores nor bandwidth queues")
 	}
 	cfg.Sampling = cfg.Sampling.withDefaults()
-	ddrLimit := uint64(float64(totalPages) * cfg.DDRFraction) //m5:floatok setup-time DDR capacity sizing
+	ddrLimit := uint64(float64(totalPages) * cfg.DDRFraction)
 	if ddrLimit == 0 {
 		ddrLimit = 1
 	}
@@ -628,7 +628,7 @@ func (r *Runner) endSpan(span spanStart) Result {
 		}
 	}
 	if res.ElapsedNs > 0 {
-		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs) //m5:floatok report-side throughput derivation from integer counters
+		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs)
 	}
 	if r.metrics != nil {
 		// Gauges are point-in-time state, set once per span end so the
@@ -692,7 +692,7 @@ func (r Result) Speedup(baseline Result) float64 {
 	if r.ElapsedNs == 0 {
 		return 0
 	}
-	return float64(baseline.ElapsedNs) / float64(r.ElapsedNs) //m5:floatok report-side speedup ratio from integer clocks
+	return float64(baseline.ElapsedNs) / float64(r.ElapsedNs)
 }
 
 // CXLReadShare returns the fraction of DRAM reads served by CXL — the
@@ -702,5 +702,5 @@ func (r Result) CXLReadShare() float64 {
 	if tot == 0 {
 		return 0
 	}
-	return float64(r.DRAMReads[tiermem.NodeCXL]) / float64(tot) //m5:floatok report-side share derivation from integer counters
+	return float64(r.DRAMReads[tiermem.NodeCXL]) / float64(tot)
 }

@@ -49,10 +49,9 @@ func NewSpaceSaving(n int) *SpaceSaving {
 // unit adds. After the first occurrence the key is tracked, so the
 // remaining n-1 are plain increments on the same entry; a tracked key
 // gains n, a newcomer starts at n, and an evicting newcomer inherits
-// min+n with error=min — the sequential counts. One difference is left: a
-// newcomer admitted below capacity enters the heap at n, where unit adds
-// would sift it up at 1 and back down, so when several entries tie at the
-// minimum a later eviction can pick a different one of them.
+// min+n with error=min — the sequential counts. Each increment can only
+// sift the entry down, along a path its own count does not choose, so
+// one fix at the final count leaves the heap as n-1 unit fixes would.
 //
 //m5:hotpath
 func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
@@ -67,11 +66,16 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 		return e.count
 	}
 	if len(s.entries) < s.capacity {
+		// Push at 1, where the first unit add enters, then raise.
 		e := &s.pool[s.used]
-		*e = ssEntry{key: key, count: n, slot: int32(s.used)}
+		*e = ssEntry{key: key, count: 1, slot: int32(s.used)}
 		s.used++
 		s.entries.push(e)
 		s.index.put(key, e.slot)
+		if n > 1 {
+			e.count = n
+			s.entries.fix(e.pos)
+		}
 		return n
 	}
 	// Evict the minimum entry; the newcomer inherits min+n with error=min.

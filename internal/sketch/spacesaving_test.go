@@ -61,9 +61,11 @@ func (o *ssOracle) addN(key, n uint64) uint64 {
 		return e.count
 	}
 	if len(o.h) < o.capacity {
-		e := &oracleEntry{key: key, count: n}
+		e := &oracleEntry{key: key, count: 1}
 		heap.Push(&o.h, e)
 		o.index[key] = e
+		e.count = n
+		heap.Fix(&o.h, e.pos)
 		return n
 	}
 	min := o.h[0]
@@ -113,6 +115,54 @@ func TestSpaceSavingMatchesHeapOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSpaceSavingAddNMatchesUnitAdds pins AddN(k, n) to n unit adds: the
+// same heap layout, counts and errors, so a later eviction among entries
+// tied at the minimum drops the same key. In the first case, with keys 1
+// and 2 tied at 2, pushing key 3 at count 3 leaves key 2 at the root,
+// where three unit adds leave key 1, so key 5 would evict a different
+// key.
+func TestSpaceSavingAddNMatchesUnitAdds(t *testing.T) {
+	type op struct{ key, n uint64 }
+	check := func(t *testing.T, capacity int, ops []op) {
+		t.Helper()
+		weighted, unit := NewSpaceSaving(capacity), NewSpaceSaving(capacity)
+		for i, o := range ops {
+			if o.n == 0 {
+				weighted.Reset()
+				unit.Reset()
+				continue
+			}
+			weighted.AddN(o.key, o.n)
+			for j := uint64(0); j < o.n; j++ {
+				unit.AddN(o.key, 1)
+			}
+			for h, e := range weighted.entries {
+				u := unit.entries[h]
+				if e.key != u.key || e.count != u.count || e.err != u.err {
+					t.Fatalf("after op %d %v: heap[%d] = {%d %d err %d}, unit adds {%d %d err %d}",
+						i, ops[:i+1], h, e.key, e.count, e.err, u.key, u.count, u.err)
+				}
+			}
+			if len(weighted.entries) != len(unit.entries) {
+				t.Fatalf("after op %d: %d tracked, unit adds %d", i, len(weighted.entries), len(unit.entries))
+			}
+		}
+	}
+	check(t, 3, []op{{1, 1}, {1, 1}, {2, 1}, {2, 1}, {3, 3}, {5, 1}})
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		ops := make([]op, 1+rng.Intn(24))
+		for i := range ops {
+			if rng.Intn(16) == 0 {
+				continue // {0, 0} resets both counters
+			}
+			ops[i] = op{key: uint64(rng.Intn(10)), n: uint64(1 + rng.Intn(4))}
+		}
+		check(t, 1+rng.Intn(6), ops)
 	}
 }
 

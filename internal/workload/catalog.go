@@ -68,8 +68,8 @@ type Builder func(scale Scale, seed int64) (Generator, error)
 
 // builders is the name-keyed catalog. Entries are added by Register from
 // init funcs in the file that owns each generator, so the vocabulary is
-// complete before any flag parsing; the registry analyzer (m5lint)
-// verifies the discipline statically across packages.
+// complete before any flag parsing; TestCatalogRegisteredCoversNames
+// pins it.
 var builders = map[string]Builder{}
 
 // Register adds a benchmark under a catalog name. Aliases register the
