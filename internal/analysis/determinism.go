@@ -270,6 +270,11 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 		switch s := s.(type) {
 		case nil:
 		case *ast.AssignStmt:
+			// Every right-hand side runs its calls in map order,
+			// folded (n += f(k)) or not (v := f(k)).
+			for _, rhs := range s.Rhs {
+				checkCallsIn(s, rhs)
+			}
 			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
 				// Compound assignment: a commutative fold, unless it
 				// folds floats into an outer variable. Keyed writes
@@ -285,9 +290,6 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, sortedAfter func(types.Ob
 					pass.Reportf(s.Pos(), "float accumulation into %s inside map iteration rounds differently in each visit order; sort the keys first or annotate //m5:orderinvariant", types.ExprString(lhs))
 				}
 				return
-			}
-			for _, rhs := range s.Rhs {
-				checkCallsIn(s, rhs)
 			}
 			for i, lhs := range s.Lhs {
 				var rhs ast.Expr

@@ -130,3 +130,14 @@ func WeightedTotal(m map[string]int) float64 {
 	}
 	return s
 }
+
+// Tally folds a per-key cost into a total and a keyed table: addition
+// commutes, but a stateful cost function sees the keys in visit order.
+func Tally(m map[string]int, cost func(string) int) (int, map[string]int) {
+	n, per := 0, map[string]int{}
+	for k := range m {
+		n += cost(k)      // want "map iteration order escapes through call arguments"
+		per[k] += cost(k) // want "map iteration order escapes through call arguments"
+	}
+	return n, per
+}

@@ -16,16 +16,18 @@ type Entry struct {
 // flow: on tag hit, overwrite the entry's count with the sketch estimate;
 // on miss, replace the minimum entry iff the new count exceeds it.
 //
-// The implementation keeps entries in a slice plus a tag index; K is small
-// (the paper uses K=5 for the design-space exploration and up to 128K pages
-// only for the PAC-based ratio measurement, where a CAM is not used), so
-// operations favour clarity over asymptotics while staying O(log K) or
-// better on the hot path.
+// Entries sit in a slice with an Index from tag to position, and the
+// position of the minimum entry is cached, so an observation costs one
+// tag probe and at most one compare, as the hardware's does. The cache
+// survives every hit that leaves the minimum where it is or moves it to
+// the hit entry; only a rise of the minimum entry's own count, a
+// replacement of it, an append or a bulk change (Decay, Restore, Reset)
+// drops it, and the next miss at capacity rescans the K entries.
 type Sorted struct {
 	k       int
 	entries []Entry
-	index   map[uint64]int // tag -> slice position
-	minPos  int            // position of the minimum-count entry
+	index   Index // tag -> slice position
+	minPos  int   // lowest position among the minimum-count entries
 	minOK   bool
 }
 
@@ -37,7 +39,7 @@ func NewSorted(k int) *Sorted {
 	return &Sorted{
 		k:       k,
 		entries: make([]Entry, 0, k),
-		index:   make(map[uint64]int, k),
+		index:   NewIndex(k),
 	}
 }
 
@@ -47,36 +49,64 @@ func (c *Sorted) K() int { return c.k }
 // Len returns the number of occupied entries.
 func (c *Sorted) Len() int { return len(c.entries) }
 
-// Update applies one (addr, count) observation. It returns true when the
-// address is resident in the CAM after the update.
+// Update applies one (addr, count) observation and reports whether the
+// address is resident in the CAM after it. A resident address takes the
+// new count (step 4). Any other address is admitted iff count exceeds
+// Min (steps 5 and 6): a CAM below capacity takes any nonzero count, and
+// a full one replaces its minimum entry.
+//
+//m5:hotpath
 func (c *Sorted) Update(addr, count uint64) bool {
-	if pos, ok := c.index[addr]; ok {
-		// Hit: update the count field with the sketch estimate (step 4).
-		c.entries[pos].Count = count
-		c.minOK = false
+	if pos, ok := c.index.Get(addr); ok {
+		c.setCount(int(pos), count)
 		return true
 	}
 	if len(c.entries) < c.k {
+		if count == 0 {
+			return false
+		}
 		c.entries = append(c.entries, Entry{Addr: addr, Count: count})
-		c.index[addr] = len(c.entries) - 1
+		c.index.Put(addr, int32(len(c.entries)-1))
 		c.minOK = false
 		return true
 	}
-	// Miss with a full CAM: compare against the table minimum (step 5);
-	// replace the minimum entry when strictly larger (step 6).
 	min := c.min()
 	if count <= c.entries[min].Count {
 		return false
 	}
-	delete(c.index, c.entries[min].Addr)
+	c.index.Delete(c.entries[min].Addr)
 	c.entries[min] = Entry{Addr: addr, Count: count}
-	c.index[addr] = min
+	c.index.Put(addr, int32(min))
 	c.minOK = false
 	return true
 }
 
-// Min returns the minimum count currently stored, or 0 when empty. A CAM
-// that is not yet full reports 0, so any new address is admitted.
+// setCount overwrites entry p's count and keeps a valid cached minimum m
+// valid: a count that falls below m's, or ties it at a lower position,
+// takes the minimum; a rise of m's own count drops the cache; any other
+// change leaves m the minimum.
+//
+//m5:hotpath
+func (c *Sorted) setCount(p int, count uint64) {
+	old := c.entries[p].Count
+	c.entries[p].Count = count
+	if !c.minOK {
+		return
+	}
+	switch m := c.minPos; {
+	case p == m:
+		c.minOK = count <= old
+	case count < old:
+		if mc := c.entries[m].Count; count < mc || count == mc && p < m {
+			c.minPos = p
+		}
+	}
+}
+
+// Min returns the minimum count currently stored, the bar Update holds a
+// new address to. A CAM that is not yet full reports 0, so any nonzero
+// count is admitted. Min and Contains are observers for tests: the
+// tracker leaves both decisions to Update.
 func (c *Sorted) Min() uint64 {
 	if len(c.entries) < c.k {
 		return 0
@@ -84,6 +114,9 @@ func (c *Sorted) Min() uint64 {
 	return c.entries[c.min()].Count
 }
 
+// min returns the cached minimum position, rescanning when it is stale.
+//
+//m5:hotpath
 func (c *Sorted) min() int {
 	if c.minOK {
 		return c.minPos
@@ -100,7 +133,7 @@ func (c *Sorted) min() int {
 
 // Contains reports whether the address is resident.
 func (c *Sorted) Contains(addr uint64) bool {
-	_, ok := c.index[addr]
+	_, ok := c.index.Get(addr)
 	return ok
 }
 
@@ -145,40 +178,35 @@ func (c *Sorted) Snapshot() Snapshot {
 // next probe — both deterministic functions of the entries.
 func (c *Sorted) Restore(s Snapshot) {
 	c.entries = append(c.entries[:0], s.entries...)
-	for k := range c.index {
-		delete(c.index, k)
-	}
-	for i, e := range c.entries {
-		c.index[e.Addr] = i
-	}
-	c.minOK = false
+	c.reindex()
 }
 
 // Decay halves every resident count (entries reaching zero are evicted),
 // the aging alternative to Reset.
 func (c *Sorted) Decay() {
 	kept := c.entries[:0]
-	for k := range c.index {
-		delete(c.index, k)
-	}
 	for _, e := range c.entries {
-		e.Count /= 2
-		if e.Count == 0 {
-			continue
+		if e.Count /= 2; e.Count != 0 {
+			kept = append(kept, e)
 		}
-		c.index[e.Addr] = len(kept)
-		kept = append(kept, e)
 	}
 	c.entries = kept
-	c.minOK = false
+	c.reindex()
 }
 
 // Reset clears the CAM for the next epoch, as done immediately after a
 // query is served (§5.1).
 func (c *Sorted) Reset() {
 	c.entries = c.entries[:0]
-	for k := range c.index {
-		delete(c.index, k)
+	c.reindex()
+}
+
+// reindex rebuilds the tag index from the entries and drops the cached
+// minimum.
+func (c *Sorted) reindex() {
+	c.index.Reset()
+	for i, e := range c.entries {
+		c.index.Put(e.Addr, int32(i))
 	}
 	c.minOK = false
 }

@@ -1,7 +1,9 @@
 package cam
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -186,5 +188,222 @@ func TestDecay(t *testing.T) {
 	// Index stays consistent: updating a survivor hits it.
 	if !c.Update(3, 9) || c.Len() != 2 {
 		t.Error("post-decay update should hit the surviving entry")
+	}
+}
+
+// scanCAM is the sorted CAM before its minimum was kept incrementally: a
+// Go map for the tag index, and a minimum cleared on every update and
+// found again by scanning all K entries. Its update applies the guard the
+// tracker used to put in front of Update (resident, or count above Min).
+// Sorted must reproduce it step for step.
+type scanCAM struct {
+	k       int
+	entries []Entry
+	index   map[uint64]int
+	minPos  int
+	minOK   bool
+}
+
+func newScanCAM(k int) *scanCAM { return &scanCAM{k: k, index: map[uint64]int{}} }
+
+func (o *scanCAM) update(addr, count uint64) bool {
+	if _, ok := o.index[addr]; !ok && count <= o.Min() {
+		return false // the tracker's guard
+	}
+	if pos, ok := o.index[addr]; ok {
+		o.entries[pos].Count = count
+		o.minOK = false
+		return true
+	}
+	if len(o.entries) < o.k {
+		o.entries = append(o.entries, Entry{Addr: addr, Count: count})
+		o.index[addr] = len(o.entries) - 1
+		o.minOK = false
+		return true
+	}
+	min := o.min()
+	if count <= o.entries[min].Count {
+		return false
+	}
+	delete(o.index, o.entries[min].Addr)
+	o.entries[min] = Entry{Addr: addr, Count: count}
+	o.index[addr] = min
+	o.minOK = false
+	return true
+}
+
+func (o *scanCAM) Min() uint64 {
+	if len(o.entries) < o.k {
+		return 0
+	}
+	return o.entries[o.min()].Count
+}
+
+func (o *scanCAM) min() int {
+	if o.minOK {
+		return o.minPos
+	}
+	pos := 0
+	for i := 1; i < len(o.entries); i++ {
+		if o.entries[i].Count < o.entries[pos].Count {
+			pos = i
+		}
+	}
+	o.minPos, o.minOK = pos, true
+	return pos
+}
+
+func (o *scanCAM) topK() []Entry {
+	out := append([]Entry{}, o.entries...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Addr < out[j].Addr
+	})
+	return out
+}
+
+func (o *scanCAM) reindex() {
+	o.index = map[uint64]int{}
+	for i, e := range o.entries {
+		o.index[e.Addr] = i
+	}
+	o.minOK = false
+}
+
+func (o *scanCAM) decay() {
+	var kept []Entry
+	for _, e := range o.entries {
+		if e.Count /= 2; e.Count != 0 {
+			kept = append(kept, e)
+		}
+	}
+	o.entries = kept
+	o.reindex()
+}
+
+// TestSortedMatchesScanCAM drives Sorted and scanCAM with the same seeded
+// streams and compares Update's return, Contains, Min, Len and TopK after
+// every step. Each stream mixes counts that rise (a sketch estimate),
+// fall (Sticky Sampling's pruning), drop to zero (which a CAM below
+// capacity must refuse), tie the current minimum or a resident entry, or
+// take a small random value, over a key space three times K, so ties at
+// the minimum, hits on the minimum entry and evictions happen throughout.
+// Reset, Decay and Snapshot → Restore are mixed in.
+func TestSortedMatchesScanCAM(t *testing.T) {
+	for _, k := range []int{1, 2, 5, 64, 128} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("K%d/seed%d", k, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				c, o := NewSorted(k), newScanCAM(k)
+				est := map[uint64]uint64{}
+				var snap Snapshot
+				var snapEntries []Entry
+				for step := 0; step < 6000; step++ {
+					switch r := rng.Intn(1000); {
+					case r == 0:
+						c.Reset()
+						o.entries = o.entries[:0]
+						o.reindex()
+						clear(est)
+					case r < 4:
+						c.Decay()
+						o.decay()
+					case r < 7:
+						snap, snapEntries = c.Snapshot(), append([]Entry(nil), o.entries...)
+					case r < 10 && snapEntries != nil:
+						c.Restore(snap)
+						o.entries = append(o.entries[:0], snapEntries...)
+						o.reindex()
+					}
+					key := uint64(rng.Intn(3*k + 1))
+					var count uint64
+					switch rng.Intn(6) {
+					case 0, 1:
+						est[key] += uint64(rng.Intn(3))
+						count = est[key]
+					case 2:
+						est[key] -= min(est[key], uint64(rng.Intn(3)))
+						count = est[key]
+					case 3:
+						count = 0
+					case 4:
+						count = o.Min()
+						if len(o.entries) > 0 && rng.Intn(2) == 0 {
+							count = o.entries[rng.Intn(len(o.entries))].Count
+						}
+					default:
+						count = uint64(rng.Intn(6))
+					}
+					got, want := c.Update(key, count), o.update(key, count)
+					if got != want {
+						t.Fatalf("step %d: Update(%d, %d) = %v, scan CAM %v", step, key, count, got, want)
+					}
+					probe := uint64(rng.Intn(3*k + 1))
+					_, inO := o.index[probe]
+					if c.Contains(key) != want || c.Contains(probe) != inO {
+						t.Fatalf("step %d: Contains(%d) = %v, Contains(%d) = %v; scan CAM %v, %v",
+							step, key, c.Contains(key), probe, c.Contains(probe), want, inO)
+					}
+					if c.Min() != o.Min() || c.Len() != len(o.entries) {
+						t.Fatalf("step %d: Min %d Len %d, scan CAM Min %d Len %d", step, c.Min(), c.Len(), o.Min(), len(o.entries))
+					}
+					if got, want := c.TopK(), o.topK(); !slices.Equal(got, want) {
+						t.Fatalf("step %d: TopK %v, scan CAM %v", step, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestIndexMatchesMap drives an Index through puts and deletes over a key
+// space larger than its capacity, in a table small enough that probe
+// chains wrap past its end, and checks every key against a Go map after
+// each operation. At the end, Reset and a DropRun of every key held must
+// each leave the index empty.
+func TestIndexMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const capacity, keys = 8, 40
+		x, want := NewIndex(capacity), map[uint64]int32{}
+		for step := 0; step < 20000; step++ {
+			key := uint64(rng.Intn(keys)) << uint(rng.Intn(3)*20)
+			if _, ok := want[key]; ok {
+				x.Delete(key)
+				delete(want, key)
+			} else if len(want) < capacity {
+				slot := int32(rng.Intn(capacity))
+				x.Put(key, slot)
+				want[key] = slot
+			} else {
+				x.Delete(key) // absent: a no-op
+			}
+			for k := uint64(0); k < keys; k++ {
+				for shift := uint(0); shift <= 40; shift += 20 {
+					slot, ok := x.Get(k << shift)
+					if w, wok := want[k<<shift]; ok != wok || slot != w {
+						t.Fatalf("seed %d step %d: Get(%d) = %d, %v; want %d, %v", seed, step, k<<shift, slot, ok, w, wok)
+					}
+				}
+			}
+		}
+		y := NewIndex(capacity)
+		y.cells = slices.Clone(x.cells)
+		x.Reset()
+		for k := range want {
+			y.DropRun(k)
+		}
+		for i, c := range y.cells {
+			if c.used {
+				t.Fatalf("seed %d: cell %d holds key %d after DropRun of every key", seed, i, c.tag)
+			}
+		}
+		for k := range want {
+			if _, ok := x.Get(k); ok {
+				t.Fatalf("seed %d: key %d survives Reset", seed, k)
+			}
+		}
 	}
 }

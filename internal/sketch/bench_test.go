@@ -20,8 +20,8 @@ func testAddNZeroAllocs(t *testing.T, n uint64) {
 		c    Counter
 	}{
 		{"Exact", NewExact()},
-		{"CountMin", NewCountMin(4, 1024)},
-		{"CountMinConservative", NewCountMin(4, 1024, WithConservativeUpdate())},
+		{"CountMin", NewCountMin(1024)},
+		{"CountMinConservative", NewCountMin(1024, WithConservativeUpdate())},
 		{"SpaceSaving", NewSpaceSaving(256)},
 		{"StickySampling", NewStickySampling(256, 1)},
 	}
@@ -73,9 +73,9 @@ func benchmarkAdd(b *testing.B, c Counter) {
 }
 
 func BenchmarkExactAdd(b *testing.B)    { benchmarkAdd(b, NewExact()) }
-func BenchmarkCountMinAdd(b *testing.B) { benchmarkAdd(b, NewCountMin(4, 1024)) }
+func BenchmarkCountMinAdd(b *testing.B) { benchmarkAdd(b, NewCountMin(1024)) }
 func BenchmarkCountMinConservativeAdd(b *testing.B) {
-	benchmarkAdd(b, NewCountMin(4, 1024, WithConservativeUpdate()))
+	benchmarkAdd(b, NewCountMin(1024, WithConservativeUpdate()))
 }
 func BenchmarkSpaceSavingAdd(b *testing.B)    { benchmarkAdd(b, NewSpaceSaving(256)) }
 func BenchmarkStickySamplingAdd(b *testing.B) { benchmarkAdd(b, NewStickySampling(256, 1)) }

@@ -9,7 +9,7 @@ import (
 // ExampleCountMin demonstrates the CM-Sketch guarantee the trackers rely
 // on: estimates never undercount, and collisions only inflate.
 func ExampleCountMin() {
-	cm := sketch.NewCountMin(4, 1024)
+	cm := sketch.NewCountMin(1024)
 	for i := 0; i < 500; i++ {
 		cm.AddN(0xABC, 1)
 	}

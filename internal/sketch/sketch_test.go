@@ -30,7 +30,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 	// The defining CM-Sketch property: estimate >= true count.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cm := NewCountMin(4, 64)
+		cm := NewCountMin(64)
 		truth := map[uint64]uint64{}
 		for i := 0; i < 5000; i++ {
 			k := rng.Uint64() % 200
@@ -52,7 +52,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 func TestCountMinConservativeNeverUnderestimates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cm := NewCountMin(4, 64, WithConservativeUpdate())
+		cm := NewCountMin(64, WithConservativeUpdate())
 		truth := map[uint64]uint64{}
 		for i := 0; i < 5000; i++ {
 			k := rng.Uint64() % 200
@@ -74,7 +74,7 @@ func TestCountMinConservativeNeverUnderestimates(t *testing.T) {
 func TestCountMinExactWhenNoCollisions(t *testing.T) {
 	// With far more columns than keys, collisions are unlikely; estimates
 	// should then equal true counts for a handful of keys.
-	cm := NewCountMin(4, 1<<16)
+	cm := NewCountMin(1 << 16)
 	for i := 0; i < 100; i++ {
 		for j := uint64(0); j < 5; j++ {
 			cm.AddN(j, 1)
@@ -89,8 +89,8 @@ func TestCountMinExactWhenNoCollisions(t *testing.T) {
 
 func TestCountMinConservativeAtLeastAsAccurate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	plain := NewCountMin(4, 128)
-	cons := NewCountMin(4, 128, WithConservativeUpdate())
+	plain := NewCountMin(128)
+	cons := NewCountMin(128, WithConservativeUpdate())
 	truth := map[uint64]uint64{}
 	for i := 0; i < 50000; i++ {
 		k := uint64(rng.Intn(2000))
@@ -109,7 +109,7 @@ func TestCountMinConservativeAtLeastAsAccurate(t *testing.T) {
 }
 
 func TestCountMinAddReturnsEstimate(t *testing.T) {
-	cm := NewCountMin(2, 8)
+	cm := NewCountMin(8)
 	got := cm.AddN(42, 1)
 	if got != cm.Estimate(42) {
 		t.Errorf("AddN returned %d, Estimate = %d", got, cm.Estimate(42))
@@ -117,7 +117,7 @@ func TestCountMinAddReturnsEstimate(t *testing.T) {
 }
 
 func TestCountMinResetAndShape(t *testing.T) {
-	cm := NewCountMin(4, 16)
+	cm := NewCountMin(16)
 	cm.AddN(1, 1)
 	cm.Reset()
 	if cm.Estimate(1) != 0 {
@@ -126,18 +126,15 @@ func TestCountMinResetAndShape(t *testing.T) {
 	if cm.Entries() != 64 {
 		t.Errorf("Entries = %d, want 64", cm.Entries())
 	}
-	if r, w := cm.Shape(); r != 4 || w != 16 {
-		t.Errorf("Shape = %d,%d", r, w)
-	}
 }
 
 func TestCountMinPanicsOnBadShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for zero rows")
+			t.Error("expected panic for zero width")
 		}
 	}()
-	NewCountMin(0, 8)
+	NewCountMin(0)
 }
 
 func TestSpaceSavingExactUnderCapacity(t *testing.T) {
@@ -319,7 +316,7 @@ func TestStickySamplingReset(t *testing.T) {
 func TestCounterInterfaceCompliance(t *testing.T) {
 	counters := []Counter{
 		NewExact(),
-		NewCountMin(4, 64),
+		NewCountMin(64),
 		NewSpaceSaving(16),
 		NewStickySampling(16, 1),
 	}
@@ -345,7 +342,7 @@ func TestSortKeyCounts(t *testing.T) {
 }
 
 func TestCountMinDecay(t *testing.T) {
-	cm := NewCountMin(4, 64)
+	cm := NewCountMin(64)
 	for i := 0; i < 10; i++ {
 		cm.AddN(7, 1)
 	}

@@ -120,19 +120,20 @@ func (s *SpaceSaving) Snapshot() CounterSnapshot {
 }
 
 // Restore rewinds the counter to a snapshot taken from a same-capacity
-// instance. The index is rebuilt from the live entries; tombstone layout is
-// internal probe-path state and does not affect lookups.
+// instance. The index is rebuilt from the live entries; its cell layout
+// is internal probe-path state and does not affect lookups.
 func (s *SpaceSaving) Restore(cs CounterSnapshot) {
 	snap := cs.(spaceSavingSnapshot)
 	copy(s.pool, snap.pool)
 	s.entries = s.entries[:0]
+	s.index.Reset()
 	for i, slot := range snap.order {
 		e := &s.pool[slot]
 		e.pos = i
 		s.entries = append(s.entries, e)
+		s.index.Put(e.key, e.slot)
 	}
 	s.used = snap.used
-	s.rebuildIndex()
 }
 
 // SnapshotCounter captures the state of any built-in counter type;

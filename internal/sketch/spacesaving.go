@@ -1,6 +1,10 @@
 package sketch
 
-import "slices"
+import (
+	"slices"
+
+	"m5/internal/cam"
+)
 
 // SpaceSaving is the counter-based top-K algorithm of Metwally et al.,
 // the Mithril-style alternative the paper compares against (§5.1, §7.1).
@@ -12,15 +16,15 @@ import "slices"
 // Table 4 limits N to 50 (FPGA) / 2K (7nm ASIC) at 400MHz.
 //
 // Entries live in a fixed arena allocated at construction, and the
-// key→entry lookup is a fixed-capacity open-addressed index with
-// tombstone deletion, so the AddN path performs zero allocations even
-// under steady-state eviction churn (one delete + one insert per miss).
+// key→entry lookup is the CAM's fixed-capacity tag index (cam.Index), so
+// the AddN path performs zero allocations even under steady-state
+// eviction churn (one delete + one insert per miss).
 type SpaceSaving struct {
 	capacity int
 	pool     []ssEntry // fixed arena; heap entries point into it
 	entries  ssHeap
-	index    ssIndex
-	used     int // pool slots handed out
+	index    cam.Index // key -> pool slot
+	used     int       // pool slots handed out
 }
 
 type ssEntry struct {
@@ -40,8 +44,8 @@ func NewSpaceSaving(n int) *SpaceSaving {
 		capacity: n,
 		pool:     make([]ssEntry, n),
 		entries:  make(ssHeap, 0, n),
+		index:    cam.NewIndex(n),
 	}
-	s.index.init(n)
 	return s
 }
 
@@ -59,7 +63,7 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 		//m5:coldpath degenerate zero-weight add: a pure query.
 		return s.Estimate(key)
 	}
-	if slot, ok := s.index.get(key); ok {
+	if slot, ok := s.index.Get(key); ok {
 		e := &s.pool[slot]
 		e.count += n
 		s.entries.fix(e.pos)
@@ -71,7 +75,7 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 		*e = ssEntry{key: key, count: 1, slot: int32(s.used)}
 		s.used++
 		s.entries.push(e)
-		s.index.put(key, e.slot)
+		s.index.Put(key, e.slot)
 		if n > 1 {
 			e.count = n
 			s.entries.fix(e.pos)
@@ -80,31 +84,19 @@ func (s *SpaceSaving) AddN(key uint64, n uint64) uint64 {
 	}
 	// Evict the minimum entry; the newcomer inherits min+n with error=min.
 	min := s.entries[0]
-	s.index.del(min.key)
+	s.index.Delete(min.key)
 	min.err = min.count
 	min.count += n
 	min.key = key
-	s.index.put(key, min.slot)
-	if s.index.tombs > len(s.index.keys)/4 {
-		//m5:coldpath amortized tombstone compaction.
-		s.rebuildIndex()
-	}
+	s.index.Put(key, min.slot)
 	s.entries.fix(0)
 	return min.count
-}
-
-// rebuildIndex clears tombstones by reinserting every live entry.
-func (s *SpaceSaving) rebuildIndex() {
-	s.index.reset()
-	for _, e := range s.entries {
-		s.index.put(e.key, e.slot)
-	}
 }
 
 // Estimate implements Counter. Keys not tracked estimate to 0, matching the
 // CAM-miss behaviour of the hardware variant.
 func (s *SpaceSaving) Estimate(key uint64) uint64 {
-	if slot, ok := s.index.get(key); ok {
+	if slot, ok := s.index.Get(key); ok {
 		return s.pool[slot].count
 	}
 	return 0
@@ -113,16 +105,20 @@ func (s *SpaceSaving) Estimate(key uint64) uint64 {
 // Error returns the overestimation error recorded for a tracked key, and
 // whether the key is currently tracked.
 func (s *SpaceSaving) Error(key uint64) (uint64, bool) {
-	if slot, ok := s.index.get(key); ok {
+	if slot, ok := s.index.Get(key); ok {
 		return s.pool[slot].err, true
 	}
 	return 0, false
 }
 
-// Reset implements Counter.
+// Reset implements Counter. It empties the index through the tracked
+// keys, so an epoch that tracked few keys resets cheaply however large N
+// is.
 func (s *SpaceSaving) Reset() {
+	for _, e := range s.pool[:s.used] {
+		s.index.DropRun(e.key)
+	}
 	s.entries = s.entries[:0]
-	s.index.reset()
 	s.used = 0
 }
 
@@ -280,83 +276,4 @@ func (h ssHeap) down(i0 int) bool {
 		i = j
 	}
 	return i > i0
-}
-
-// ssIndex is a fixed-capacity open-addressed key→pool-slot index with
-// tombstone deletion (the CAM lookup port of the hardware variant). Live
-// keys never exceed the Space-Saving capacity; the table is sized 4× so
-// probe chains stay short even with a tombstone budget outstanding.
-type ssIndex struct {
-	keys  []uint64
-	slots []int32
-	state []uint8 // ssEmpty, ssUsed or ssTomb
-	mask  uint64
-	tombs int
-}
-
-const (
-	ssEmpty uint8 = iota
-	ssUsed
-	ssTomb
-)
-
-func (x *ssIndex) init(capacity int) {
-	size := 16
-	for size < capacity*4 {
-		size *= 2
-	}
-	x.keys = make([]uint64, size)
-	x.slots = make([]int32, size)
-	x.state = make([]uint8, size)
-	x.mask = uint64(size - 1)
-	x.tombs = 0
-}
-
-//m5:hotpath
-func (x *ssIndex) get(key uint64) (int32, bool) {
-	i := splitmix64(key) & x.mask
-	for x.state[i] != ssEmpty {
-		if x.state[i] == ssUsed && x.keys[i] == key {
-			return x.slots[i], true
-		}
-		i = (i + 1) & x.mask
-	}
-	return 0, false
-}
-
-// put inserts a key known to be absent, reusing the first tombstone or
-// empty slot on its probe path.
-//
-//m5:hotpath
-func (x *ssIndex) put(key uint64, slot int32) {
-	i := splitmix64(key) & x.mask
-	for x.state[i] == ssUsed {
-		i = (i + 1) & x.mask
-	}
-	if x.state[i] == ssTomb {
-		x.tombs--
-	}
-	x.state[i] = ssUsed
-	x.keys[i] = key
-	x.slots[i] = slot
-}
-
-//m5:hotpath
-func (x *ssIndex) del(key uint64) {
-	i := splitmix64(key) & x.mask
-	for x.state[i] != ssEmpty {
-		if x.state[i] == ssUsed && x.keys[i] == key {
-			x.state[i] = ssTomb
-			x.tombs++
-			return
-		}
-		i = (i + 1) & x.mask
-	}
-}
-
-func (x *ssIndex) reset() {
-	for i := range x.state {
-		x.state[i] = ssEmpty
-	}
-	x.tombs = 0
 }

@@ -125,12 +125,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-const (
-	// cmRows is H for CM-Sketch (per Table 4).
-	cmRows = 4
-	// stickySeed seeds Sticky Sampling's admission RNG.
-	stickySeed = 0
-)
+// stickySeed seeds Sticky Sampling's admission RNG.
+const stickySeed = 0
 
 // Tracker is one HPT or HWT instance. It implements trace.Sink.
 type Tracker struct {
@@ -146,21 +142,18 @@ type Tracker struct {
 }
 
 // New builds a tracker from the config, applying defaults (K=5, N=32K)
-// for zero fields; a CM-Sketch has cmRows rows.
+// for zero fields; a CM-Sketch has sketch.CountMinRows rows.
 func New(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{cfg: cfg}
 	switch cfg.Algorithm {
 	case CMSketch, ConservativeCMSketch:
-		cols := cfg.Entries / cmRows
-		if cols < 1 {
-			cols = 1
-		}
+		cols := max(cfg.Entries/sketch.CountMinRows, 1)
 		var opts []sketch.CountMinOption
 		if cfg.Algorithm == ConservativeCMSketch {
 			opts = append(opts, sketch.WithConservativeUpdate())
 		}
-		t.counter = sketch.NewCountMin(cmRows, cols, opts...)
+		t.counter = sketch.NewCountMin(cols, opts...)
 		t.topk = cam.NewSorted(cfg.K)
 	case SpaceSaving:
 		ss := sketch.NewSpaceSaving(cfg.Entries)
@@ -197,12 +190,15 @@ func (t *Tracker) ObserveN(a trace.Access, n uint64) {
 }
 
 // ObserveKeyN records n occurrences of a pre-mapped key. CM-Sketch and
-// Space-Saving absorb the weight in one AddN; the CAM update folds to a
-// single call because the estimate on one key only grows across the n
-// occurrences, so the final admission decision and count match the
-// sequential outcome. Sticky Sampling's estimate can fall mid-run (a
-// rescale may prune the key), so its tracker steps one occurrence at a
-// time and offers the CAM each estimate.
+// Space-Saving absorb the weight in one AddN, and the CAM takes the
+// estimate in one Update, which makes Figure 5's admission decision
+// itself. One Update stands for n because the estimate on one key only
+// grows across the n occurrences, so the final admission decision and
+// count match the sequential outcome. Sticky Sampling's estimate can
+// fall mid-run (a rescale may prune the key), so its tracker steps one
+// occurrence at a time and offers the CAM each estimate.
+//
+//m5:hotpath
 func (t *Tracker) ObserveKeyN(key uint64, n uint64) {
 	if n == 0 {
 		return
@@ -218,9 +214,7 @@ func (t *Tracker) ObserveKeyN(key uint64, n uint64) {
 	if t.topk == nil {
 		return // Space-Saving ranks inside its own table.
 	}
-	if t.topk.Contains(key) || est > t.topk.Min() {
-		t.topk.Update(key, est)
-	}
+	t.topk.Update(key, est)
 }
 
 // Observed returns the number of accesses seen in the current epoch.

@@ -50,8 +50,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.K != 5 || cfg.Entries != 32*1024 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if rows, _ := tr.counter.(*sketch.CountMin).Shape(); rows != cmRows {
-		t.Errorf("CM-Sketch rows = %d, want %d", rows, cmRows)
+	if cm, ok := tr.counter.(*sketch.CountMin); !ok || cm.Entries() != cfg.Entries {
+		t.Errorf("counter = %T with %d entries, want a CM-Sketch with %d", tr.counter, tr.counter.Entries(), cfg.Entries)
 	}
 }
 

@@ -76,10 +76,24 @@ func (p *Pool) Open(name string, scale workload.Scale, seed int64) (workload.Gen
 		return workload.New(name, scale, seed)
 	}
 	key := Key{Name: name, Scale: scale, Seed: seed}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	t := p.lookup(key)
+	if t == nil {
 		return workload.New(name, scale, seed)
+	}
+	if err := t.init(); err != nil {
+		p.forget(key, t)
+		return nil, err
+	}
+	return t.NewCursor(), nil
+}
+
+// lookup returns key's tape, creating it on a miss, and stamps its use
+// for eviction order. It returns nil once the pool is closed.
+func (p *Pool) lookup(key Key) *Tape {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
 	}
 	t, ok := p.tapes[key]
 	if ok {
@@ -93,17 +107,17 @@ func (p *Pool) Open(name string, scale workload.Scale, seed int64) (workload.Gen
 	}
 	p.lruTick++
 	t.lastUse = p.lruTick
-	p.mu.Unlock()
+	return t
+}
 
-	if err := t.init(); err != nil {
-		p.mu.Lock()
-		if p.tapes[key] == t {
-			delete(p.tapes, key)
-		}
-		p.mu.Unlock()
-		return nil, err
+// forget drops a tape whose recording failed to start, unless key has
+// already moved on to another tape.
+func (p *Pool) forget(key Key, t *Tape) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.tapes[key] == t {
+		delete(p.tapes, key)
 	}
-	return t.NewCursor(), nil
 }
 
 // reserve charges n bytes of upcoming recording against the budget,
@@ -148,9 +162,9 @@ func (p *Pool) noteLiveTail() {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.liveTails++
 	p.cLiveTails.Inc()
-	p.mu.Unlock()
 }
 
 // evictionVictim picks the least-recently-opened tape other than the
@@ -191,12 +205,12 @@ func (p *Pool) release(t *Tape, n uint64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	t.bytes -= n
 	if !t.detached.Load() {
 		p.bytes -= n
 		p.gBytes.Set(p.bytes)
 	}
-	p.mu.Unlock()
 }
 
 // reap releases the parked live sources of evicted tapes. Callers must
@@ -229,6 +243,8 @@ func (p *Pool) Stats() Stats {
 		Evictions: p.evictions,
 		LiveTails: p.liveTails,
 	}
+	//m5:orderinvariant an integer sum of atomic loads: every visit order
+	// reaches the same total.
 	for _, t := range p.tapes {
 		s.Accesses += t.committed.Load().total
 	}
@@ -242,10 +258,19 @@ func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
+	for _, t := range p.seal() {
+		t.Close()
+	}
+}
+
+// seal marks the pool closed, empties it, and returns every tape it held,
+// live and evicted, for Close to close outside the pool mutex. It returns
+// nil when the pool was already closed.
+func (p *Pool) seal() []*Tape {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return
+		return nil
 	}
 	p.closed = true
 	var all []*Tape
@@ -259,8 +284,5 @@ func (p *Pool) Close() {
 	p.detachedQ = nil
 	p.bytes = 0
 	p.gBytes.Set(0)
-	p.mu.Unlock()
-	for _, t := range all {
-		t.Close()
-	}
+	return all
 }
