@@ -21,8 +21,8 @@ func (s *Store) Inc() {
 	s.mu.Unlock()
 }
 
-// Snapshot holds the lock with defer across the access.
-func (s *Store) Snapshot() int {
+// Value holds the lock with defer across the access.
+func (s *Store) Value() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.n

@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"m5/internal/mem"
 	"m5/internal/obs"
@@ -245,30 +246,12 @@ func (l *Level) Invalidate(a mem.PhysAddr) (present, dirty bool) {
 	return false, false
 }
 
-// LevelSnapshot is a deep copy of one cache level's state.
-type LevelSnapshot struct {
-	tags   []uint64
-	state  []setState
-	hits   uint64
-	misses uint64
-}
-
-// Snapshot deep-copies the level state.
-func (l *Level) Snapshot() LevelSnapshot {
-	return LevelSnapshot{
-		tags:   append([]uint64(nil), l.tags...),
-		state:  append([]setState(nil), l.state...),
-		hits:   l.hits,
-		misses: l.misses,
-	}
-}
-
-// Restore rewinds the level to a snapshot taken from a same-shape level.
-func (l *Level) Restore(s LevelSnapshot) {
-	copy(l.tags, s.tags)
-	copy(l.state, s.state)
-	l.hits = s.hits
-	l.misses = s.misses
+// Clone returns an independent copy of the level.
+func (l *Level) Clone() *Level {
+	d := *l
+	d.tags = slices.Clone(l.tags)
+	d.state = slices.Clone(l.state)
+	return &d
 }
 
 // Hits returns the level's hit count.
@@ -366,7 +349,7 @@ func (c HierarchyConfig) withDefaults() HierarchyConfig {
 // line, and back-invalidation, dirty-victim writeback and the L2 or LLC
 // touch of an inner victim are slot operations rather than tag scans.
 // The directory is derived from the levels' tags and valid masks, but
-// snapshots carry it, so a fork copies it instead of re-deriving it.
+// Clone copies it rather than re-deriving it.
 type Hierarchy struct {
 	l1, l2, llc *Level
 	// dir has one entry per LLC slot (set*ways + way): the L1 and L2
@@ -573,46 +556,22 @@ func (h *Hierarchy) fillL1(line uint64, slot int, up int32, write bool) {
 	h.dir[slot].l1 = slotCode(set, w)
 }
 
-// Snapshot is a deep copy of the hierarchy's state, directory included,
-// for forking warmed simulator checkpoints. Observability counters are
-// not part of the snapshot (checkpoints are only taken from metrics-free
-// runners).
-type Snapshot struct {
-	l1, l2, llc LevelSnapshot
-	dir         []dirEntry
-	up1, up2    []int32
-	accesses    uint64
-	dramReads   uint64
-	dramWrites  uint64
-}
-
-// Snapshot deep-copies the hierarchy state.
-func (h *Hierarchy) Snapshot() Snapshot {
-	return Snapshot{
-		l1:         h.l1.Snapshot(),
-		l2:         h.l2.Snapshot(),
-		llc:        h.llc.Snapshot(),
-		dir:        append([]dirEntry(nil), h.dir...),
-		up1:        append([]int32(nil), h.up1...),
-		up2:        append([]int32(nil), h.up2...),
+// Clone returns an independent copy of the hierarchy: its levels, the
+// directory and the up-pointers, and the access counters. Metrics
+// handles are not carried: the clone counts into no registry.
+func (h *Hierarchy) Clone() *Hierarchy {
+	return &Hierarchy{
+		l1:         h.l1.Clone(),
+		l2:         h.l2.Clone(),
+		llc:        h.llc.Clone(),
+		dir:        slices.Clone(h.dir),
+		up1:        slices.Clone(h.up1),
+		up2:        slices.Clone(h.up2),
 		accesses:   h.accesses,
 		dramReads:  h.dramReads,
 		dramWrites: h.dramWrites,
+		wbScratch:  make([]mem.PhysAddr, 0, cap(h.wbScratch)),
 	}
-}
-
-// Restore rewinds the hierarchy to a snapshot taken from a same-config
-// hierarchy.
-func (h *Hierarchy) Restore(s Snapshot) {
-	h.l1.Restore(s.l1)
-	h.l2.Restore(s.l2)
-	h.llc.Restore(s.llc)
-	copy(h.dir, s.dir)
-	copy(h.up1, s.up1)
-	copy(h.up2, s.up2)
-	h.accesses = s.accesses
-	h.dramReads = s.dramReads
-	h.dramWrites = s.dramWrites
 }
 
 // Accesses returns the total number of accesses issued.

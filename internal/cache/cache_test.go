@@ -256,8 +256,9 @@ func randomLevelOps(rng *rand.Rand, n, lines int) []levelOp {
 // with the same seeded Lookup/Fill/Invalidate streams, over every
 // associativity from direct-mapped to the 16-way limit and over
 // power-of-two and other set counts, and requires every return value and
-// the hit and miss counts to agree. It then checks that a Restore rewinds
-// Level exactly: a rerun from the snapshot repeats the first run.
+// the hit and miss counts to agree. It then cuts the stream with a Clone:
+// the original continues against the oracle, and the clone, run after
+// it, must repeat the oracle's answers.
 func TestLevelMatchesStampOracle(t *testing.T) {
 	for _, ways := range []int{1, 2, 3, 4, 8, 12, 16} {
 		for _, sets := range []int{1, 3, 4, 6, 16} {
@@ -277,24 +278,22 @@ func TestLevelMatchesStampOracle(t *testing.T) {
 					t.Fatalf("hits/misses %d/%d, oracle %d/%d", got.Hits(), got.Misses(), want.hits, want.misses)
 				}
 
-				snap := got.Snapshot()
+				clone := got.Clone()
 				tail := randomLevelOps(rng, 5_000, lines)
-				first := make([]string, len(tail))
+				oracle := make([]string, len(tail))
 				for i, op := range tail {
-					first[i] = levelStep(got, op)
-					if w := levelStep(want, op); first[i] != w {
-						t.Fatalf("tail op %d %+v: Level %q, oracle %q", i, op, first[i], w)
+					oracle[i] = levelStep(want, op)
+					if g := levelStep(got, op); g != oracle[i] {
+						t.Fatalf("tail op %d %+v: Level %q, oracle %q", i, op, g, oracle[i])
 					}
 				}
-				hits, misses := got.Hits(), got.Misses()
-				got.Restore(snap)
 				for i, op := range tail {
-					if g := levelStep(got, op); g != first[i] {
-						t.Fatalf("rerun op %d %+v: %q, first run %q", i, op, g, first[i])
+					if g := levelStep(clone, op); g != oracle[i] {
+						t.Fatalf("clone op %d %+v: %q, oracle %q", i, op, g, oracle[i])
 					}
 				}
-				if got.Hits() != hits || got.Misses() != misses {
-					t.Fatalf("rerun hits/misses %d/%d, first run %d/%d", got.Hits(), got.Misses(), hits, misses)
+				if clone.Hits() != want.hits || clone.Misses() != want.misses {
+					t.Fatalf("clone hits/misses %d/%d, oracle %d/%d", clone.Hits(), clone.Misses(), want.hits, want.misses)
 				}
 			})
 		}
@@ -597,16 +596,6 @@ func diffState(a, b hierState) string {
 	return ""
 }
 
-// snapState deep-copies a state so a later run cannot change it.
-func snapState(s hierState) hierState {
-	for i, l := range s.levels {
-		c := *l
-		c.tags, c.state = slices.Clone(l.tags), slices.Clone(l.state)
-		s.levels[i] = &c
-	}
-	return s
-}
-
 // runBoth drives both hierarchies with ops and fails at the first Result
 // that differs; it returns the directory hierarchy's rendered Results.
 func runBoth(t *testing.T, got *Hierarchy, want *probeHierarchy, ops []hierOp) []string {
@@ -625,12 +614,12 @@ func runBoth(t *testing.T, got *Hierarchy, want *probeHierarchy, ops []hierOp) [
 	return out
 }
 
-// rerun replays ops on h and fails unless every Result matches first.
-func rerun(t *testing.T, what string, h *Hierarchy, ops []hierOp, first []string) {
+// replay runs ops on h and fails unless every Result matches want.
+func replay(t *testing.T, h *Hierarchy, ops []hierOp, want []string) {
 	t.Helper()
 	for i, op := range ops {
-		if g := renderResult(*h.Access(op.addr, op.write)); g != first[i] {
-			t.Fatalf("%s: access %d %+v: %s, first run %s", what, i, op, g, first[i])
+		if g := renderResult(*h.Access(op.addr, op.write)); g != want[i] {
+			t.Fatalf("access %d %+v: %s, oracle %s", i, op, g, want[i])
 		}
 	}
 }
@@ -639,9 +628,10 @@ func rerun(t *testing.T, what string, h *Hierarchy, ops []hierOp, first []string
 // tag-scanning oracle with the same seeded read/write streams over several
 // geometries, and requires every Result, the access and DRAM counters,
 // each level's hit and miss counts and each level's tags and recency state
-// to agree. It then checks that Restore rewinds the directory with the
-// levels: from one snapshot, a tail rerun on the same hierarchy and on a
-// fresh one both repeat the tail's first run, which the oracle checked.
+// to agree. It then cuts the stream with a Clone, which must copy the
+// directory with the levels: the original continues against the oracle,
+// and the clone, run after it, must repeat the oracle's Results and end
+// in the oracle's state.
 func TestHierarchyMatchesProbeOracle(t *testing.T) {
 	geoms := []struct {
 		name string
@@ -677,21 +667,12 @@ func TestHierarchyMatchesProbeOracle(t *testing.T) {
 				got, want := NewHierarchy(g.cfg), newProbeHierarchy(g.cfg)
 				runBoth(t, got, want, hierStream(kind, rng, n, span, window, llc.sets))
 
-				snap := got.Snapshot()
+				clone := got.Clone()
 				tail := hierStream(kind, rng, n/4, span, window, llc.sets)
-				first := runBoth(t, got, want, tail)
-				end := snapState(got.state())
-
-				got.Restore(snap)
-				rerun(t, "restored into the same hierarchy", got, tail, first)
-				if d := diffState(got.state(), end); d != "" {
-					t.Fatalf("same-hierarchy rerun ends in a different state: %s", d)
-				}
-				fresh := NewHierarchy(g.cfg)
-				fresh.Restore(snap)
-				rerun(t, "restored into a fresh hierarchy", fresh, tail, first)
-				if d := diffState(fresh.state(), end); d != "" {
-					t.Fatalf("fresh-hierarchy rerun ends in a different state: %s", d)
+				oracle := runBoth(t, got, want, tail)
+				replay(t, clone, tail, oracle)
+				if d := diffState(clone.state(), want.state()); d != "" {
+					t.Fatalf("clone ends in a different state from the oracle: %s", d)
 				}
 			})
 		}

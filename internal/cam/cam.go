@@ -21,8 +21,8 @@ type Entry struct {
 // tag probe and at most one compare, as the hardware's does. The cache
 // survives every hit that leaves the minimum where it is or moves it to
 // the hit entry; only a rise of the minimum entry's own count, a
-// replacement of it, an append or a bulk change (Decay, Restore, Reset)
-// drops it, and the next miss at capacity rescans the K entries.
+// replacement of it, an append or a bulk change (Decay, Reset) drops
+// it, and the next miss at capacity rescans the K entries.
 type Sorted struct {
 	k       int
 	entries []Entry
@@ -163,22 +163,13 @@ func (c *Sorted) TopK() []Entry {
 	return out
 }
 
-// Snapshot is a deep copy of the CAM contents in slice order.
-type Snapshot struct {
-	entries []Entry
-}
-
-// Snapshot deep-copies the CAM state.
-func (c *Sorted) Snapshot() Snapshot {
-	return Snapshot{entries: append([]Entry(nil), c.entries...)}
-}
-
-// Restore rewinds the CAM to a snapshot taken from a same-K instance. The
-// tag index is rebuilt and the cached minimum recomputes lazily on the
-// next probe — both deterministic functions of the entries.
-func (c *Sorted) Restore(s Snapshot) {
-	c.entries = append(c.entries[:0], s.entries...)
-	c.reindex()
+// Clone returns an independent copy: entries in slice order, the tag
+// index and the cached minimum.
+func (c *Sorted) Clone() *Sorted {
+	d := *c
+	d.entries = append(make([]Entry, 0, c.k), c.entries...)
+	d.index = c.index.Clone()
+	return &d
 }
 
 // Decay halves every resident count (entries reaching zero are evicted),

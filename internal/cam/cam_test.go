@@ -2,6 +2,7 @@ package cam
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -206,6 +207,12 @@ type scanCAM struct {
 
 func newScanCAM(k int) *scanCAM { return &scanCAM{k: k, index: map[uint64]int{}} }
 
+func (o *scanCAM) clone() *scanCAM {
+	c := *o
+	c.entries, c.index = slices.Clone(o.entries), maps.Clone(o.index)
+	return &c
+}
+
 func (o *scanCAM) update(addr, count uint64) bool {
 	if _, ok := o.index[addr]; !ok && count <= o.Min() {
 		return false // the tracker's guard
@@ -290,70 +297,74 @@ func (o *scanCAM) decay() {
 // capacity must refuse), tie the current minimum or a resident entry, or
 // take a small random value, over a key space three times K, so ties at
 // the minimum, hits on the minimum entry and evictions happen throughout.
-// Reset, Decay and Snapshot → Restore are mixed in.
+// Reset and Decay are mixed in. Halfway, the stream is cut by a Clone of
+// both CAMs: the original continues against scanCAM, and then the clone
+// continues against scanCAM's clone with the same tail.
 func TestSortedMatchesScanCAM(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 64, 128} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("K%d/seed%d", k, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
 				c, o := NewSorted(k), newScanCAM(k)
 				est := map[uint64]uint64{}
-				var snap Snapshot
-				var snapEntries []Entry
-				for step := 0; step < 6000; step++ {
-					switch r := rng.Intn(1000); {
-					case r == 0:
-						c.Reset()
-						o.entries = o.entries[:0]
-						o.reindex()
-						clear(est)
-					case r < 4:
-						c.Decay()
-						o.decay()
-					case r < 7:
-						snap, snapEntries = c.Snapshot(), append([]Entry(nil), o.entries...)
-					case r < 10 && snapEntries != nil:
-						c.Restore(snap)
-						o.entries = append(o.entries[:0], snapEntries...)
-						o.reindex()
-					}
-					key := uint64(rng.Intn(3*k + 1))
-					var count uint64
-					switch rng.Intn(6) {
-					case 0, 1:
-						est[key] += uint64(rng.Intn(3))
-						count = est[key]
-					case 2:
-						est[key] -= min(est[key], uint64(rng.Intn(3)))
-						count = est[key]
-					case 3:
-						count = 0
-					case 4:
-						count = o.Min()
-						if len(o.entries) > 0 && rng.Intn(2) == 0 {
-							count = o.entries[rng.Intn(len(o.entries))].Count
-						}
-					default:
-						count = uint64(rng.Intn(6))
-					}
-					got, want := c.Update(key, count), o.update(key, count)
-					if got != want {
-						t.Fatalf("step %d: Update(%d, %d) = %v, scan CAM %v", step, key, count, got, want)
-					}
-					probe := uint64(rng.Intn(3*k + 1))
-					_, inO := o.index[probe]
-					if c.Contains(key) != want || c.Contains(probe) != inO {
-						t.Fatalf("step %d: Contains(%d) = %v, Contains(%d) = %v; scan CAM %v, %v",
-							step, key, c.Contains(key), probe, c.Contains(probe), want, inO)
-					}
-					if c.Min() != o.Min() || c.Len() != len(o.entries) {
-						t.Fatalf("step %d: Min %d Len %d, scan CAM Min %d Len %d", step, c.Min(), c.Len(), o.Min(), len(o.entries))
-					}
-					if got, want := c.TopK(), o.topK(); !slices.Equal(got, want) {
-						t.Fatalf("step %d: TopK %v, scan CAM %v", step, got, want)
-					}
-				}
+				driveCAM(t, rand.New(rand.NewSource(seed)), c, o, est, 3000)
+				clone, ref, refEst := c.Clone(), o.clone(), maps.Clone(est)
+				driveCAM(t, rand.New(rand.NewSource(-seed)), c, o, est, 3000)
+				driveCAM(t, rand.New(rand.NewSource(-seed)), clone, ref, refEst, 3000)
 			})
+		}
+	}
+}
+
+// driveCAM runs steps random observations through c and o, with est as
+// the sketch estimate of each key, and fails at the first difference.
+func driveCAM(t *testing.T, rng *rand.Rand, c *Sorted, o *scanCAM, est map[uint64]uint64, steps int) {
+	t.Helper()
+	k := c.K()
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			c.Reset()
+			o.entries = o.entries[:0]
+			o.reindex()
+			clear(est)
+		case r < 4:
+			c.Decay()
+			o.decay()
+		}
+		key := uint64(rng.Intn(3*k + 1))
+		var count uint64
+		switch rng.Intn(6) {
+		case 0, 1:
+			est[key] += uint64(rng.Intn(3))
+			count = est[key]
+		case 2:
+			est[key] -= min(est[key], uint64(rng.Intn(3)))
+			count = est[key]
+		case 3:
+			count = 0
+		case 4:
+			count = o.Min()
+			if len(o.entries) > 0 && rng.Intn(2) == 0 {
+				count = o.entries[rng.Intn(len(o.entries))].Count
+			}
+		default:
+			count = uint64(rng.Intn(6))
+		}
+		got, want := c.Update(key, count), o.update(key, count)
+		if got != want {
+			t.Fatalf("step %d: Update(%d, %d) = %v, scan CAM %v", step, key, count, got, want)
+		}
+		probe := uint64(rng.Intn(3*k + 1))
+		_, inO := o.index[probe]
+		if c.Contains(key) != want || c.Contains(probe) != inO {
+			t.Fatalf("step %d: Contains(%d) = %v, Contains(%d) = %v; scan CAM %v, %v",
+				step, key, c.Contains(key), probe, c.Contains(probe), want, inO)
+		}
+		if c.Min() != o.Min() || c.Len() != len(o.entries) {
+			t.Fatalf("step %d: Min %d Len %d, scan CAM Min %d Len %d", step, c.Min(), c.Len(), o.Min(), len(o.entries))
+		}
+		if got, want := c.TopK(), o.topK(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: TopK %v, scan CAM %v", step, got, want)
 		}
 	}
 }

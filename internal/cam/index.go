@@ -1,5 +1,7 @@
 package cam
 
+import "slices"
+
 // Index is a fixed-capacity open-addressed map from an address tag to a
 // slot number: the tag-match port of a CAM. The sorted CAM and
 // Space-Saving's counter table (an N-entry CAM in hardware) both look
@@ -30,6 +32,11 @@ func NewIndex(capacity int) Index {
 		bits++
 	}
 	return Index{cells: make([]indexCell, size), shift: 64 - bits, mask: uint64(size - 1)}
+}
+
+// Clone returns an independent copy with the same cell layout.
+func (x *Index) Clone() Index {
+	return Index{cells: slices.Clone(x.cells), shift: x.shift, mask: x.mask}
 }
 
 // home is tag's first probe cell (Fibonacci hashing).

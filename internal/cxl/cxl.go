@@ -115,25 +115,39 @@ func NewController(cfg ControllerConfig) *Controller {
 	c.obsMMIO = cfg.Metrics.Counter("mmio_queries")
 	if cfg.EnablePAC {
 		c.PAC = pac.NewPAC(cfg.Span)
-		c.Device.Attach(c.PAC)
 	}
 	if cfg.EnableWAC {
 		c.WAC = pac.NewWAC(cfg.Span)
-		c.Device.Attach(c.WAC)
 	}
 	if cfg.HPT != nil {
 		hpt := *cfg.HPT
 		hpt.Granularity = tracker.PageGranularity
 		c.HPT = tracker.New(hpt)
-		c.Device.Attach(c.HPT)
 	}
 	if cfg.HWT != nil {
 		hwt := *cfg.HWT
 		hwt.Granularity = tracker.WordGranularity
 		c.HWT = tracker.New(hwt)
+	}
+	c.attach()
+	return c
+}
+
+// attach puts the enabled functions on the device's snoop path, in the
+// order PAC, WAC, HPT, HWT.
+func (c *Controller) attach() {
+	if c.PAC != nil {
+		c.Device.Attach(c.PAC)
+	}
+	if c.WAC != nil {
+		c.Device.Attach(c.WAC)
+	}
+	if c.HPT != nil {
+		c.Device.Attach(c.HPT)
+	}
+	if c.HWT != nil {
 		c.Device.Attach(c.HWT)
 	}
-	return c
 }
 
 // QueryHPT reports and resets the HPT's top-K (an MMIO query over CXL.io).
@@ -161,61 +175,29 @@ func (c *Controller) QueryHWT() []cam.Entry {
 // manager multiplies by the MMIO cost to charge query overhead.
 func (c *Controller) MMIOQueries() uint64 { return c.mmioQueries }
 
-// Snapshot is a deep copy of the controller's mutable state: device
-// traffic counters, MMIO query count, and the state of every enabled
-// near-memory function. Attached snoop sinks beyond the built-in four are
-// wiring (the AFU fan-out), not state, and must be re-attached by the
-// restored runner's owner.
-type Snapshot struct {
-	reads       uint64
-	writes      uint64
-	mmioQueries uint64
-	pac, wac    *pac.Snapshot
-	hpt, hwt    *tracker.Snapshot
-}
-
-// Snapshot deep-copies the controller state.
-func (c *Controller) Snapshot() Snapshot {
-	s := Snapshot{
-		reads:       c.Device.reads,
-		writes:      c.Device.writes,
+// Clone returns an independent copy of the controller: the device's
+// traffic counters, the MMIO query count, and a clone of every enabled
+// near-memory function, attached to the new device's snoop path in the
+// original's order. Sinks attached to the device from outside are
+// wiring, not state, and the metrics handles count into the original's
+// registry; the clone carries neither.
+func (c *Controller) Clone() *Controller {
+	d := &Controller{
+		Device:      &Device{span: c.Device.span, reads: c.Device.reads, writes: c.Device.writes},
 		mmioQueries: c.mmioQueries,
 	}
 	if c.PAC != nil {
-		snap := c.PAC.Snapshot()
-		s.pac = &snap
+		d.PAC = c.PAC.Clone()
 	}
 	if c.WAC != nil {
-		snap := c.WAC.Snapshot()
-		s.wac = &snap
+		d.WAC = c.WAC.Clone()
 	}
 	if c.HPT != nil {
-		snap := c.HPT.Snapshot()
-		s.hpt = &snap
+		d.HPT = c.HPT.Clone()
 	}
 	if c.HWT != nil {
-		snap := c.HWT.Snapshot()
-		s.hwt = &snap
+		d.HWT = c.HWT.Clone()
 	}
-	return s
-}
-
-// Restore rewinds the controller to a snapshot taken from a controller
-// built with the same configuration.
-func (c *Controller) Restore(s Snapshot) {
-	c.Device.reads = s.reads
-	c.Device.writes = s.writes
-	c.mmioQueries = s.mmioQueries
-	if c.PAC != nil && s.pac != nil {
-		c.PAC.Restore(*s.pac)
-	}
-	if c.WAC != nil && s.wac != nil {
-		c.WAC.Restore(*s.wac)
-	}
-	if c.HPT != nil && s.hpt != nil {
-		c.HPT.Restore(*s.hpt)
-	}
-	if c.HWT != nil && s.hwt != nil {
-		c.HWT.Restore(*s.hwt)
-	}
+	d.attach()
+	return d
 }

@@ -14,6 +14,8 @@ package pac
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"m5/internal/mem"
@@ -292,40 +294,13 @@ func (c *Counter) AccessCountRatio(keys []uint64) float64 {
 	return float64(c.SumCounts(keys)) / float64(best)
 }
 
-// Snapshot is a deep copy of a counter's state, for forking warmed
-// simulator checkpoints.
-type Snapshot struct {
-	sram    []uint64
-	spill   map[uint64]uint64
-	total   uint64
-	dropped uint64
-	spills  uint64
-}
-
-// Snapshot deep-copies the counter state.
-func (c *Counter) Snapshot() Snapshot {
-	spill := make(map[uint64]uint64, len(c.spill))
-	for k, v := range c.spill {
-		spill[k] = v
-	}
-	return Snapshot{
-		sram:    append([]uint64(nil), c.sram...),
-		spill:   spill,
-		total:   c.total,
-		dropped: c.dropped,
-		spills:  c.spills,
-	}
-}
-
-// Restore rewinds the counter to a snapshot taken from a counter with the
-// same configuration.
-func (c *Counter) Restore(s Snapshot) {
-	copy(c.sram, s.sram)
-	c.spill = make(map[uint64]uint64, len(s.spill))
-	for k, v := range s.spill {
-		c.spill[k] = v
-	}
-	c.total, c.dropped, c.spills = s.total, s.dropped, s.spills
+// Clone returns an independent copy of the counter: SRAM, spill table
+// and statistics.
+func (c *Counter) Clone() *Counter {
+	d := *c
+	d.sram = slices.Clone(c.sram)
+	d.spill = maps.Clone(c.spill)
+	return &d
 }
 
 // Reset clears all counters, spills, and statistics.

@@ -10,13 +10,14 @@ import (
 	"m5/internal/workload"
 )
 
-// Checkpoint is a deep-cloned snapshot of a warmed runner: the generator's
-// replay position plus the full machine state (memory system, CXL
-// controller, cache hierarchy, latency reservoir, and the runner's own
-// clocks and counters). Experiment harnesses warm one runner per
-// (workload, scale, seed) cell, checkpoint it, and Fork per-policy cells
-// from the checkpoint instead of re-simulating the warmup — each fork
-// continues bit-identically to a from-scratch runner warmed the same way.
+// Checkpoint is a warmed runner's state, held in clones no runner
+// touches: the generator's replay position plus the machine (memory
+// system, CXL controller, cache hierarchy, the latency reservoir's RNG
+// position) and the runner's own clocks and counters. Experiment
+// harnesses warm one runner per (workload, scale, seed) cell, checkpoint
+// it, and Fork per-policy cells from the checkpoint instead of
+// re-simulating the warmup — each fork continues bit-identically to a
+// from-scratch runner warmed the same way.
 type Checkpoint struct {
 	cfg Config
 	gen workload.Checkpoint
@@ -24,14 +25,18 @@ type Checkpoint struct {
 	// cursors do), forks the access stream by an O(1) seek instead of
 	// NewAt's rebuild-and-fast-forward.
 	reopen workload.Reopener
-	sys    tiermem.SystemSnapshot
-	ctrl   cxl.Snapshot
-	cache  cache.Snapshot
-	opLat  stats.ReservoirSnapshot
 	// footprint is the workload's byte footprint, captured at checkpoint
 	// time so checkpoint caches can size per-fork daemons without
 	// reopening the generator.
 	footprint uint64
+
+	sys   *tiermem.System
+	ctrl  *cxl.Controller
+	cache *cache.Hierarchy
+	// opLat holds no samples: the engine empties the reservoir as each
+	// span ends.
+	opLat *stats.Reservoir
+	base  tiermem.VPN
 
 	clockNs    uint64
 	nextCtx    uint64
@@ -46,7 +51,7 @@ type Checkpoint struct {
 }
 
 // Checkpoint captures the runner's state. It refuses runners whose state
-// extends beyond the engine's deep-clone reach: an installed daemon or
+// extends beyond what the layers' clones copy: an installed daemon or
 // word remapper, attached miss sinks, bandwidth queues, co-running cores,
 // a metrics registry, or a generator not built through the workload
 // catalog.
@@ -77,10 +82,11 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 		gen:        genCp,
 		reopen:     reopen,
 		footprint:  r.gen.Footprint(),
-		sys:        r.Sys.Snapshot(),
-		ctrl:       r.Ctrl.Snapshot(),
-		cache:      r.Cache.Snapshot(),
-		opLat:      r.opLat.Snapshot(),
+		sys:        r.Sys.Clone(),
+		ctrl:       r.Ctrl.Clone(),
+		cache:      r.Cache.Clone(),
+		opLat:      r.opLat.Clone(),
+		base:       r.base,
 		clockNs:    r.clockNs,
 		nextCtx:    r.nextCtx,
 		opStart:    r.opStart,
@@ -94,13 +100,12 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 // Footprint reports the checkpointed workload's footprint in bytes.
 func (c *Checkpoint) Footprint() uint64 { return c.footprint }
 
-// Fork builds a fresh runner positioned exactly at the checkpoint: a new
-// generator fast-forwarded to the replay position, a machine rebuilt from
-// the retained config, and every layer restored from the deep clones. The
+// Fork returns a runner positioned exactly at the checkpoint: a generator
+// at the replay position, and a machine cloned from the checkpoint's. The
 // checkpoint can be forked any number of times; forks share no mutable
 // state with each other or with the original runner. The caller installs
 // the per-fork daemon afterwards (SetDaemon schedules its first tick from
-// the restored clock) and owns closing the fork's generator.
+// the checkpoint's clock) and owns closing the fork's generator.
 func (c *Checkpoint) Fork() (*Runner, error) {
 	var gen workload.Generator
 	var err error
@@ -114,15 +119,8 @@ func (c *Checkpoint) Fork() (*Runner, error) {
 	}
 	cfg := c.cfg
 	cfg.Workload = gen
-	r, err := NewRunner(cfg)
-	if err != nil {
-		gen.Close()
-		return nil, fmt.Errorf("sim: forking checkpoint: %w", err)
-	}
-	r.Sys.Restore(c.sys)
-	r.Ctrl.Restore(c.ctrl)
-	r.Cache.Restore(c.cache)
-	r.opLat.Restore(c.opLat)
+	r := newCore(cfg, c.sys.Clone(), c.ctrl.Clone(), c.cache.Clone(), c.opLat.Clone(), gen, c.base)
+	r.lead(cfg, []*Runner{r})
 	r.clockNs = c.clockNs
 	r.nextCtx = c.nextCtx
 	r.opStart = c.opStart

@@ -117,7 +117,7 @@ type Runner struct {
 	Ctrl  *cxl.Controller
 	Cache *cache.Hierarchy // this core's private hierarchy
 
-	cfg      Config // retained (with defaults applied) so checkpoints can rebuild the machine
+	cfg      Config // retained with defaults applied, for the sampled tier and checkpoints
 	gen      workload.Generator
 	base     tiermem.VPN
 	daemon   Daemon
@@ -267,7 +267,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		TLBEntries:    scaledTLBEntries(totalPages / uint64(len(streams))),
 		Metrics:       cfg.Metrics.Scope("mem"),
 	})
-	costs := sys.Costs()
 	ctrl := cxl.NewController(cxl.ControllerConfig{
 		Span:      sys.CXLSpan(),
 		EnablePAC: cfg.EnablePAC,
@@ -301,28 +300,46 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		cacheCfg := newScaledCache(gen.Footprint())
 		cacheCfg.Metrics = cacheScope
-		c := &Runner{
-			Sys:     sys,
-			Ctrl:    ctrl,
-			Cache:   cache.NewHierarchy(cacheCfg),
-			gen:     gen,
-			base:    base,
-			opLat:   stats.NewReservoir(1<<15, 17),
-			costs:   costs,
-			batch:   make([]workload.Access, runnerBatch),
-			ctxNs:   cfg.CtxSwitchPeriodNs,
-			nextCtx: cfg.CtxSwitchPeriodNs,
-			id:      i,
-			queue:   queue,
-		}
-		c.latHit[cache.HitL1] = costs.L1HitNs
-		c.latHit[cache.HitL2] = costs.L2HitNs
-		c.latHit[cache.HitLLC] = costs.LLCHitNs
-		c.latRead[tiermem.NodeDDR] = costs.DDRReadNs
-		c.latRead[tiermem.NodeCXL] = costs.CXLReadNs
+		c := newCore(cfg, sys, ctrl, cache.NewHierarchy(cacheCfg), stats.NewReservoir(1<<15, 17), gen, base)
+		c.id, c.queue = i, queue
 		cores[i] = c
 	}
 	r := cores[0]
+	r.lead(cfg, cores)
+	return r, nil
+}
+
+// newCore builds a core over the machine's shared Sys and Ctrl, with its
+// own cache hierarchy, op-latency reservoir, stream and arena, and the
+// latency tables and access buffer the hot loop reads. NewRunner then
+// sets each core's index and bandwidth queues; a fork is a lone core 0
+// without queues.
+func newCore(cfg Config, sys *tiermem.System, ctrl *cxl.Controller, hier *cache.Hierarchy, opLat *stats.Reservoir, gen workload.Generator, base tiermem.VPN) *Runner {
+	costs := sys.Costs()
+	c := &Runner{
+		Sys:     sys,
+		Ctrl:    ctrl,
+		Cache:   hier,
+		gen:     gen,
+		base:    base,
+		opLat:   opLat,
+		costs:   costs,
+		batch:   make([]workload.Access, runnerBatch),
+		ctxNs:   cfg.CtxSwitchPeriodNs,
+		nextCtx: cfg.CtxSwitchPeriodNs,
+	}
+	c.latHit[cache.HitL1] = costs.L1HitNs
+	c.latHit[cache.HitL2] = costs.L2HitNs
+	c.latHit[cache.HitLLC] = costs.LLCHitNs
+	c.latRead[tiermem.NodeDDR] = costs.DDRReadNs
+	c.latRead[tiermem.NodeCXL] = costs.CXLReadNs
+	return c
+}
+
+// lead makes r core 0 of a machine of the given cores: the holder of
+// the config, the metrics registry with its policy and memory handles,
+// and the sampled tier's state.
+func (r *Runner) lead(cfg Config, cores []*Runner) {
 	r.cfg = cfg
 	r.cores = cores
 	r.metrics = cfg.Metrics
@@ -341,7 +358,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.obsSampleSkipped = sampleScope.Counter("accesses_skipped")
 		r.obsSampleCIHalf = sampleScope.Gauge("ci_halfwidth_ppm")
 	}
-	return r, nil
 }
 
 // scaledTLBEntries keeps TLB coverage proportional to the paper's
@@ -579,7 +595,6 @@ type spanStart struct {
 func (r *Runner) beginSpan() spanStart {
 	span := spanStart{kernelNs: r.Sys.KernelNs()}
 	for _, c := range r.cores {
-		c.opLat.Reset()
 		span.clockNs = append(span.clockNs, c.clockNs)
 	}
 	span.accesses, span.reads, span.writes = r.traffic()
@@ -600,7 +615,9 @@ func (r *Runner) traffic() (accesses uint64, reads, writes [2]uint64) {
 
 // endSpan assembles the span's Result from the counter deltas. Across
 // co-running cores the elapsed time is the slowest core's span and the
-// op-latency percentiles are the worst core's.
+// op-latency percentiles are the worst core's. It empties each core's
+// reservoir once read, so samples never outlive their span and a
+// checkpoint carries only the reservoir's RNG position.
 func (r *Runner) endSpan(span spanStart) Result {
 	accesses, reads, writes := r.traffic()
 	res := Result{
@@ -626,6 +643,7 @@ func (r *Runner) endSpan(span spanStart) Result {
 			res.P50OpNs = max(res.P50OpNs, c.opLat.Percentile(50))
 			res.P99OpNs = max(res.P99OpNs, c.opLat.Percentile(99))
 		}
+		c.opLat.Reset()
 	}
 	if res.ElapsedNs > 0 {
 		res.AccessesPerSec = float64(res.Accesses) * 1e9 / float64(res.ElapsedNs)

@@ -1,6 +1,9 @@
 package sketch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CountMinRows is H, the number of hash rows of every CountMin sketch:
 // the paper synthesizes its CM-Sketch trackers with H=4 (Table 4) and
@@ -121,3 +124,10 @@ func (c *CountMin) Reset() { clear(c.counts) }
 
 // Entries implements Counter: N = H×W.
 func (c *CountMin) Entries() int { return CountMinRows * c.cols }
+
+// Clone implements Counter.
+func (c *CountMin) Clone() Counter {
+	d := *c
+	d.counts = slices.Clone(c.counts)
+	return &d
+}

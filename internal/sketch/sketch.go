@@ -35,6 +35,9 @@ type Counter interface {
 	// CM-Sketch, the counter-table size for Space-Saving), the design
 	// parameter swept in Figure 7 and Table 4.
 	Entries() int
+	// Clone returns an independent copy that shares no state with the
+	// original and, fed the same stream, makes every decision it would.
+	Clone() Counter
 }
 
 // splitmix64 is the 64-bit finalizer from the SplitMix64 generator; it is
@@ -81,6 +84,9 @@ func (e *Exact) Reset() { e.counts.Reset() }
 // Entries implements Counter; an exact counter is unbounded, so this
 // reports the current cardinality.
 func (e *Exact) Entries() int { return e.counts.Len() }
+
+// Clone implements Counter.
+func (e *Exact) Clone() Counter { return &Exact{counts: e.counts.Clone()} }
 
 // Decay implements Decayer.
 func (e *Exact) Decay() {

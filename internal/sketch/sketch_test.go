@@ -330,6 +330,58 @@ func TestCounterInterfaceCompliance(t *testing.T) {
 	}
 }
 
+// TestCloneContinuesIndependently clones every counter mid-stream, runs
+// the original on through a tail (with a Decay or Reset midway where the
+// counter has one), and then requires the clone, fed the same tail, to
+// return every estimate the original returned. A clone that shared state
+// with its source would see the tail twice. The key space is several
+// times the small counters' capacity, so Space-Saving evicts and Sticky
+// Sampling rescales, drawing from its RNG, on both sides of the cut.
+func TestCloneContinuesIndependently(t *testing.T) {
+	for _, mk := range []func() Counter{
+		func() Counter { return NewExact() },
+		func() Counter { return NewCountMin(64) },
+		func() Counter { return NewCountMin(64, WithConservativeUpdate()) },
+		func() Counter { return NewSpaceSaving(32) },
+		func() Counter { return NewStickySampling(32, 1) },
+	} {
+		c := mk()
+		rng := rand.New(rand.NewSource(7))
+		stream := func(n int) (keys, weights []uint64) {
+			for i := 0; i < n; i++ {
+				keys = append(keys, uint64(rng.Intn(256)))
+				weights = append(weights, 1+uint64(rng.Intn(3)))
+			}
+			return keys, weights
+		}
+		run := func(c Counter, keys, weights []uint64) []uint64 {
+			out := make([]uint64, len(keys))
+			for i, k := range keys {
+				if i == len(keys)/2 {
+					if d, ok := c.(Decayer); ok {
+						d.Decay()
+					} else {
+						c.Reset()
+					}
+				}
+				out[i] = c.AddN(k, weights[i])
+			}
+			return out
+		}
+		keys, weights := stream(5000)
+		run(c, keys, weights)
+		clone := c.Clone()
+		keys, weights = stream(5000)
+		want := run(c, keys, weights)
+		got := run(clone, keys, weights)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%T: tail add %d of key %d: clone %d, original %d", c, i, keys[i], got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestSortKeyCounts(t *testing.T) {
 	kc := []KeyCount{{Key: 3, Count: 1}, {Key: 1, Count: 5}, {Key: 2, Count: 5}}
 	SortKeyCounts(kc)

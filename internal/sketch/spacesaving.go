@@ -125,6 +125,22 @@ func (s *SpaceSaving) Reset() {
 // Entries implements Counter.
 func (s *SpaceSaving) Entries() int { return s.capacity }
 
+// Clone implements Counter: the arena, the heap's layout over it and the
+// tag index, so the clone breaks ties as the original would.
+func (s *SpaceSaving) Clone() Counter {
+	c := &SpaceSaving{
+		capacity: s.capacity,
+		pool:     slices.Clone(s.pool),
+		entries:  make(ssHeap, len(s.entries), s.capacity),
+		index:    s.index.Clone(),
+		used:     s.used,
+	}
+	for i := range c.pool[:c.used] {
+		c.entries[c.pool[i].pos] = &c.pool[i]
+	}
+	return c
+}
+
 // Tracked returns the number of keys currently tracked.
 func (s *SpaceSaving) Tracked() int { return len(s.entries) }
 

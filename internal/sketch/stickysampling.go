@@ -1,6 +1,10 @@
 package sketch
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"m5/internal/stats"
+)
 
 // StickySampling is the sampling-based streaming algorithm of Manku &
 // Motwani, the third family the paper surveys for top-K tracking (§5.1).
@@ -16,45 +20,10 @@ import "math/rand"
 // produced run-to-run different prune decisions from the same seed.
 type StickySampling struct {
 	capacity int
-	seed     int64
 	rate     uint64
 	counts   *CountTable
-	src      *countedSource
+	src      *stats.CountedSource // counts draws, so a clone resumes the stream
 	rng      *rand.Rand
-}
-
-// countedSource wraps the standard PRNG source and counts draws at the
-// source level, so the sampler's RNG position can be captured and replayed
-// exactly. Both Rand methods used here (Uint64 and the power-of-two Intn)
-// consume exactly one source step per call.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
-}
-
-// skipTo replays the source from seed, discarding draws steps.
-func (c *countedSource) skipTo(seed int64, draws uint64) {
-	c.src = rand.NewSource(seed).(rand.Source64)
-	c.draws = 0
-	for c.draws < draws {
-		c.src.Uint64()
-		c.draws++
-	}
 }
 
 // NewStickySampling builds a sticky sampler with the given entry budget and
@@ -63,12 +32,24 @@ func NewStickySampling(capacity int, seed int64) *StickySampling {
 	if capacity <= 0 {
 		panic("sketch: StickySampling capacity must be positive")
 	}
-	src := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	src := stats.NewCountedSource(seed)
 	return &StickySampling{
 		capacity: capacity,
-		seed:     seed,
 		rate:     1,
 		counts:   NewCountTable(capacity + 1),
+		src:      src,
+		rng:      rand.New(src),
+	}
+}
+
+// Clone implements Counter. The clone's RNG resumes at the sampler's
+// position.
+func (s *StickySampling) Clone() Counter {
+	src := s.src.Clone()
+	return &StickySampling{
+		capacity: s.capacity,
+		rate:     s.rate,
+		counts:   s.counts.Clone(),
 		src:      src,
 		rng:      rand.New(src),
 	}

@@ -1,5 +1,7 @@
 package sketch
 
+import "slices"
+
 // CountTable is an open-addressed uint64→uint64 counter table with linear
 // probing, the allocation-free replacement for the map-backed spill and
 // count paths on the simulator's access hot paths. Unlike a Go map,
@@ -167,6 +169,19 @@ func (t *CountTable) Filter(f func(key, val uint64) (uint64, bool)) {
 			t.vals[j] = v
 			t.n++
 		}
+	}
+}
+
+// Clone returns an independent copy of the live generation. The spare
+// generation is rebuild scratch and carries no entries, so the clone's
+// first Filter builds its own.
+func (t *CountTable) Clone() *CountTable {
+	return &CountTable{
+		keys: slices.Clone(t.keys),
+		vals: slices.Clone(t.vals),
+		used: slices.Clone(t.used),
+		mask: t.mask,
+		n:    t.n,
 	}
 }
 

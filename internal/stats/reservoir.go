@@ -1,42 +1,18 @@
 package stats
 
-import "math/rand"
+import "slices"
 
 // Reservoir is a fixed-memory percentile estimator: Vitter's Algorithm R
 // over a bounded sample. Long simulations record millions of per-operation
 // latencies; the reservoir keeps percentile queries O(k) and memory O(k)
-// while remaining an unbiased sample of the stream.
+// while remaining an unbiased sample of the stream. The sample grows on
+// demand up to its capacity, so a reservoir that sees few observations
+// holds few.
 type Reservoir struct {
 	capacity int
-	seed     int64
 	xs       []float64
 	seen     uint64
-	src      *countedSource
-	rng      *rand.Rand
-}
-
-// countedSource wraps the standard PRNG source and counts draws, so the
-// reservoir's RNG position can be captured and replayed exactly (the PRNG's
-// internal state is not otherwise exportable). Every Rand method the
-// reservoir uses consumes exactly one source step.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
+	src      *CountedSource
 }
 
 // NewReservoir builds a reservoir holding up to capacity observations,
@@ -45,45 +21,17 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1 << 14
 	}
-	src := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &Reservoir{capacity: capacity, src: NewCountedSource(seed)}
+}
+
+// Clone returns an independent copy: the same sample, count and RNG
+// position, so it makes the replacement decisions r would.
+func (r *Reservoir) Clone() *Reservoir {
 	return &Reservoir{
-		capacity: capacity,
-		seed:     seed,
-		xs:       make([]float64, 0, capacity),
-		src:      src,
-		rng:      rand.New(src),
-	}
-}
-
-// ReservoirSnapshot is a deep copy of a reservoir's state, including the
-// RNG position, so a restored reservoir continues the identical sequence
-// of replacement decisions.
-type ReservoirSnapshot struct {
-	xs    []float64
-	seen  uint64
-	draws uint64
-}
-
-// Snapshot captures the reservoir state.
-func (r *Reservoir) Snapshot() ReservoirSnapshot {
-	return ReservoirSnapshot{
-		xs:    append([]float64(nil), r.xs...),
-		seen:  r.seen,
-		draws: r.src.draws,
-	}
-}
-
-// Restore rewinds the reservoir to a snapshot taken from a reservoir of
-// the same capacity and seed. The RNG is replayed from the seed by
-// discarding the recorded number of draws.
-func (r *Reservoir) Restore(s ReservoirSnapshot) {
-	r.xs = append(r.xs[:0], s.xs...)
-	r.seen = s.seen
-	r.src.src = rand.NewSource(r.seed).(rand.Source64)
-	r.src.draws = 0
-	for r.src.draws < s.draws {
-		r.src.src.Uint64()
-		r.src.draws++
+		capacity: r.capacity,
+		xs:       slices.Clone(r.xs),
+		seen:     r.seen,
+		src:      r.src.Clone(),
 	}
 }
 
@@ -96,7 +44,7 @@ func (r *Reservoir) Add(x float64) {
 		r.xs = append(r.xs, x)
 		return
 	}
-	if j := r.rng.Uint64() % r.seen; j < uint64(r.capacity) {
+	if j := r.src.Uint64() % r.seen; j < uint64(r.capacity) {
 		r.xs[j] = x
 	}
 }

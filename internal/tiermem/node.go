@@ -2,6 +2,7 @@ package tiermem
 
 import (
 	"fmt"
+	"slices"
 
 	"m5/internal/mem"
 )
@@ -132,31 +133,12 @@ func (n *Node) Free(f mem.PFN) {
 	n.used--
 }
 
-// NodeSnapshot is a deep copy of a node's allocator and traffic state
-// (the span and any cgroup limit are construction-time configuration).
-type NodeSnapshot struct {
-	free   []mem.PFN
-	used   uint64
-	reads  uint64
-	writes uint64
-}
-
-// Snapshot deep-copies the node state.
-func (n *Node) Snapshot() NodeSnapshot {
-	return NodeSnapshot{
-		free:   append([]mem.PFN(nil), n.free...),
-		used:   n.used,
-		reads:  n.reads,
-		writes: n.writes,
-	}
-}
-
-// Restore rewinds the node to a snapshot taken from a same-span node.
-func (n *Node) Restore(s NodeSnapshot) {
-	n.free = append(n.free[:0], s.free...)
-	n.used = s.used
-	n.reads = s.reads
-	n.writes = s.writes
+// Clone returns an independent copy of the node: its free list, its
+// limit and its traffic counters.
+func (n *Node) Clone() *Node {
+	d := *n
+	d.free = slices.Clone(n.free)
+	return &d
 }
 
 // CountReads records k 64B reads served by this node: 1 per access on

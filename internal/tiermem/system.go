@@ -3,6 +3,7 @@ package tiermem
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"m5/internal/mem"
 	"m5/internal/obs"
@@ -39,7 +40,6 @@ func (c Config) withDefaults() Config {
 // per-core TLBs, and MGLRU aging, plus kernel CPU-time accounting so the
 // cost of identifying and migrating hot pages is visible (§4.2).
 type System struct {
-	cfg   Config
 	nodes [numNodes]*Node
 	pt    *PageTable
 	tlbs  []*TLB
@@ -82,7 +82,6 @@ func NewSystem(cfg Config) *System {
 	ddrSpan := mem.NewRange(0, cfg.DDRPages*mem.PageSize)
 	cxlSpan := mem.NewRange(ddrSpan.End, cfg.CXLPages*mem.PageSize)
 	s := &System{
-		cfg:   cfg,
 		pt:    NewPageTable(),
 		costs: DefaultCosts(),
 	}
@@ -104,6 +103,34 @@ func NewSystem(cfg Config) *System {
 	s.obsWalks = cfg.Metrics.Counter("walks")
 	s.obsShootdowns = cfg.Metrics.Counter("shootdowns")
 	return s
+}
+
+// Clone returns an independent copy of the machine: nodes, page table,
+// TLBs with their indexes, the MGLRU epoch (the clone's MGLRU ages the
+// copied table), and the kernel-time and migration counters. The fault
+// hook is wiring and the metrics handles count into the original's
+// registry, so the clone has neither; its owner installs its own policy.
+func (s *System) Clone() *System {
+	c := &System{
+		pt:         &PageTable{entries: slices.Clone(s.pt.entries)},
+		tlbs:       make([]*TLB, len(s.tlbs)),
+		costs:      s.costs,
+		kernelNs:   s.kernelNs,
+		faults:     s.faults,
+		walks:      s.walks,
+		promotions: s.promotions,
+		demotions:  s.demotions,
+		rejected:   s.rejected,
+		shootdowns: s.shootdowns,
+	}
+	for i, n := range s.nodes {
+		c.nodes[i] = n.Clone()
+	}
+	c.lru = &MGLRU{pt: c.pt, epoch: s.lru.epoch}
+	for i, t := range s.tlbs {
+		c.tlbs[i] = t.Clone()
+	}
+	return c
 }
 
 // Node returns a tier.

@@ -1,5 +1,7 @@
 package tiermem
 
+import "slices"
+
 // TLB is one core's translation lookaside buffer, modelled as a
 // fixed-capacity map with clock (second-chance) replacement. Its role in
 // the reproduction is behavioural, not timing-accurate: it determines when
@@ -130,42 +132,12 @@ func (t *TLB) Flush() {
 	}
 }
 
-// TLBSnapshot is a deep copy of a TLB's state.
-type TLBSnapshot struct {
-	slots      []tlbSlot
-	hand       int
-	hits       uint64
-	misses     uint64
-	shootdowns uint64
-}
-
-// Snapshot deep-copies the TLB state (the index is derivable from the
-// slots and rebuilt on restore).
-func (t *TLB) Snapshot() TLBSnapshot {
-	return TLBSnapshot{
-		slots:      append([]tlbSlot(nil), t.slots...),
-		hand:       t.hand,
-		hits:       t.hits,
-		misses:     t.misses,
-		shootdowns: t.shootdowns,
-	}
-}
-
-// Restore rewinds the TLB to a snapshot taken from a same-capacity TLB.
-// Like Flush, it touches only the index entries of valid slots.
-func (t *TLB) Restore(s TLBSnapshot) {
-	t.Flush()
-	copy(t.slots, s.slots)
-	for i, sl := range t.slots {
-		if sl.valid {
-			t.reserve(int(sl.vpn) + 1)
-			t.index[sl.vpn] = int32(i)
-		}
-	}
-	t.hand = s.hand
-	t.hits = s.hits
-	t.misses = s.misses
-	t.shootdowns = s.shootdowns
+// Clone returns an independent copy of the TLB, its index included.
+func (t *TLB) Clone() *TLB {
+	d := *t
+	d.slots = slices.Clone(t.slots)
+	d.index = slices.Clone(t.index)
+	return &d
 }
 
 // Len returns the number of cached translations.

@@ -267,39 +267,16 @@ func (t *Tracker) Reset() {
 	t.observed = 0
 }
 
-// Snapshot is a deep copy of a tracker's state, for forking warmed
-// simulator checkpoints.
-type Snapshot struct {
-	counter  sketch.CounterSnapshot
-	topk     cam.Snapshot
-	hasTopk  bool
-	observed uint64
-	queries  uint64
-}
-
-// Snapshot deep-copies the tracker state.
-func (t *Tracker) Snapshot() Snapshot {
-	cs, ok := sketch.SnapshotCounter(t.counter)
-	if !ok {
-		panic(fmt.Sprintf("tracker: counter %T does not support snapshots", t.counter))
-	}
-	s := Snapshot{counter: cs, observed: t.observed, queries: t.queries}
+// Clone returns an independent copy of the tracker: its counter, its CAM
+// and its epoch and query counts.
+func (t *Tracker) Clone() *Tracker {
+	c := *t
+	c.counter = t.counter.Clone()
 	if t.topk != nil {
-		s.topk = t.topk.Snapshot()
-		s.hasTopk = true
+		c.topk = t.topk.Clone()
 	}
-	return s
-}
-
-// Restore rewinds the tracker to a snapshot taken from a tracker with the
-// same configuration.
-func (t *Tracker) Restore(s Snapshot) {
-	if !sketch.RestoreCounter(t.counter, s.counter) {
-		panic(fmt.Sprintf("tracker: counter %T does not support snapshots", t.counter))
+	if t.ss != nil {
+		c.ss = c.counter.(*sketch.SpaceSaving)
 	}
-	if t.topk != nil && s.hasTopk {
-		t.topk.Restore(s.topk)
-	}
-	t.observed = s.observed
-	t.queries = s.queries
+	return &c
 }
