@@ -100,6 +100,10 @@ func (x *Index) Delete(tag uint64) {
 // Reset empties the index.
 func (x *Index) Reset() { clear(x.cells) }
 
+// Cells returns the index's cell count, what Reset clears: four per entry
+// of capacity or more, a power of two.
+func (x *Index) Cells() int { return len(x.cells) }
+
 // DropRun empties the run of occupied cells that starts at tag's home
 // cell. It exists to empty the index at a cost that follows the tags held
 // rather than the table's size: called once for every tag held, in any

@@ -150,6 +150,19 @@ func (c *Controller) attach() {
 	}
 }
 
+// ExternalSinks reports whether sinks beyond the controller's own PAC,
+// WAC, HPT and HWT were attached to the device's snoop path. Clone
+// carries none of them.
+func (c *Controller) ExternalSinks() bool {
+	own := 0
+	for _, on := range [...]bool{c.PAC != nil, c.WAC != nil, c.HPT != nil, c.HWT != nil} {
+		if on {
+			own++
+		}
+	}
+	return len(c.Device.snoop) > own
+}
+
 // QueryHPT reports and resets the HPT's top-K (an MMIO query over CXL.io).
 // It returns nil when HPT is disabled.
 func (c *Controller) QueryHPT() []cam.Entry {

@@ -113,3 +113,19 @@ func TestControllerGranularityOverride(t *testing.T) {
 		t.Error("HWT must track words")
 	}
 }
+
+// ExternalSinks tells the controller's own functions from sinks attached
+// to the device from outside, which a clone leaves behind.
+func TestExternalSinks(t *testing.T) {
+	c := NewController(ControllerConfig{Span: span(), EnablePAC: true, HPT: &tracker.Config{Entries: 64}})
+	if c.ExternalSinks() {
+		t.Error("a fresh controller reports external sinks")
+	}
+	c.Device.Attach(trace.SinkFunc(func(trace.Access, uint64) {}))
+	if !c.ExternalSinks() {
+		t.Error("a sink attached to the device goes unreported")
+	}
+	if c.Clone().ExternalSinks() {
+		t.Error("a clone reports the external sink it does not carry")
+	}
+}

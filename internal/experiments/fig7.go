@@ -49,14 +49,15 @@ func Fig7(p Params) ([]Fig7Row, error) {
 	// Phase 1: collect one cache-filtered trace per benchmark and count
 	// its exact per-epoch truth once per granularity. Phase 2: replay each
 	// (benchmark, algorithm, N) cell against those truths; the replay only
-	// reads them, so cells fan out freely. The trace carries per-entry
-	// weights: exact runs record every access at weight 1 (byte-identical
-	// to the unweighted path), sampled runs record one entry per simulated
-	// access with the engine's Horvitz-Thompson credit, so the
-	// 2×|algs|×|entries| replays below each touch a fraction of the
-	// credited stream. The truths hold the keys and weights the replays
-	// need, so the trace's access records are dropped once they are
-	// counted.
+	// reads them, so cells fan out freely, and a cell builds its tracker
+	// only when an epoch it cannot count exactly arrives (epochTruth.score).
+	// The trace carries per-entry weights: exact runs record every access
+	// at weight 1 (byte-identical to the unweighted path), sampled runs
+	// record one entry per simulated access with the engine's
+	// Horvitz-Thompson credit, so the 2×|algs|×|entries| replays below each
+	// touch a fraction of the credited stream. The truths hold the keys and
+	// weights the replays need, so the trace's access records are dropped
+	// once they are counted.
 	type truthPair struct{ hpt, hwt *epochTruth }
 	truths, err := mapCells(p, len(p.Benchmarks), func(i int) (truthPair, error) {
 		bench := p.Benchmarks[i]
@@ -85,10 +86,10 @@ func Fig7(p Params) ([]Fig7Row, error) {
 			Benchmark: p.Benchmarks[i/perBench],
 			Algorithm: alg,
 			Entries:   n,
-			HPTRatio: truth.hpt.score(tracker.New(tracker.Config{
-				Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K})),
-			HWTRatio: truth.hwt.score(tracker.New(tracker.Config{
-				Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K})),
+			HPTRatio: truth.hpt.score(tracker.Config{
+				Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K}, nil),
+			HWTRatio: truth.hwt.score(tracker.Config{
+				Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K}, nil),
 			FPGAFeasible: hwcost.Feasible(designOf(alg), hwcost.FPGA, n),
 			ASICFeasible: hwcost.Feasible(designOf(alg), hwcost.ASIC7nm, n),
 		}, nil
@@ -171,7 +172,9 @@ func EpochByTime(periodNs uint64) EpochPolicy {
 // touching only the simulated subset of the stream; nil weights count
 // every entry once. It builds the trace's epoch truth and scores the
 // tracker against it; Figure 7 builds each truth once for all its cells.
+// An epoch the tracker would count exactly scores 1 without a replay, so
+// the tracker observes and answers queries only in the epochs it replays.
 func ScoreTrackerOnWeightedTrace(tr *tracker.Tracker, wt WeightedTrace, epoch EpochPolicy) float64 {
 	cfg := tr.Config()
-	return newEpochTruth(wt, cfg.Granularity, epoch, cfg.K).score(tr)
+	return newEpochTruth(wt, cfg.Granularity, epoch, cfg.K).score(cfg, tr)
 }

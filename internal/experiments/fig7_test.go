@@ -108,14 +108,15 @@ func sameFig7Rows(t *testing.T, got, want []Fig7Row) {
 
 // TestFig7MatchesStreamingScorer pins Figure 7's shared-truth rows to the
 // per-cell streaming scorer, in exact mode (unit weights) and on the
-// sampled tier (Horvitz-Thompson weights), at the smallest N, the
-// Space-Saving ASIC limit and the largest N.
+// sampled tier (Horvitz-Thompson weights), at the smallest N, at 512 and
+// 1024, where cells mix skipped and replayed epochs, at the Space-Saving
+// ASIC limit and at the largest N.
 func TestFig7MatchesStreamingScorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects and scores the QuickParams traces twice")
 	}
 	saved := Fig7Entries
-	Fig7Entries = []int{50, 2048, 32768}
+	Fig7Entries = []int{50, 512, 1024, 2048, 32768}
 	defer func() { Fig7Entries = saved }()
 	for _, sample := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sample=%v", sample), func(t *testing.T) {
@@ -216,8 +217,8 @@ func BenchmarkFig7ScoreCell(b *testing.B) {
 				b.ReportAllocs()
 				var hpt, hwt float64
 				for i := 0; i < b.N; i++ {
-					hpt = page.score(tracker.New(tracker.Config{Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K}))
-					hwt = word.score(tracker.New(tracker.Config{Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K}))
+					hpt = page.score(tracker.Config{Granularity: tracker.PageGranularity, Algorithm: alg, Entries: n, K: fig7K}, nil)
+					hwt = word.score(tracker.Config{Granularity: tracker.WordGranularity, Algorithm: alg, Entries: n, K: fig7K}, nil)
 				}
 				b.ReportMetric(hpt, "hpt-ratio")
 				b.ReportMetric(hwt, "hwt-ratio")

@@ -88,13 +88,29 @@ func (t *epochTruth) weight(i int) uint64 {
 	return t.weights[i]
 }
 
-// score replays the truth's keys into the tracker, querying it at every
-// epoch end, and returns the mean epoch ratio (0 when no epoch scored).
-// The tracker must report at most k keys per query.
-func (t *epochTruth) score(tr *tracker.Tracker) float64 {
+// score replays the truth's keys into tr, a tracker built from cfg,
+// querying it at every epoch end, and returns the mean epoch ratio (0
+// when no epoch scored). A nil tr is built at the first epoch that needs
+// a replay. An epoch the tracker counts exactly (Config.CountsExactly)
+// is not replayed: it folds best/best, exactly the 1 its replay would
+// fold (nothing when every count is 0), and the tracker stays fresh, as
+// the query's reset would leave it. The tracker must report at most k
+// keys per query.
+func (t *epochTruth) score(cfg tracker.Config, tr *tracker.Tracker) float64 {
 	var ratios epochRatios
 	lo := 0
 	for _, ep := range t.epochs {
+		if tr == nil && !cfg.CountsExactly(nil, ep.run) {
+			tr = tracker.New(cfg)
+		}
+		if cfg.CountsExactly(tr, ep.run) {
+			if len(ep.run) > 0 {
+				best := ep.best[min(len(ep.run), len(ep.best))-1]
+				ratios.add(best, best)
+			}
+			lo = ep.end
+			continue
+		}
 		for i := lo; i < ep.end; i++ {
 			tr.ObserveKeyN(t.keys[i], t.weight(i))
 		}

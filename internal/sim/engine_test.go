@@ -576,6 +576,13 @@ func TestCheckpointRefusesExternalState(t *testing.T) {
 			t.Error("sink-carrying runner must refuse to checkpoint")
 		}
 	})
+	t.Run("device-sink", func(t *testing.T) {
+		r := newRunner(t, "roms", Config{})
+		r.Ctrl.Device.Attach(&countingSink{})
+		if _, err := r.Checkpoint(); err == nil {
+			t.Error("runner with a sink on its CXL device must refuse to checkpoint")
+		}
+	})
 	t.Run("bandwidth", func(t *testing.T) {
 		r := newRunner(t, "roms", Config{Bandwidth: true})
 		if _, err := r.Checkpoint(); err == nil {

@@ -111,12 +111,18 @@ func (s *SpaceSaving) Error(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Reset implements Counter. It empties the index through the tracked
-// keys, so an epoch that tracked few keys resets cheaply however large N
-// is.
+// Reset implements Counter. An index that holds a key in fewer than a
+// sixteenth of its cells is emptied through the tracked keys, so an epoch
+// that tracked few keys resets cheaply however large N is; a fuller one
+// is cleared whole, which costs less from about that share on
+// (BenchmarkSpaceSavingReset).
 func (s *SpaceSaving) Reset() {
-	for _, e := range s.pool[:s.used] {
-		s.index.DropRun(e.key)
+	if s.used*16 >= s.index.Cells() {
+		s.index.Reset()
+	} else {
+		for _, e := range s.pool[:s.used] {
+			s.index.DropRun(e.key)
+		}
 	}
 	s.entries = s.entries[:0]
 	s.used = 0

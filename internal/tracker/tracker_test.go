@@ -334,3 +334,112 @@ func TestDecayFallsBackToResetWithoutDecayer(t *testing.T) {
 		t.Error("non-decayable tracker should reset on query")
 	}
 }
+
+// TestCountsExactlyOnlyFreshTrackers pins who may skip an epoch: an
+// unbuilt or fresh Space-Saving tracker up to N keys, a built CM-Sketch
+// tracker whose keys are separated, and never a tracker that has observed
+// keys in the epoch (until its query starts a fresh one), a DecayOnQuery
+// tracker or Sticky Sampling.
+func TestCountsExactlyOnlyFreshTrackers(t *testing.T) {
+	run := []sketch.KeyCount{{Key: 1, Count: 3}, {Key: 2, Count: 1}}
+	type build int
+	const (
+		unbuilt build = iota
+		fresh
+		observed // one key observed, then asked again after a query
+	)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		build build
+		want  bool
+	}{
+		{"space-saving/unbuilt", Config{Algorithm: SpaceSaving, Entries: 2}, unbuilt, true},
+		{"space-saving/fresh", Config{Algorithm: SpaceSaving, Entries: 2}, fresh, true},
+		{"space-saving/too-many-keys", Config{Algorithm: SpaceSaving, Entries: 1}, fresh, false},
+		{"space-saving/observed", Config{Algorithm: SpaceSaving, Entries: 2}, observed, false},
+		{"space-saving/decay", Config{Algorithm: SpaceSaving, Entries: 2, DecayOnQuery: true}, fresh, false},
+		{"cm-sketch/unbuilt", Config{Algorithm: CMSketch, Entries: 4096}, unbuilt, false},
+		{"cm-sketch/fresh", Config{Algorithm: CMSketch, Entries: 4096}, fresh, true},
+		{"cm-sketch-cu/fresh", Config{Algorithm: ConservativeCMSketch, Entries: 4096}, fresh, true},
+		{"cm-sketch/one-column", Config{Algorithm: CMSketch, Entries: 4}, fresh, false},
+		{"cm-sketch/observed", Config{Algorithm: CMSketch, Entries: 4096}, observed, false},
+		{"cm-sketch/decay", Config{Algorithm: CMSketch, Entries: 4096, DecayOnQuery: true}, fresh, false},
+		{"sticky-sampling/fresh", Config{Algorithm: StickySampling, Entries: 4096}, fresh, false},
+	} {
+		var tr *Tracker
+		if tc.build != unbuilt {
+			tr = New(tc.cfg)
+		}
+		if tc.build == observed {
+			tr.ObserveKeyN(1, 1)
+		}
+		if got := tc.cfg.CountsExactly(tr, run); got != tc.want {
+			t.Errorf("%s: CountsExactly = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.build == observed {
+			tr.Query()
+			if !tc.cfg.CountsExactly(tr, run) {
+				t.Errorf("%s: CountsExactly after the query = false, want true", tc.name)
+			}
+		}
+	}
+}
+
+// TestCountsExactlyImpliesExactTopK checks the predicate's promise on
+// random epochs over small skewed key spaces with weights 1 to 3: when a
+// fresh tracker qualifies, replaying the epoch into it and querying
+// reports min(K, keys) keys, each at its exact count, summing to the
+// epoch's top-K best.
+func TestCountsExactlyImpliesExactTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var verdicts [2]int
+	for trial := 0; trial < 3000; trial++ {
+		cfg := Config{
+			Algorithm: []Algorithm{SpaceSaving, CMSketch, ConservativeCMSketch}[rng.Intn(3)],
+			Entries:   []int{4, 8, 16, 50, 64, 100, 512}[rng.Intn(7)],
+			K:         []int{1, 5, 64}[rng.Intn(3)],
+		}
+		keySpace := 1 + rng.Intn(80)
+		type obs struct{ key, n uint64 }
+		stream := make([]obs, rng.Intn(200))
+		exact := map[uint64]uint64{}
+		for i := range stream {
+			key := uint64(rng.Intn(1 + rng.Intn(keySpace)))
+			stream[i] = obs{key, 1 + uint64(rng.Intn(3))}
+			exact[key] += stream[i].n
+		}
+		var run []sketch.KeyCount
+		for k, c := range exact {
+			run = append(run, sketch.KeyCount{Key: k, Count: c})
+		}
+		sketch.SortKeyCounts(run)
+		tr := New(cfg)
+		if !cfg.CountsExactly(tr, run) {
+			verdicts[0]++
+			continue
+		}
+		verdicts[1]++
+		for _, o := range stream {
+			tr.ObserveKeyN(o.key, o.n)
+		}
+		top := tr.Query()
+		if len(top) != min(cfg.K, len(run)) {
+			t.Fatalf("%+v: reported %d keys of %d", cfg, len(top), len(run))
+		}
+		var got, best uint64
+		for i, e := range top {
+			if e.Count != exact[e.Addr] {
+				t.Fatalf("%+v: key %d reported at %d, exact %d", cfg, e.Addr, e.Count, exact[e.Addr])
+			}
+			got += e.Count
+			best += run[i].Count
+		}
+		if got != best {
+			t.Fatalf("%+v: reported keys sum to %d, best %d", cfg, got, best)
+		}
+	}
+	if verdicts[0] < 300 || verdicts[1] < 300 {
+		t.Fatalf("verdicts (replay, exact) = %v: the epochs test too little of one side", verdicts)
+	}
+}
