@@ -99,19 +99,3 @@ func (x *Index) Delete(tag uint64) {
 
 // Reset empties the index.
 func (x *Index) Reset() { clear(x.cells) }
-
-// Cells returns the index's cell count, what Reset clears: four per entry
-// of capacity or more, a power of two.
-func (x *Index) Cells() int { return len(x.cells) }
-
-// DropRun empties the run of occupied cells that starts at tag's home
-// cell. It exists to empty the index at a cost that follows the tags held
-// rather than the table's size: called once for every tag held, in any
-// order, it leaves no cell occupied, because the first call to touch any
-// cell of a tag's run clears the run through that tag's cell. Called for
-// only some of the tags held, it can orphan others.
-func (x *Index) DropRun(tag uint64) {
-	for i := x.home(tag); x.cells[i].used; i = (i + 1) & x.mask {
-		x.cells[i] = indexCell{}
-	}
-}

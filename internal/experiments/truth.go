@@ -100,16 +100,16 @@ func (t *epochTruth) score(cfg tracker.Config, tr *tracker.Tracker) float64 {
 	var ratios epochRatios
 	lo := 0
 	for _, ep := range t.epochs {
-		if tr == nil && !cfg.CountsExactly(nil, ep.run) {
-			tr = tracker.New(cfg)
-		}
-		if cfg.CountsExactly(tr, ep.run) {
+		if cfg.CountsExactly(tr, len(ep.run)) {
 			if len(ep.run) > 0 {
 				best := ep.best[min(len(ep.run), len(ep.best))-1]
 				ratios.add(best, best)
 			}
 			lo = ep.end
 			continue
+		}
+		if tr == nil {
+			tr = tracker.New(cfg)
 		}
 		for i := lo; i < ep.end; i++ {
 			tr.ObserveKeyN(t.keys[i], t.weight(i))

@@ -111,52 +111,6 @@ func (c *CountMin) Estimate(key uint64) uint64 {
 	return min(counts[c.slot(0, key)], counts[c.slot(1, key)], counts[c.slot(2, key)], counts[c.slot(3, key)])
 }
 
-// Separates reports whether every key of run owns, in at least one row, a
-// counter that no other key of run maps to. Only the keys are read, and a
-// key listed twice owns nothing. The test borrows c's counters as
-// scratch, so c must be empty (new or just Reset); it is empty again on
-// return. Owned counters are distinct, so a run longer than H×W fails at
-// once. Otherwise a first pass marks each counter with the one key that
-// maps to it, or as shared, and a second checks and clears each key's
-// counters. Either pass stops at the first key it proves owns nothing
-// (in the first, a key whose every counter an earlier key took) and
-// empties c with one Reset. It allocates nothing.
-func (c *CountMin) Separates(run []KeyCount) bool {
-	if len(run) > len(c.counts) {
-		return false
-	}
-	const shared = ^uint64(0)
-	counts := c.counts
-	for i, kc := range run {
-		first := false
-		for r := range CountMinRows {
-			if s := c.slot(r, kc.Key); counts[s] == 0 {
-				counts[s] = uint64(i) + 1
-				first = true
-			} else {
-				counts[s] = shared
-			}
-		}
-		if !first {
-			c.Reset()
-			return false
-		}
-	}
-	for i, kc := range run {
-		owns := false
-		for r := range CountMinRows {
-			s := c.slot(r, kc.Key)
-			owns = owns || counts[s] == uint64(i)+1
-			counts[s] = 0
-		}
-		if !owns {
-			c.Reset()
-			return false
-		}
-	}
-	return true
-}
-
 // Decay implements Decayer: every counter halves, aging old epochs out
 // exponentially instead of discarding them.
 func (c *CountMin) Decay() {

@@ -131,64 +131,3 @@ func TestCountMinMatchesRowOracle(t *testing.T) {
 		}
 	}
 }
-
-// separatesPairwise is Separates by brute force: key i owns row r's
-// counter when no other entry of run hashes to the same one.
-func separatesPairwise(c *CountMin, run []KeyCount) bool {
-	for i, a := range run {
-		owns := false
-		for r := range CountMinRows {
-			shared := false
-			for j, b := range run {
-				if j != i && c.slot(r, a.Key) == c.slot(r, b.Key) {
-					shared = true
-					break
-				}
-			}
-			owns = owns || !shared
-		}
-		if !owns {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSeparatesMatchesPairwise compares Separates with the pairwise
-// reference on random runs over small key spaces, at power-of-two widths
-// and the modulo-reduced ones (Figure 7's N=50 and 100 give 12 and 25
-// columns), with runs that pass and fail and a repeated key now and then.
-// Every call must leave the borrowed counters zeroed and allocate
-// nothing.
-func TestSeparatesMatchesPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	var verdicts [2]int
-	for _, cols := range []int{1, 2, 3, 8, 12, 25, 64, 128} {
-		c := NewCountMin(cols)
-		for trial := 0; trial < 400; trial++ {
-			run := make([]KeyCount, rng.Intn(2*cols+2))
-			for i := range run {
-				run[i].Key = uint64(rng.Intn(4 * cols * CountMinRows))
-			}
-			want := separatesPairwise(c, run)
-			if got := c.Separates(run); got != want {
-				t.Fatalf("cols %d, run %v: Separates = %v, pairwise %v", cols, run, got, want)
-			}
-			if i := slices.IndexFunc(c.counts, func(v uint64) bool { return v != 0 }); i >= 0 {
-				t.Fatalf("cols %d: counter %d left at %d", cols, i, c.counts[i])
-			}
-			if want {
-				verdicts[1]++
-			} else {
-				verdicts[0]++
-			}
-		}
-		run := []KeyCount{{Key: 7}, {Key: 9}}
-		if allocs := testing.AllocsPerRun(10, func() { c.Separates(run) }); allocs != 0 {
-			t.Errorf("cols %d: Separates allocates %.0f times", cols, allocs)
-		}
-	}
-	if verdicts[0] < 100 || verdicts[1] < 100 {
-		t.Fatalf("verdicts (fail, pass) = %v: the runs test too little of one side", verdicts)
-	}
-}

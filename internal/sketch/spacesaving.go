@@ -111,19 +111,9 @@ func (s *SpaceSaving) Error(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Reset implements Counter. An index that holds a key in fewer than a
-// sixteenth of its cells is emptied through the tracked keys, so an epoch
-// that tracked few keys resets cheaply however large N is; a fuller one
-// is cleared whole, which costs less from about that share on
-// (BenchmarkSpaceSavingReset).
+// Reset implements Counter.
 func (s *SpaceSaving) Reset() {
-	if s.used*16 >= s.index.Cells() {
-		s.index.Reset()
-	} else {
-		for _, e := range s.pool[:s.used] {
-			s.index.DropRun(e.key)
-		}
-	}
+	s.index.Reset()
 	s.entries = s.entries[:0]
 	s.used = 0
 }

@@ -118,17 +118,15 @@ func TestSpaceSavingMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// TestSpaceSavingResetMatchesFresh fills counters to either side of
-// Reset's switch between emptying the index key by key and clearing it
-// whole (one tracked key per 16 cells), resets them, and drives them on
-// like TestSpaceSavingMatchesHeapOracle against a fresh oracle, resetting
-// both twice more along the way: a key either reset leaves behind shows
-// up as a wrong estimate, error or Top.
+// TestSpaceSavingResetMatchesFresh fills counters with one key, half
+// their capacity or all of it, resets them, and drives them on like
+// TestSpaceSavingMatchesHeapOracle against a fresh oracle, resetting both
+// twice more along the way: a key a reset leaves behind shows up as a
+// wrong estimate, error or Top.
 func TestSpaceSavingResetMatchesFresh(t *testing.T) {
 	for _, capacity := range []int{5, 64, 200} {
 		keys := 3 * capacity
-		per16 := NewSpaceSaving(capacity).index.Cells() / 16
-		for _, fill := range []int{1, per16 - 1, per16, capacity} {
+		for _, fill := range []int{1, capacity / 2, capacity} {
 			t.Run(fmt.Sprintf("N%d/fill%d", capacity, fill), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(fill)))
 				ss := NewSpaceSaving(capacity)
@@ -251,42 +249,5 @@ func BenchmarkSpaceSavingTop(b *testing.B) {
 				topSink = ss.Top(5)
 			}
 		})
-	}
-}
-
-// BenchmarkSpaceSavingReset times the two ways Reset can empty the tag
-// index, key by key (DropRun) and whole (Index.Reset), with one tracked
-// key per 64 to 4 cells: the evidence for Reset's switch at one key per
-// 16 cells.
-func BenchmarkSpaceSavingReset(b *testing.B) {
-	for _, n := range []int{512, 2048, 32768} {
-		cells := NewSpaceSaving(n).index.Cells()
-		for _, per := range []int{64, 32, 16, 8, 4} {
-			fill := min(n, cells/per)
-			for _, whole := range []bool{false, true} {
-				name := fmt.Sprintf("N%d/fill%d/drop", n, fill)
-				if whole {
-					name = fmt.Sprintf("N%d/fill%d/clear", n, fill)
-				}
-				b.Run(name, func(b *testing.B) {
-					ss := NewSpaceSaving(n)
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						for k := range fill {
-							ss.AddN(splitmix64(uint64(i*fill+k)), 1)
-						}
-						b.StartTimer()
-						if whole {
-							ss.index.Reset()
-						} else {
-							for _, e := range ss.pool[:ss.used] {
-								ss.index.DropRun(e.key)
-							}
-						}
-						ss.entries, ss.used = ss.entries[:0], 0
-					}
-				})
-			}
-		}
 	}
 }

@@ -116,30 +116,17 @@ func (c Config) Validate() error {
 }
 
 // CountsExactly reports whether t, a tracker built from c, counts an
-// epoch exactly if the epoch starts now, so that its query at the
-// epoch's end reports the min(K, keys) keys with the epoch's largest
-// exact counts and a scorer may skip the replay. run lists the epoch's
-// distinct keys; their counts are not read. A nil t stands for a tracker
-// New(c) has yet to build. Only a fresh tracker qualifies: nil, or one
-// that has observed nothing since its last query or Reset, and never a
-// DecayOnQuery tracker, whose query carries counts into the next epoch.
-// Then Space-Saving counts exactly when len(run) <= N, and CM-Sketch,
-// plain or conservative, when every key owns a counter no other key maps
-// to (sketch.CountMin.Separates, which borrows t's own counters, so a nil
-// t does not qualify); Sticky Sampling never does. DESIGN.md §11 (Exact
-// epochs) has the proofs.
-func (c Config) CountsExactly(t *Tracker, run []sketch.KeyCount) bool {
+// epoch of keys distinct keys exactly if the epoch starts now, so that
+// its query at the epoch's end reports the min(K, keys) keys with the
+// epoch's largest exact counts and a scorer may skip the replay. A nil t
+// stands for a tracker New(c) has yet to build. Only a fresh Space-Saving
+// tracker qualifies: nil, or one that has observed nothing since its last
+// query or Reset, never a DecayOnQuery one (whose query may carry counts
+// into the next epoch), and only when keys <= N. DESIGN.md §11 (Exact
+// epochs) has the proof.
+func (c Config) CountsExactly(t *Tracker, keys int) bool {
 	c = c.withDefaults()
-	if c.DecayOnQuery || t != nil && t.observed != 0 {
-		return false
-	}
-	switch c.Algorithm {
-	case SpaceSaving:
-		return len(run) <= c.Entries
-	case CMSketch, ConservativeCMSketch:
-		return t != nil && t.counter.(*sketch.CountMin).Separates(run)
-	}
-	return false
+	return c.Algorithm == SpaceSaving && !c.DecayOnQuery && (t == nil || t.observed == 0) && keys <= c.Entries
 }
 
 func (c Config) withDefaults() Config {
